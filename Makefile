@@ -20,7 +20,7 @@ BENCH_COUNT ?= 5
 # the daemon's end-to-end serving benchmark.
 BENCH_PKGS = . ./cmd/sqlcheckd
 
-.PHONY: build test test-full bench bench-baseline bench-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint ci
+.PHONY: build test test-full bench bench-baseline bench-check bench-e2e-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
 
 # The single source of truth for the gated-benchmark pattern: CI's
 # base-ref step reads it from the PR's Makefile (before checking out
@@ -101,9 +101,22 @@ profile-heap:
 docs-check:
 	$(GO) run ./cmd/docscheck README.md DESIGN.md
 
+# The end-to-end benchmark is its own module (bench/e2e/go.mod) that
+# imports internal packages, and the root `go build ./...` never
+# compiles it: vet and test it here so an internal refactor cannot
+# break the benchmark without a check noticing.
+bench-e2e-check:
+	$(GO) -C bench/e2e vet ./...
+	$(GO) -C bench/e2e test -short ./...
+
+# The non-test Go line count the ROADMAP tracks and CHANGES.md records:
+# .go files outside bench/ and hidden directories, _test.go excluded.
+loc:
+	@find . \( -path './.*' -o -path ./bench \) -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: build lint docs-check test
+ci: build lint docs-check test bench-e2e-check

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sqlcheck/internal/core"
 )
 
 // admitReason classifies an admission decision.
@@ -41,46 +43,8 @@ const (
 // queueWaitBounds are the queue-wait histogram bucket upper bounds in
 // seconds (implicit +Inf catches the rest). The range spans "admitted
 // on the fast path" (sub-millisecond) to the QueueWait cap.
-var queueWaitBounds = [...]float64{
+var queueWaitBounds = []float64{
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
-// HistBucket is one cumulative histogram bucket of the admission
-// queue-wait histogram: Count observations took at most LE seconds
-// (LE < 0 encodes +Inf).
-type HistBucket struct {
-	LE    float64 `json:"le"`
-	Count int64   `json:"count"`
-}
-
-// waitHist is a fixed-bucket atomic histogram of queue-wait times.
-type waitHist struct {
-	buckets  [len(queueWaitBounds) + 1]atomic.Int64
-	sumNanos atomic.Int64
-	count    atomic.Int64
-}
-
-func (h *waitHist) observe(d time.Duration) {
-	secs := d.Seconds()
-	i := 0
-	for i < len(queueWaitBounds) && secs > queueWaitBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.sumNanos.Add(int64(d))
-	h.count.Add(1)
-}
-
-func (h *waitHist) snapshot() ([]HistBucket, float64, int64) {
-	out := make([]HistBucket, 0, len(queueWaitBounds)+1)
-	var cum int64
-	for i := range queueWaitBounds {
-		cum += h.buckets[i].Load()
-		out = append(out, HistBucket{LE: queueWaitBounds[i], Count: cum})
-	}
-	cum += h.buckets[len(queueWaitBounds)].Load()
-	out = append(out, HistBucket{LE: -1, Count: cum})
-	return out, float64(h.sumNanos.Load()) / float64(time.Second), h.count.Load()
 }
 
 // admission is the bounded admission controller shared by the
@@ -111,7 +75,7 @@ type admission struct {
 	shedQueueWait atomic.Int64
 	shedTenant    atomic.Int64
 
-	waits waitHist
+	waits *core.Histogram
 }
 
 // newAdmission builds a controller; bounds must be positive.
@@ -122,6 +86,7 @@ func newAdmission(maxInflight, maxQueue int, queueWait time.Duration) *admission
 		queueWait:   queueWait,
 		sem:         make(chan struct{}, maxInflight),
 		tenants:     make(map[string]int),
+		waits:       core.NewHistogram(queueWaitBounds),
 	}
 }
 
@@ -141,7 +106,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	// allocation-free.
 	select {
 	case a.sem <- struct{}{}:
-		a.waits.observe(0)
+		a.waits.Observe(0)
 		return a.admit(tenant, time.Now()), admitOK
 	default:
 	}
@@ -159,12 +124,12 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	case a.sem <- struct{}{}:
 		a.queued.Add(-1)
 		wait := time.Since(start)
-		a.waits.observe(wait)
+		a.waits.Observe(wait)
 		return a.admit(tenant, time.Now()), admitOK
 	case <-timer.C:
 		a.queued.Add(-1)
 		a.leaveTenant(tenant)
-		a.waits.observe(time.Since(start))
+		a.waits.Observe(time.Since(start))
 		a.shedQueueWait.Add(1)
 		return nil, shedQueueWait
 	case <-ctx.Done():
@@ -307,9 +272,9 @@ type AdmissionStats struct {
 	AvgServiceSeconds float64 `json:"avg_service_seconds"`
 	// QueueWaitCount/Sum/Buckets are the queue-wait histogram
 	// (fast-path admissions observe zero wait).
-	QueueWaitCount      int64        `json:"queue_wait_count"`
-	QueueWaitSumSeconds float64      `json:"queue_wait_sum_seconds"`
-	QueueWaitBuckets    []HistBucket `json:"queue_wait_buckets"`
+	QueueWaitCount      int64         `json:"queue_wait_count"`
+	QueueWaitSumSeconds float64       `json:"queue_wait_sum_seconds"`
+	QueueWaitBuckets    []core.Bucket `json:"queue_wait_buckets"`
 }
 
 // ShedTotal is the total 429 count across shed reasons.
@@ -319,7 +284,7 @@ func (s AdmissionStats) ShedTotal() int64 {
 
 // Stats snapshots the controller.
 func (a *admission) Stats() AdmissionStats {
-	buckets, sum, count := a.waits.snapshot()
+	buckets, sum, count := a.waits.Snapshot()
 	return AdmissionStats{
 		MaxInflight:         a.maxInflight,
 		MaxQueue:            a.maxQueue,

@@ -361,9 +361,13 @@ func TestCheckEndpointWorkloadErrors(t *testing.T) {
 // Prometheus text and JSON renderings. The batch is shaped to exercise
 // both sharing layers: workloads 1 and 2 are byte-identical, so the
 // second coalesces onto the first instead of touching any cache, while
-// workload 3 shares only its CREATE statement — a parse-cache hit.
+// workload 3 shares only its CREATE statement — a parse-cache hit. The
+// checker runs at concurrency 1 so workload 3 parses after workload 1:
+// two workers can both miss on the shared CREATE, which the cache
+// permits by design.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := server(t)
+	srv := httptest.NewServer(NewHandler(sqlcheck.New(sqlcheck.Options{Concurrency: 1})))
+	t.Cleanup(srv.Close)
 	body := `{"queries": [
 		"CREATE TABLE t (id INT PRIMARY KEY, v FLOAT); SELECT * FROM t ORDER BY RAND()",
 		"CREATE TABLE t (id INT PRIMARY KEY, v FLOAT); SELECT * FROM t ORDER BY RAND()",

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"sqlcheck"
+	"sqlcheck/internal/core"
 )
 
 // writePrometheus renders the snapshot in Prometheus text exposition
@@ -20,6 +21,23 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	}
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
+	// histogram renders one series of a histogram family; label, when
+	// set, is a rendered name="value" pair that precedes le.
+	histogram := func(name, label string, buckets []core.Bucket, sum float64, count int64) {
+		sel, lead := "", ""
+		if label != "" {
+			sel, lead = "{"+label+"}", label+","
+		}
+		for _, b := range buckets {
+			le := "+Inf"
+			if b.LE >= 0 {
+				le = fmt.Sprintf("%g", b.LE)
+			}
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, lead, le, b.Count)
+		}
+		fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, sum)
+		fmt.Fprintf(w, "%s_count%s %d\n", name, sel, count)
 	}
 
 	counter("sqlcheck_cache_hits_total", "Parse cache hits.", m.Cache.Hits)
@@ -76,15 +94,7 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	fmt.Fprintf(w, "# HELP sqlcheck_admission_avg_service_seconds EWMA of observed request service time (the Retry-After estimate input).\n# TYPE sqlcheck_admission_avg_service_seconds gauge\nsqlcheck_admission_avg_service_seconds %g\n",
 		adm.AvgServiceSeconds)
 	fmt.Fprint(w, "# HELP sqlcheck_admission_queue_wait_seconds Time requests spent waiting for an analysis slot (fast-path admissions observe zero).\n# TYPE sqlcheck_admission_queue_wait_seconds histogram\n")
-	for _, b := range adm.QueueWaitBuckets {
-		le := "+Inf"
-		if b.LE >= 0 {
-			le = fmt.Sprintf("%g", b.LE)
-		}
-		fmt.Fprintf(w, "sqlcheck_admission_queue_wait_seconds_bucket{le=%q} %d\n", le, b.Count)
-	}
-	fmt.Fprintf(w, "sqlcheck_admission_queue_wait_seconds_sum %g\n", adm.QueueWaitSumSeconds)
-	fmt.Fprintf(w, "sqlcheck_admission_queue_wait_seconds_count %d\n", adm.QueueWaitCount)
+	histogram("sqlcheck_admission_queue_wait_seconds", "", adm.QueueWaitBuckets, adm.QueueWaitSumSeconds, adm.QueueWaitCount)
 	counter("sqlcheck_request_timeouts_total", "Requests that hit the per-request analysis deadline (504s).", m.Timeouts)
 	counter("sqlcheck_panics_total", "Handler panics recovered into 500s (daemon bugs; rule panics are isolated per workload and counted separately).", m.Panics)
 	counter("sqlcheck_rule_panics_total", "Rule-detector panics recovered into per-workload errors (buggy registered rules; the batch and daemon keep serving).", m.RulePanics)
@@ -140,14 +150,6 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 
 	fmt.Fprint(w, "# HELP sqlcheck_phase_seconds Wall time per pipeline phase per workload.\n# TYPE sqlcheck_phase_seconds histogram\n")
 	for _, ph := range m.Phases {
-		for _, b := range ph.Buckets {
-			le := "+Inf"
-			if b.LE >= 0 {
-				le = fmt.Sprintf("%g", b.LE)
-			}
-			fmt.Fprintf(w, "sqlcheck_phase_seconds_bucket{phase=%q,le=%q} %d\n", ph.Phase, le, b.Count)
-		}
-		fmt.Fprintf(w, "sqlcheck_phase_seconds_sum{phase=%q} %g\n", ph.Phase, ph.SumSeconds)
-		fmt.Fprintf(w, "sqlcheck_phase_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
+		histogram("sqlcheck_phase_seconds", fmt.Sprintf("phase=%q", ph.Phase), ph.Buckets, ph.SumSeconds, ph.Count)
 	}
 }

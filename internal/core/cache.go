@@ -5,13 +5,9 @@ package core
 // is pathological for workloads slightly larger than the capacity: a
 // round-robin pass over >cap distinct statements evicted everything
 // before any entry was reused, so every pass re-parsed the entire
-// workload. ParseCache replaces it with an LRU bounded by estimated
-// resident bytes plus a frequency doorkeeper on admission: when the
-// cache is full, a statement seen for the first time is noted but not
-// admitted, and only a repeated miss displaces resident entries. On a
-// cyclic scan of twice the capacity — strict LRU's worst case, zero
-// hits — the doorkeeper keeps roughly half the working set resident,
-// so each pass still hits on the retained half.
+// workload. ParseCache keys the cache core (lru.go) by statement text,
+// so a cyclic scan past the budget still hits on the half the
+// doorkeeper keeps resident.
 //
 // A ParseCache is safe for concurrent use and is designed to be
 // shared process-wide: every Engine (and therefore every Checker and
@@ -20,10 +16,6 @@ package core
 // requests, and batches parse once per process.
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
 	"sqlcheck/internal/parser"
 	"sqlcheck/internal/sqlast"
 )
@@ -42,12 +34,6 @@ const (
 	// how many statements fit, not an allocator budget.
 	astExpansionFactor = 8
 	entryOverheadBytes = 192
-
-	// doorkeeperMax bounds the admission filter's memory: when the
-	// set of once-seen keys reaches this, it resets. The filter only
-	// needs to remember the recent past to tell a repeated miss from
-	// a one-off statement.
-	doorkeeperMax = 1 << 14
 )
 
 // entryCost estimates the resident bytes of one cache entry.
@@ -60,22 +46,7 @@ func entryCost(text string) int64 {
 // schema building, rules, the fix engine) either only reads the AST
 // or copies the statement before rewriting it.
 type ParseCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List               // front = most recently used
-	entries  map[string]*list.Element // key -> element; Value is *cacheEntry
-	seen     map[string]struct{}      // doorkeeper: keys missed once while full
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key  string
-	stmt sqlast.Statement
-	cost int64
+	lru *lru[string, sqlast.Statement]
 }
 
 // NewParseCache builds a cache bounded by maxBytes of estimated
@@ -84,102 +55,19 @@ func NewParseCache(maxBytes int64) *ParseCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultParseCacheBytes
 	}
-	return &ParseCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		seen:     make(map[string]struct{}),
-	}
+	return &ParseCache{lru: newLRU[string, sqlast.Statement](maxBytes)}
 }
 
 // Parse returns the cached AST for the statement text, parsing and
 // (policy permitting) admitting it on a miss.
 func (c *ParseCache) Parse(text string) sqlast.Statement {
-	c.mu.Lock()
-	if el, ok := c.entries[text]; ok {
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*cacheEntry).stmt
+	if stmt, ok := c.lru.get(text); ok {
+		return stmt
 	}
-	c.mu.Unlock()
-
-	c.misses.Add(1)
 	stmt := parser.Parse(text)
-	c.insert(text, stmt)
+	c.lru.add(text, stmt, entryCost(text))
 	return stmt
 }
 
-// insert applies the admission and eviction policy for a freshly
-// parsed statement.
-func (c *ParseCache) insert(text string, stmt sqlast.Statement) {
-	cost := entryCost(text)
-	if cost > c.maxBytes {
-		return // larger than the whole budget; never cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[text]; ok {
-		return // raced with another parser of the same text
-	}
-	if c.bytes+cost > c.maxBytes {
-		// Full: admit only repeated misses, so a one-pass scan cannot
-		// flush entries that are still being reused.
-		if _, repeated := c.seen[text]; !repeated {
-			if len(c.seen) >= doorkeeperMax {
-				clear(c.seen)
-			}
-			c.seen[text] = struct{}{}
-			return
-		}
-		delete(c.seen, text)
-		for c.bytes+cost > c.maxBytes {
-			back := c.ll.Back()
-			if back == nil {
-				break
-			}
-			victim := back.Value.(*cacheEntry)
-			c.ll.Remove(back)
-			delete(c.entries, victim.key)
-			c.bytes -= victim.cost
-			c.evictions.Add(1)
-		}
-	}
-	c.entries[text] = c.ll.PushFront(&cacheEntry{key: text, stmt: stmt, cost: cost})
-	c.bytes += cost
-}
-
-// CacheStats is a point-in-time snapshot of cache counters.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	// Bytes is the estimated resident size, MaxBytes the bound.
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
-	Entries  int   `json:"entries"`
-}
-
-// HitRate returns hits/(hits+misses), 0 when no lookups happened.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the cache counters.
-func (c *ParseCache) Stats() CacheStats {
-	c.mu.Lock()
-	bytes, entries := c.bytes, c.ll.Len()
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     bytes,
-		MaxBytes:  c.maxBytes,
-		Entries:   entries,
-	}
-}
+func (c *ParseCache) Stats() CacheStats { return c.lru.stats() }

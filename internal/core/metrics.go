@@ -27,36 +27,37 @@ const (
 // phaseNames fixes the snapshot order.
 var phaseNames = []string{PhaseParse, PhaseProfile, PhaseContext, PhaseQueryRules, PhaseGlobal}
 
-// histBounds are the histogram bucket upper bounds in seconds
-// (powers of four from 1µs to ~4s; an implicit +Inf bucket catches
-// the rest). Log-spaced buckets keep the histogram useful from
-// single-statement parses to multi-table profile phases.
-var histBounds = []float64{
+// phaseBounds are the phase histograms' bucket upper bounds in
+// seconds (powers of four from 1µs to ~4s). Log-spaced buckets keep
+// the histogram useful from single-statement parses to multi-table
+// profile phases.
+var phaseBounds = []float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6,
 	1024e-6, 4096e-6, 16384e-6, 65536e-6, 262144e-6,
 	1.048576, 4.194304,
 }
 
-// histBucketCount is len(histBounds) plus the +Inf overflow bucket.
-const histBucketCount = 13
-
-// histogram is a fixed-bucket latency histogram with atomic counters.
-type histogram struct {
-	buckets  [histBucketCount]atomic.Int64
+// Histogram is a fixed-bucket latency histogram with atomic counters:
+// an observation is a bucket scan and three atomic adds, with no
+// allocation, so it can stay on in production.
+type Histogram struct {
+	bounds   []float64      // ascending bucket upper bounds, seconds
+	buckets  []atomic.Int64 // one per bound, plus the +Inf overflow
 	sumNanos atomic.Int64
 	count    atomic.Int64
 }
 
-func init() {
-	if len(histBounds)+1 != histBucketCount {
-		panic("core: histBucketCount out of sync with histBounds")
-	}
+// NewHistogram builds a histogram with the given ascending bucket
+// upper bounds in seconds; an implicit +Inf bucket catches the rest.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
 }
 
-func (h *histogram) observe(d time.Duration) {
+// Observe records one duration.
+func (h *Histogram) Observe(d time.Duration) {
 	secs := d.Seconds()
 	i := 0
-	for i < len(histBounds) && secs > histBounds[i] {
+	for i < len(h.bounds) && secs > h.bounds[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
@@ -69,6 +70,23 @@ func (h *histogram) observe(d time.Duration) {
 type Bucket struct {
 	LE    float64 `json:"le"`
 	Count int64   `json:"count"`
+}
+
+// Snapshot returns the buckets, cumulative Prometheus-style (the
+// final entry, LE < 0 for +Inf, counts every observation), the sum of
+// the observations in seconds, and their count.
+func (h *Histogram) Snapshot() (buckets []Bucket, sumSeconds float64, count int64) {
+	buckets = make([]Bucket, 0, len(h.buckets))
+	var cum int64
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		le := -1.0
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		buckets = append(buckets, Bucket{LE: le, Count: cum})
+	}
+	return buckets, float64(h.sumNanos.Load()) / float64(time.Second), h.count.Load()
 }
 
 // PhaseStats snapshots one phase's latency histogram.
@@ -84,31 +102,15 @@ type PhaseStats struct {
 	Buckets []Bucket `json:"buckets"`
 }
 
-func (h *histogram) snapshot(name string) PhaseStats {
-	ps := PhaseStats{
-		Phase:      name,
-		Count:      h.count.Load(),
-		SumSeconds: float64(h.sumNanos.Load()) / float64(time.Second),
-	}
-	var cum int64
-	for i := range histBounds {
-		cum += h.buckets[i].Load()
-		ps.Buckets = append(ps.Buckets, Bucket{LE: histBounds[i], Count: cum})
-	}
-	cum += h.buckets[len(histBounds)].Load()
-	ps.Buckets = append(ps.Buckets, Bucket{LE: -1, Count: cum})
-	return ps
-}
-
 // phaseSet holds one histogram per pipeline phase.
 type phaseSet struct {
-	hists map[string]*histogram
+	hists map[string]*Histogram
 }
 
 func newPhaseSet() *phaseSet {
-	ps := &phaseSet{hists: make(map[string]*histogram, len(phaseNames))}
+	ps := &phaseSet{hists: make(map[string]*Histogram, len(phaseNames))}
 	for _, n := range phaseNames {
-		ps.hists[n] = &histogram{}
+		ps.hists[n] = NewHistogram(phaseBounds)
 	}
 	return ps
 }
@@ -116,14 +118,15 @@ func newPhaseSet() *phaseSet {
 // observe times are recorded by the pipeline at phase boundaries.
 func (ps *phaseSet) observe(phase string, d time.Duration) {
 	if h, ok := ps.hists[phase]; ok {
-		h.observe(d)
+		h.Observe(d)
 	}
 }
 
 func (ps *phaseSet) snapshot() []PhaseStats {
 	out := make([]PhaseStats, 0, len(phaseNames))
 	for _, n := range phaseNames {
-		out = append(out, ps.hists[n].snapshot(n))
+		buckets, sum, count := ps.hists[n].Snapshot()
+		out = append(out, PhaseStats{Phase: n, Count: count, SumSeconds: sum, Buckets: buckets})
 	}
 	return out
 }

@@ -150,10 +150,9 @@ type Workload struct {
 
 // Engine is a reusable concurrent detection pipeline: a bounded
 // worker pool plus a parsed-AST cache shared across runs. One Engine
-// safely serves any number of concurrent DetectSQL, DetectBatch, and
-// DetectWorkloads calls, which is what lets a long-running daemon
-// share one pool across requests instead of spawning per-request
-// workers.
+// safely serves any number of concurrent DetectWorkloads calls, which
+// is what lets a long-running daemon share one pool across requests
+// instead of spawning per-request workers.
 type Engine struct {
 	opts Options
 	// stmts bounds per-statement and per-table work (parse, facts,
@@ -834,28 +833,4 @@ func (e *Engine) profileTables(ctx context.Context, db *storage.Database, cfg ap
 		}
 	}
 	return out, nil
-}
-
-// DetectSQL runs the pipeline over one SQL workload. The result is
-// identical to Detect over the same input; the error is non-nil only
-// when ctx is canceled.
-func (e *Engine) DetectSQL(ctx context.Context, sqlText string, db *storage.Database) (*Result, error) {
-	out, err := e.DetectWorkloads(ctx, []Workload{{SQL: sqlText, DB: db}})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// DetectBatch analyzes independent SQL-only workloads concurrently on
-// the shared pool and returns one Result per workload, in input
-// order. All workloads see the same optional database. The error is
-// non-nil only when ctx is canceled, in which case no results are
-// returned.
-func (e *Engine) DetectBatch(ctx context.Context, sqls []string, db *storage.Database) ([]*Result, error) {
-	ws := make([]Workload, len(sqls))
-	for i, s := range sqls {
-		ws[i] = Workload{SQL: s, DB: db}
-	}
-	return e.DetectWorkloads(ctx, ws)
 }

@@ -54,11 +54,11 @@ func TestEngineMatchesSequential(t *testing.T) {
 			opts := DefaultOptions()
 			opts.NoPrefilter = noPre
 			eng := NewEngine(opts, conc)
-			got, err := eng.DetectSQL(context.Background(), sql, nil)
+			out, err := eng.DetectWorkloads(context.Background(), []Workload{{SQL: sql}})
 			if err != nil {
 				t.Fatalf("conc=%d noPrefilter=%v: %v", conc, noPre, err)
 			}
-			if !reflect.DeepEqual(want.Findings, got.Findings) {
+			if got := out[0]; !reflect.DeepEqual(want.Findings, got.Findings) {
 				t.Errorf("conc=%d noPrefilter=%v: findings diverge from sequential path\nwant %d findings, got %d",
 					conc, noPre, len(want.Findings), len(got.Findings))
 			}
@@ -71,29 +71,30 @@ func TestEngineMatchesSequential(t *testing.T) {
 func TestEngineDeterministic(t *testing.T) {
 	sql := pipelineSQL(2)
 	eng := NewEngine(DefaultOptions(), 8)
-	first, err := eng.DetectSQL(context.Background(), sql, nil)
+	ws := []Workload{{SQL: sql}}
+	first, err := eng.DetectWorkloads(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := eng.DetectSQL(context.Background(), sql, nil)
+		again, err := eng.DetectWorkloads(context.Background(), ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(first.Findings, again.Findings) {
+		if !reflect.DeepEqual(first[0].Findings, again[0].Findings) {
 			t.Fatalf("run %d produced different findings", i)
 		}
 	}
 }
 
 func TestEngineBatch(t *testing.T) {
-	workloads := []string{
-		pipelineSQL(1),
-		`CREATE TABLE nopk (x INT); SELECT * FROM nopk`,
-		``,
+	workloads := []Workload{
+		{SQL: pipelineSQL(1)},
+		{SQL: `CREATE TABLE nopk (x INT); SELECT * FROM nopk`},
+		{SQL: ``},
 	}
 	eng := NewEngine(DefaultOptions(), 4)
-	results, err := eng.DetectBatch(context.Background(), workloads, nil)
+	results, err := eng.DetectWorkloads(context.Background(), workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestEngineBatch(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(results), len(workloads))
 	}
 	for i, w := range workloads {
-		want := DetectSQL(w, nil, DefaultOptions())
+		want := DetectSQL(w.SQL, nil, DefaultOptions())
 		if !reflect.DeepEqual(want.Findings, results[i].Findings) {
 			t.Errorf("workload %d diverges from sequential path", i)
 		}
@@ -115,20 +116,21 @@ func TestEngineCancellation(t *testing.T) {
 	eng := NewEngine(DefaultOptions(), 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.DetectSQL(ctx, pipelineSQL(1), nil); err == nil {
-		t.Error("DetectSQL ignored a canceled context")
-	}
-	if _, err := eng.DetectBatch(ctx, []string{pipelineSQL(1)}, nil); err == nil {
-		t.Error("DetectBatch ignored a canceled context")
+	if _, err := eng.DetectWorkloads(ctx, []Workload{{SQL: pipelineSQL(1)}, {SQL: pipelineSQL(2)}}); err == nil {
+		t.Error("DetectWorkloads ignored a canceled context")
 	}
 }
 
 // TestEngineParseCache verifies repeated statements parse once: the
-// second identical workload should be all cache hits.
+// second identical workload should be all cache hits. It runs at
+// concurrency 1 because the exact counts assume statements parse in
+// order: with two workers, the slot holding statement 0 can be
+// descheduled while the other reaches its repeat at statement 9, and
+// both miss, which the cache permits by design.
 func TestEngineParseCache(t *testing.T) {
-	eng := NewEngine(DefaultOptions(), 2)
+	eng := NewEngine(DefaultOptions(), 1)
 	sql := pipelineSQL(4) // 4 repetitions of 9 distinct statements
-	if _, err := eng.DetectSQL(context.Background(), sql, nil); err != nil {
+	if _, err := eng.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := eng.CacheStats()
@@ -492,13 +494,13 @@ func TestEngineSharedCache(t *testing.T) {
 	sql := pipelineSQL(1)
 
 	engA := NewEngine(opts, 2)
-	if _, err := engA.DetectSQL(context.Background(), sql, nil); err != nil {
+	if _, err := engA.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
 		t.Fatal(err)
 	}
 	missesAfterA := shared.Stats().Misses
 
 	engB := NewEngine(opts, 2)
-	if _, err := engB.DetectSQL(context.Background(), sql, nil); err != nil {
+	if _, err := engB.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
 		t.Fatal(err)
 	}
 	st := shared.Stats()

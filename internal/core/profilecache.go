@@ -20,33 +20,22 @@ package core
 // the key changes, stale entries age out of the LRU — so there is no
 // explicit invalidation protocol to get wrong.
 //
-// Eviction mirrors the parse cache (ParseCache): LRU bounded by
-// estimated resident bytes with a frequency doorkeeper on admission,
-// so a burst of one-off inline databases (each table profiled once,
-// never again) cannot flush the resident working set of registered
-// fixtures. A ProfileCache is safe for concurrent use and designed to
-// be shared process-wide through Options.SharedProfileCache.
+// Eviction is the cache core's (lru.go): a burst of one-off inline
+// databases (each table profiled once, never again) cannot flush the
+// resident working set of registered fixtures. A ProfileCache is safe
+// for concurrent use and designed to be shared process-wide through
+// Options.SharedProfileCache.
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
 	"sqlcheck/internal/profile"
 	"sqlcheck/internal/storage"
 )
 
-const (
-	// DefaultProfileCacheBytes bounds an engine-private profile cache
-	// when no shared cache is injected (16 MiB of estimated
-	// residency; a typical multi-column profile costs a few KiB, so
-	// the default holds thousands of tables).
-	DefaultProfileCacheBytes = 16 << 20
-
-	// profileDoorkeeperMax bounds the admission filter's memory, as
-	// in the parse cache.
-	profileDoorkeeperMax = 1 << 14
-)
+// DefaultProfileCacheBytes bounds an engine-private profile cache when
+// no shared cache is injected (16 MiB of estimated residency; a
+// typical multi-column profile costs a few KiB, so the default holds
+// thousands of tables).
+const DefaultProfileCacheBytes = 16 << 20
 
 // profileKey identifies immutable profiling input. profile.Options is
 // a comparable struct of scalars; it enters the key normalized so
@@ -61,22 +50,7 @@ type profileKey struct {
 // table version, profiling options). Cached profiles are shared
 // read-only — every consumer of a TableProfile only reads it.
 type ProfileCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List                   // front = most recently used
-	entries  map[profileKey]*list.Element // Value is *profileEntry
-	seen     map[profileKey]struct{}      // doorkeeper: keys missed once while full
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type profileEntry struct {
-	key  profileKey
-	tp   *profile.TableProfile
-	cost int64
+	lru *lru[profileKey, *profile.TableProfile]
 }
 
 // NewProfileCache builds a cache bounded by maxBytes of estimated
@@ -85,12 +59,7 @@ func NewProfileCache(maxBytes int64) *ProfileCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultProfileCacheBytes
 	}
-	return &ProfileCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[profileKey]*list.Element),
-		seen:     make(map[profileKey]struct{}),
-	}
+	return &ProfileCache{lru: newLRU[profileKey, *profile.TableProfile](maxBytes)}
 }
 
 func keyFor(t *storage.Table, opts profile.Options) profileKey {
@@ -102,70 +71,14 @@ func keyFor(t *storage.Table, opts profile.Options) profileKey {
 // must hold a stable view of the table (a snapshot, or the writer
 // lock): reading a live table's version while DML runs is racy.
 func (c *ProfileCache) Lookup(t *storage.Table, opts profile.Options) (*profile.TableProfile, bool) {
-	key := keyFor(t, opts)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*profileEntry).tp, true
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	return c.lru.get(keyFor(t, opts))
 }
 
 // Add memoizes a freshly computed profile under the table's current
 // identity/version, applying the admission and eviction policy.
 func (c *ProfileCache) Add(t *storage.Table, opts profile.Options, tp *profile.TableProfile) {
-	key := keyFor(t, opts)
-	cost := tp.MemSize()
-	if cost > c.maxBytes {
-		return // larger than the whole budget; never cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return // raced with another profiler of the same version
-	}
-	if c.bytes+cost > c.maxBytes {
-		// Full: admit only repeated misses, so a burst of one-off
-		// inline databases cannot flush registered fixtures' profiles.
-		if _, repeated := c.seen[key]; !repeated {
-			if len(c.seen) >= profileDoorkeeperMax {
-				clear(c.seen)
-			}
-			c.seen[key] = struct{}{}
-			return
-		}
-		delete(c.seen, key)
-		for c.bytes+cost > c.maxBytes {
-			back := c.ll.Back()
-			if back == nil {
-				break
-			}
-			victim := back.Value.(*profileEntry)
-			c.ll.Remove(back)
-			delete(c.entries, victim.key)
-			c.bytes -= victim.cost
-			c.evictions.Add(1)
-		}
-	}
-	c.entries[key] = c.ll.PushFront(&profileEntry{key: key, tp: tp, cost: cost})
-	c.bytes += cost
+	c.lru.add(keyFor(t, opts), tp, tp.MemSize())
 }
 
 // Stats snapshots the cache counters.
-func (c *ProfileCache) Stats() CacheStats {
-	c.mu.Lock()
-	bytes, entries := c.bytes, c.ll.Len()
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     bytes,
-		MaxBytes:  c.maxBytes,
-		Entries:   entries,
-	}
-}
+func (c *ProfileCache) Stats() CacheStats { return c.lru.stats() }

@@ -32,15 +32,13 @@ package core
 // *between* statements may differ on a hit; the consumer rebinds
 // finding spans to the submitted text via the ScriptPrint offsets.
 //
-// Eviction mirrors the parse and profile caches: LRU bounded by
-// estimated resident bytes with a frequency doorkeeper on admission. A
-// ReportCache is safe for concurrent use and designed to be shared
-// process-wide through Options.SharedReportCache.
+// Eviction is the cache core's (lru.go), and the script-print side
+// cache is a second instance of it. A ReportCache is safe for
+// concurrent use and designed to be shared process-wide through
+// Options.SharedReportCache.
 
 import (
-	"container/list"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"sqlcheck/internal/appctx"
@@ -53,10 +51,6 @@ const (
 	// a typical report costs a few KiB, so the default holds thousands
 	// of distinct workloads).
 	DefaultReportCacheBytes = 32 << 20
-
-	// reportDoorkeeperMax bounds the admission filter's memory, as in
-	// the parse and profile caches.
-	reportDoorkeeperMax = 1 << 14
 
 	// reportMaxVariants bounds resident text-variants per fingerprint
 	// key: a stream of same-shape queries with unique literals (each a
@@ -91,49 +85,33 @@ type reportVariantKey struct {
 	texts string
 }
 
-// reportEntry is one resident memoized report. The payload is opaque
-// to core — the owning layer stores whatever it serves (the public
-// Checker stores a *sqlcheck.Report clone) — and is shared read-only.
-type reportEntry struct {
-	key     reportVariantKey
-	payload any
-	cost    int64
-}
-
 // ReportCache memoizes finished workload reports keyed by script
-// fingerprint, database state, and analysis configuration. Safe for
-// concurrent use by any number of engines.
+// fingerprint, database state, and analysis configuration. Payloads
+// are opaque to core — the owning layer stores whatever it serves (the
+// public Checker stores a *sqlcheck.Report clone) — and shared
+// read-only. Safe for concurrent use by any number of engines.
 type ReportCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List                         // front = most recently used
-	entries  map[reportVariantKey]*list.Element // Value is *reportEntry
-	variants map[reportKey]int                  // resident variants per key
-	prints   map[sqltoken.Fingerprint]int       // resident entries per fingerprint
-	seen     map[reportVariantKey]struct{}      // doorkeeper: keys missed once while full
+	reports *lru[reportVariantKey, any]
+	// variants counts resident entries per fingerprint-keyed tuple and
+	// prints per fingerprint. Both are guarded by reports.mu and kept
+	// in step with the resident set by its eviction callback.
+	variants map[reportKey]int
+	prints   map[sqltoken.Fingerprint]int
 
-	// Script-print side cache: fingerprinting memoized by exact input
-	// text, so the per-check probe of a repeated workload is two map
-	// lookups instead of a lex of the whole script.
-	scriptMax   int64
-	scriptBytes int64
-	sll         *list.List               // front = most recently used
-	scripts     map[string]*list.Element // Value is *scriptEntry
+	// scripts memoizes fingerprinting by exact input text, so the
+	// per-check probe of a repeated workload is two map lookups
+	// instead of a lex of the whole script.
+	scripts *lru[string, scriptPrint]
 
-	hits          atomic.Int64
-	misses        atomic.Int64
 	variantMisses atomic.Int64
-	evictions     atomic.Int64
 }
 
-// scriptEntry is one memoized fingerprint: the immutable ScriptPrint
-// plus the NUL-joined statement texts used as the hit witness.
-type scriptEntry struct {
-	sql   string
+// scriptPrint is one memoized fingerprint: the immutable ScriptPrint
+// plus the NUL-joined statement texts used as the hit witness. It is
+// stored by value, so a declined admission allocates nothing.
+type scriptPrint struct {
 	sp    *sqltoken.ScriptPrint
 	texts string
-	cost  int64
 }
 
 // NewReportCache builds a cache bounded by maxBytes of estimated
@@ -142,16 +120,26 @@ func NewReportCache(maxBytes int64) *ReportCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultReportCacheBytes
 	}
-	return &ReportCache{
-		maxBytes:  maxBytes,
-		ll:        list.New(),
-		entries:   make(map[reportVariantKey]*list.Element),
-		variants:  make(map[reportKey]int),
-		prints:    make(map[sqltoken.Fingerprint]int),
-		seen:      make(map[reportVariantKey]struct{}),
-		scriptMax: maxBytes / scriptCacheDivisor,
-		sll:       list.New(),
-		scripts:   make(map[string]*list.Element),
+	c := &ReportCache{
+		reports:  newLRU[reportVariantKey, any](maxBytes),
+		variants: make(map[reportKey]int),
+		prints:   make(map[sqltoken.Fingerprint]int),
+		scripts:  newLRU[string, scriptPrint](maxBytes / scriptCacheDivisor),
+	}
+	c.reports.onEvict = func(vk reportVariantKey) {
+		decrement(c.variants, vk.key)
+		decrement(c.prints, vk.key.fp)
+	}
+	return c
+}
+
+// decrement drops one resident entry from a per-key count, deleting
+// the key at zero so len(m) counts keys with resident entries.
+func decrement[K comparable](m map[K]int, k K) {
+	if m[k] <= 1 {
+		delete(m, k)
+	} else {
+		m[k]--
 	}
 }
 
@@ -161,41 +149,18 @@ func NewReportCache(maxBytes int64) *ReportCache {
 // dominate its microsecond budget. ScriptPrints are immutable after
 // construction and shared across callers; the returned texts string is
 // the NUL-joined statement list (the lookup's byte-equality witness).
-// The side cache is LRU-bounded to a fraction of the report budget;
+// The side cache is bounded to a fraction of the report budget;
 // entries retain the input string, so the cost estimate is dominated
 // by the script bytes themselves.
 func (c *ReportCache) script(sql string) (*sqltoken.ScriptPrint, string) {
-	c.mu.Lock()
-	if el, ok := c.scripts[sql]; ok {
-		c.sll.MoveToFront(el)
-		se := el.Value.(*scriptEntry)
-		c.mu.Unlock()
-		return se.sp, se.texts
+	if s, ok := c.scripts.get(sql); ok {
+		return s.sp, s.texts
 	}
-	c.mu.Unlock()
-
 	// Fingerprint outside the lock: it is the expensive part.
 	sp := sqltoken.FingerprintScript(sql)
-	texts := strings.Join(sp.Texts(), "\x00")
-	cost := int64(2*len(sql)) + 160
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.scripts[sql]; !ok && cost <= c.scriptMax {
-		for c.scriptBytes+cost > c.scriptMax {
-			back := c.sll.Back()
-			if back == nil {
-				break
-			}
-			victim := back.Value.(*scriptEntry)
-			c.sll.Remove(back)
-			delete(c.scripts, victim.sql)
-			c.scriptBytes -= victim.cost
-		}
-		c.scripts[sql] = c.sll.PushFront(&scriptEntry{sql: sql, sp: sp, texts: texts, cost: cost})
-		c.scriptBytes += cost
-	}
-	return sp, texts
+	s := scriptPrint{sp: sp, texts: strings.Join(sp.Texts(), "\x00")}
+	c.scripts.add(sql, s, int64(2*len(sql))+160)
+	return s.sp, s.texts
 }
 
 // lookup returns the memoized payload for the key and exact statement
@@ -203,21 +168,18 @@ func (c *ReportCache) script(sql string) (*sqltoken.ScriptPrint, string) {
 // resident entries under different texts (a literal/collision variant)
 // additionally counts a variant miss.
 func (c *ReportCache) lookup(key reportKey, texts string) (any, bool) {
-	vk := reportVariantKey{key: key, texts: texts}
-	c.mu.Lock()
-	if el, ok := c.entries[vk]; ok {
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*reportEntry).payload, true
+	c.reports.mu.Lock()
+	payload, ok := c.reports.touch(reportVariantKey{key: key, texts: texts})
+	siblings := 0
+	if !ok {
+		siblings = c.variants[key]
 	}
-	siblings := c.variants[key]
-	c.mu.Unlock()
-	c.misses.Add(1)
+	c.reports.mu.Unlock()
+	c.reports.count(ok)
 	if siblings > 0 {
 		c.variantMisses.Add(1)
 	}
-	return nil, false
+	return payload, ok
 }
 
 // recheck is lookup without miss accounting: the singleflight re-probe
@@ -225,123 +187,55 @@ func (c *ReportCache) lookup(key reportKey, texts string) (any, bool) {
 // a second miss here would double-count one pipeline run. A hit still
 // counts — the caller really is served from the cache.
 func (c *ReportCache) recheck(key reportKey, texts string) (any, bool) {
-	vk := reportVariantKey{key: key, texts: texts}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[vk]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*reportEntry).payload, true
+	c.reports.mu.Lock()
+	payload, ok := c.reports.touch(reportVariantKey{key: key, texts: texts})
+	c.reports.mu.Unlock()
+	if ok {
+		c.reports.count(true)
 	}
-	return nil, false
+	return payload, ok
 }
 
 // add memoizes a report under the key and texts, applying the variant
-// bound and the admission and eviction policy.
+// bound and the admission and eviction policy. A key whose bucket is
+// full of sibling variants admits nothing; LRU pressure frees slots
+// when the resident ones stop being used.
 func (c *ReportCache) add(key reportKey, texts string, payload any, cost int64) {
-	if cost > c.maxBytes {
-		return // larger than the whole budget; never cacheable
+	c.reports.mu.Lock()
+	defer c.reports.mu.Unlock()
+	if c.variants[key] < reportMaxVariants &&
+		c.reports.insert(reportVariantKey{key: key, texts: texts}, payload, cost) {
+		c.variants[key]++
+		c.prints[key.fp]++
 	}
-	vk := reportVariantKey{key: key, texts: texts}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[vk]; ok {
-		return // raced with another checker of the same workload
-	}
-	if c.variants[key] >= reportMaxVariants {
-		// Bucket full of sibling variants; LRU pressure will free
-		// slots when the resident ones stop being used.
-		return
-	}
-	if c.bytes+cost > c.maxBytes {
-		// Full: admit only repeated misses, so an unrepeated scan of
-		// one-off workloads cannot flush the hot working set.
-		if _, repeated := c.seen[vk]; !repeated {
-			if len(c.seen) >= reportDoorkeeperMax {
-				clear(c.seen)
-			}
-			c.seen[vk] = struct{}{}
-			return
-		}
-		delete(c.seen, vk)
-		for c.bytes+cost > c.maxBytes {
-			back := c.ll.Back()
-			if back == nil {
-				break
-			}
-			c.evict(back)
-		}
-	}
-	c.entries[vk] = c.ll.PushFront(&reportEntry{key: vk, payload: payload, cost: cost})
-	c.bytes += cost
-	c.variants[key]++
-	c.prints[key.fp]++
-}
-
-// evict removes one resident entry (caller holds c.mu).
-func (c *ReportCache) evict(el *list.Element) {
-	victim := el.Value.(*reportEntry)
-	c.ll.Remove(el)
-	delete(c.entries, victim.key)
-	c.bytes -= victim.cost
-	if n := c.variants[victim.key.key]; n <= 1 {
-		delete(c.variants, victim.key.key)
-	} else {
-		c.variants[victim.key.key] = n - 1
-	}
-	fp := victim.key.key.fp
-	if n := c.prints[fp]; n <= 1 {
-		delete(c.prints, fp)
-	} else {
-		c.prints[fp] = n - 1
-	}
-	c.evictions.Add(1)
 }
 
 // ReportCacheStats is a point-in-time snapshot of a report cache:
 // lookup counters, eviction count, estimated resident bytes against
-// the configured bound, and the fingerprint cardinality gauge.
+// the configured bound, and the fingerprint cardinality gauge. Hits
+// served a finished report with no pipeline work; Misses ran the full
+// pipeline.
 type ReportCacheStats struct {
-	// Hits served a finished report with no pipeline work; Misses ran
-	// the full pipeline. VariantMisses is the subset of Misses whose
-	// fingerprint matched a resident entry but whose statement texts
-	// did not (a literal/case variant — bucketed together, served
-	// separately, because detectors read literal values).
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
+	CacheStats
+	// VariantMisses is the subset of Misses whose fingerprint matched a
+	// resident entry but whose statement texts did not (a literal/case
+	// variant — bucketed together, served separately, because
+	// detectors read literal values).
 	VariantMisses int64 `json:"variant_misses"`
-	Evictions     int64 `json:"evictions"`
-	Bytes         int64 `json:"bytes"`
-	MaxBytes      int64 `json:"max_bytes"`
-	Entries       int   `json:"entries"`
 	// Fingerprints is the cardinality gauge: distinct script
 	// fingerprints with at least one resident report. Entries minus
 	// Fingerprints is the resident literal-variant overhead.
 	Fingerprints int `json:"fingerprints"`
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
-func (s ReportCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the cache counters.
 func (c *ReportCache) Stats() ReportCacheStats {
-	c.mu.Lock()
-	bytes, entries, prints := c.bytes, c.ll.Len(), len(c.prints)
-	c.mu.Unlock()
+	c.reports.mu.Lock()
+	prints := len(c.prints)
+	c.reports.mu.Unlock()
 	return ReportCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
+		CacheStats:    c.reports.stats(),
 		VariantMisses: c.variantMisses.Load(),
-		Evictions:     c.evictions.Load(),
-		Bytes:         bytes,
-		MaxBytes:      c.maxBytes,
-		Entries:       entries,
 		Fingerprints:  prints,
 	}
 }
