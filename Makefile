@@ -61,9 +61,11 @@ bench-baseline:
 # which removes hardware variance from the comparison.
 BENCH_BASELINE ?= bench/baseline.txt
 # BENCH_JSON names the machine-readable medians artifact benchcmp
-# writes alongside the comparison; CI uploads it (BENCH_9.json) so
-# perf history diffs across PRs without re-parsing bench text.
-BENCH_JSON ?= BENCH_9.json
+# writes alongside the comparison; CI uploads it so perf history diffs
+# across PRs without re-parsing bench text. A change that records its
+# medians in the repository's performance ledger writes
+# BENCH_JSON=bench/BENCH_<n>.json instead.
+BENCH_JSON ?= bench-current.json
 bench-check:
 	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench-current.txt \

@@ -20,7 +20,7 @@
 //
 // -json <path> additionally writes the current run's per-benchmark
 // unit medians as a JSON document — the machine-readable artifact CI
-// uploads (BENCH_<n>.json) so perf history is diffable across PRs
+// uploads (bench-current.json) so perf history is diffable across PRs
 // without re-parsing bench text.
 package main
 

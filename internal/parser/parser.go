@@ -2,10 +2,11 @@
 //
 // Like the sqlparse library used by the paper (§4.1), the parser never
 // rejects input: statements it cannot model become OtherStatement
-// nodes and expressions it cannot structure become Raw nodes, both of
-// which retain the original tokens. This keeps multi-dialect SQL
-// flowing into the detection rules, which work on whatever structure
-// is available.
+// nodes, which keep their text and verb, and expressions it cannot
+// structure become Raw nodes holding a copy of their tokens; no node
+// keeps the lexer's token slice. This keeps multi-dialect SQL flowing
+// into the detection rules, which work on whatever structure is
+// available.
 package parser
 
 import (
@@ -90,12 +91,16 @@ func (p *parser) identValue() string {
 }
 
 func (p *parser) base() sqlast.Base {
-	return sqlast.Base{Text: p.text, Tokens: p.toks}
+	return sqlast.Base{Text: p.text}
 }
 
-// rawRest wraps all remaining tokens in a Raw expression node.
+// rawRest wraps all remaining tokens in a Raw expression node. The run
+// is copied: a subslice would keep the statement's whole token array
+// alive for as long as the AST is cached.
 func (p *parser) rawRest() *sqlast.Raw {
-	r := &sqlast.Raw{Tokens: p.toks[p.pos : len(p.toks)-1]}
+	run := p.toks[p.pos : len(p.toks)-1]
+	r := &sqlast.Raw{Tokens: make([]sqltoken.Token, len(run))}
+	copy(r.Tokens, run)
 	p.pos = len(p.toks) - 1
 	return r
 }

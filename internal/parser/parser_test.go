@@ -531,3 +531,17 @@ func BenchmarkParseCreateTable(b *testing.B) {
 		Parse(q)
 	}
 }
+
+// TestRawRestOwnsItsTokens pins that an unparsed tail holds an
+// exact-size copy of its tokens, not a window into the statement's
+// token array that would keep all of it alive with the AST.
+func TestRawRestOwnsItsTokens(t *testing.T) {
+	s := sel(t, "SELECT CAST price AS INT FROM items")
+	raw, ok := s.Items[0].Expr.(*sqlast.Raw)
+	if !ok {
+		t.Fatalf("item = %#v, want *Raw", s.Items[0].Expr)
+	}
+	if len(raw.Tokens) == 0 || cap(raw.Tokens) != len(raw.Tokens) {
+		t.Errorf("raw tokens len %d cap %d, want a non-empty exact-size copy", len(raw.Tokens), cap(raw.Tokens))
+	}
+}

@@ -13,7 +13,7 @@ type StatementKind int
 
 // Statement kinds recognized by the parser. KindOther covers any
 // statement the parser does not model structurally (GRANT, PRAGMA, …);
-// its raw tokens remain available.
+// its text remains available.
 const (
 	KindOther StatementKind = iota
 	KindSelect
@@ -66,10 +66,11 @@ type Statement interface {
 	Raw() string
 }
 
-// Base carries the source text and tokens shared by all statements.
+// Base carries the source text shared by all statements. A statement
+// holds no token slice: the parser's tokens are transient, so a cached
+// AST retains only its nodes and the text their strings point into.
 type Base struct {
-	Text   string
-	Tokens []sqltoken.Token // significant tokens (no whitespace/comments)
+	Text string
 }
 
 // Raw returns the original statement text.
