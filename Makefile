@@ -13,7 +13,7 @@ SHELL := /bin/bash -o pipefail
 # run against it and fails on >20% median ns/op regression or >25%
 # median B/op / allocs/op regression (the gated runs use -benchmem so
 # allocation regressions cannot hide behind wall-clock noise).
-BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan
+BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan|BenchmarkFixtureIngest
 BENCH_COUNT ?= 5
 
 # Packages holding gated benchmarks: the root pipeline benchmarks plus
@@ -70,7 +70,7 @@ bench-check:
 	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench-current.txt \
 		-max-regression 20 -max-mem-regression 25 -json $(BENCH_JSON) \
-		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot'
+		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot,FixtureIngest'
 
 # The larger-than-RAM capacity gate (see bounded_rss_test.go): ~128
 # MiB of fixture tenants through a 16 MiB page-cache budget under a

@@ -160,17 +160,19 @@ func main() {
 		WriteTimeout:      cfg.RequestTimeout + cfg.QueueWait + 30*time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Graceful shutdown: on SIGTERM/SIGINT stop accepting, drain
+	// in-flight requests up to the deadline (draining the analysis
+	// worker pools with them), then checkpoint and close the WAL so the
+	// next start replays nothing. Exit 0 on a clean drain. The handler
+	// is installed before the address is announced: a supervisor may
+	// send SIGTERM as soon as it has read that line.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	log.Printf("sqlcheckd listening on %s", ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	// Graceful shutdown: on SIGTERM/SIGINT stop accepting, drain
-	// in-flight requests up to the deadline (draining the analysis
-	// worker pools with them), then checkpoint and close the WAL so the
-	// next start replays nothing. Exit 0 on a clean drain.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case sig := <-sigCh:

@@ -2,9 +2,11 @@ package sqlcheck
 
 import (
 	"fmt"
+	"iter"
 
 	"sqlcheck/internal/exec"
 	"sqlcheck/internal/parser"
+	"sqlcheck/internal/sqlast"
 	"sqlcheck/internal/storage"
 )
 
@@ -85,15 +87,74 @@ func (d *Database) MustExec(sql string) *Result {
 	return res
 }
 
-// ExecScript executes each statement of a multi-statement script,
-// stopping at the first error.
+// parseAhead bounds how many parsed statements ExecScript's parser
+// goroutine may hold ahead of the executor. The bound caps the ASTs
+// alive beyond the one executing: a fixture's multi-row INSERT parses
+// into far more memory than its text, so an unbounded producer would
+// hold the whole script's ASTs whenever execution is the slower side.
+const parseAhead = 4
+
+// parsed is one message from ExecScript's parser goroutine: a
+// statement, or the value of a panic raised while parsing.
+type parsed struct {
+	stmt     sqlast.Statement
+	panicked any
+}
+
+// ExecScript executes each statement of a multi-statement script in
+// order, stopping at the first error. A goroutine parses ahead of the
+// executor, so on a multi-core host the script's parsing overlaps its
+// execution. Before ExecScript returns, that goroutine has stopped and
+// its channel is drained, whether the script succeeded, failed, or
+// panicked; a panic while parsing is re-raised here, on the caller's
+// goroutine.
 func (d *Database) ExecScript(sql string) error {
-	for _, stmt := range parser.ParseAll(sql) {
-		if _, err := exec.Run(d.inner, stmt); err != nil {
-			return fmt.Errorf("sqlcheck: %q: %w", firstLine(stmt.Raw()), err)
+	return d.execStatements(parser.Statements(sql))
+}
+
+// execStatements is ExecScript over any statement sequence; tests
+// drive it with sequences that fail or panic on demand.
+func (d *Database) execStatements(seq iter.Seq[sqlast.Statement]) error {
+	stmts := make(chan parsed, parseAhead)
+	stop := make(chan struct{})
+	go produce(seq, stmts, stop)
+	defer func() {
+		close(stop)
+		for range stmts {
+		}
+	}()
+	n := 0
+	for p := range stmts {
+		if p.panicked != nil {
+			panic(p.panicked)
+		}
+		n++
+		if _, err := exec.Run(d.inner, p.stmt); err != nil {
+			return fmt.Errorf("sqlcheck: statement %d %q: %w", n, firstLine(p.stmt.Raw()), err)
 		}
 	}
 	return nil
+}
+
+// produce is ExecScript's parser goroutine: it sends each statement of
+// seq on out until seq ends or stop closes, then closes out.
+func produce(seq iter.Seq[sqlast.Statement], out chan<- parsed, stop <-chan struct{}) {
+	defer close(out)
+	defer func() {
+		if r := recover(); r != nil {
+			select {
+			case out <- parsed{panicked: r}:
+			case <-stop:
+			}
+		}
+	}()
+	for stmt := range seq {
+		select {
+		case out <- parsed{stmt: stmt}:
+		case <-stop:
+			return
+		}
+	}
 }
 
 // Tables returns the table names in creation order.

@@ -20,8 +20,10 @@ func registryDB(t *testing.T) *storage.Database {
 	for i := 1; i <= 12; i++ {
 		script += fmt.Sprintf("INSERT INTO tenants VALUES (%d, 'U%d,U%d,U%d');", i, i, i+1, i+2)
 	}
-	if _, err := exec.RunAll(db, parser.ParseAll(script)); err != nil {
-		t.Fatal(err)
+	for _, stmt := range parser.ParseAll(script) {
+		if _, err := exec.Run(db, stmt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db
 }

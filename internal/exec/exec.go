@@ -59,28 +59,6 @@ func RunSQL(db *storage.Database, sql string) (*Result, error) {
 	return Run(db, parseOne(sql))
 }
 
-// RunAll executes each statement in a multi-statement script, stopping
-// at the first error.
-func RunAll(db *storage.Database, stmts []sqlast.Statement) ([]*Result, error) {
-	var out []*Result
-	for _, st := range stmts {
-		r, err := Run(db, st)
-		if err != nil {
-			return out, fmt.Errorf("statement %q: %w", firstWords(st.Raw(), 8), err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func firstWords(s string, n int) string {
-	f := strings.Fields(s)
-	if len(f) > n {
-		f = f[:n]
-	}
-	return strings.Join(f, " ")
-}
-
 type executor struct {
 	db   *storage.Database
 	rand *Rand

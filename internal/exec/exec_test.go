@@ -449,18 +449,6 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 	}
 }
 
-func TestRunAllStopsOnError(t *testing.T) {
-	db := storage.NewDatabase("x")
-	stmts := parseScript("CREATE TABLE t (a INT); INSERT INTO t (a) VALUES (1); SELECT * FROM ghost; INSERT INTO t (a) VALUES (2)")
-	results, err := RunAll(db, stmts)
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2 before failure", len(results))
-	}
-}
-
 func TestPlanNotes(t *testing.T) {
 	db := newAppDB(t)
 	res := q(t, db, "SELECT * FROM Users WHERE User_ID = 'U3'")

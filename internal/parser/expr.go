@@ -11,7 +11,19 @@ import (
 // precedence: OR < AND < NOT < comparison < additive/concat <
 // multiplicative < unary < primary. Unknown constructs degrade to Raw
 // nodes rather than failing.
-func (p *parser) parseExpr() sqlast.Expr { return p.parseOr() }
+//
+// A number or string literal followed by `,` or `)` — every cell of a
+// VALUES row, most call arguments — is its own whole expression, so
+// it skips the nine-level precedence climb; each level would return
+// the literal unchanged.
+func (p *parser) parseExpr() sqlast.Expr {
+	if t := p.cur(); t.Kind == sqltoken.TokenNumber || t.Kind == sqltoken.TokenString {
+		if next := p.peek(); next.IsPunct(",") || next.IsPunct(")") {
+			return p.parsePrimary()
+		}
+	}
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() sqlast.Expr {
 	left := p.parseAnd()

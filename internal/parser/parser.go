@@ -7,9 +7,17 @@
 // keeps the lexer's token slice. This keeps multi-dialect SQL flowing
 // into the detection rules, which work on whatever structure is
 // available.
+//
+// Scripts are parsed from sqltoken.Statements, which lexes the whole
+// script once into one token buffer reused statement after statement;
+// that reuse is safe only because no node keeps the token slice.
+// Single statements (Parse) are lexed with sqltoken.LexSignificant.
+// Both paths build identical ASTs: TestParseAllMatchesPerStatementParse
+// holds ParseAll to Parse over SplitStatements.
 package parser
 
 import (
+	"iter"
 	"strings"
 
 	"sqlcheck/internal/sqlast"
@@ -18,17 +26,36 @@ import (
 
 // Parse parses a single SQL statement.
 func Parse(sql string) sqlast.Statement {
-	toks := sqltoken.LexSignificant(sql)
-	p := parser{toks: toks, text: sql}
+	return parseTokens(sql, sqltoken.LexSignificant(sql))
+}
+
+// parseTokens parses one statement from its text and its significant,
+// EOF-terminated tokens.
+func parseTokens(text string, toks []sqltoken.Token) sqlast.Statement {
+	p := parser{toks: toks, text: text}
 	return p.parseStatement()
+}
+
+// Statements parses sql one statement at a time, splitting it on
+// top-level semicolons. The script is lexed in a single pass
+// (sqltoken.Statements), so no statement gets a token array of its
+// own; each statement is parsed only when the consumer asks for it.
+func Statements(sql string) iter.Seq[sqlast.Statement] {
+	return func(yield func(sqlast.Statement) bool) {
+		for text, toks := range sqltoken.Statements(sql) {
+			if !yield(parseTokens(text, toks)) {
+				return
+			}
+		}
+	}
 }
 
 // ParseAll splits sql on top-level semicolons and parses each
 // statement.
 func ParseAll(sql string) []sqlast.Statement {
 	var stmts []sqlast.Statement
-	for _, s := range sqltoken.SplitStatements(sql) {
-		stmts = append(stmts, Parse(s))
+	for stmt := range Statements(sql) {
+		stmts = append(stmts, stmt)
 	}
 	return stmts
 }
@@ -427,11 +454,18 @@ func (p *parser) parseInsert() sqlast.Statement {
 	}
 	switch {
 	case p.accept("VALUES") || p.accept("VALUE"):
+		width := 0
 		for {
 			if !p.acceptPunct("(") {
 				break
 			}
+			// Rows of one INSERT almost always share a width, so each
+			// row after the first is allocated at the previous row's.
+			// A row with no items stays nil.
 			var row []sqlast.Expr
+			if width > 0 && !p.cur().IsPunct(")") && !p.eof() {
+				row = make([]sqlast.Expr, 0, width)
+			}
 			for !p.cur().IsPunct(")") && !p.eof() {
 				row = append(row, p.parseExpr())
 				if !p.acceptPunct(",") {
@@ -439,6 +473,7 @@ func (p *parser) parseInsert() sqlast.Statement {
 				}
 			}
 			p.acceptPunct(")")
+			width = len(row)
 			ins.Rows = append(ins.Rows, row)
 			if !p.acceptPunct(",") {
 				break

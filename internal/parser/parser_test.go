@@ -158,6 +158,25 @@ func TestParseInsert(t *testing.T) {
 	}
 }
 
+// TestValuesRowsSizedAtPreviousWidth: each VALUES row after the first
+// is allocated at the previous row's width, and a row with no items
+// stays nil, as it was when rows grew by appends.
+func TestValuesRowsSizedAtPreviousWidth(t *testing.T) {
+	ins := Parse("INSERT INTO t VALUES (1, 'a', 2.5), (2, 'b', 3.5), (), (3), (").(*sqlast.InsertStatement)
+	if len(ins.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(ins.Rows))
+	}
+	if r := ins.Rows[1]; len(r) != 3 || cap(r) != 3 {
+		t.Errorf("second row len %d cap %d, want 3 and 3", len(r), cap(r))
+	}
+	if ins.Rows[2] != nil || ins.Rows[4] != nil {
+		t.Errorf("empty rows = %#v, %#v; want nil", ins.Rows[2], ins.Rows[4])
+	}
+	if len(ins.Rows[3]) != 1 {
+		t.Errorf("row after an empty row = %#v, want one item", ins.Rows[3])
+	}
+}
+
 func TestParseInsertWithColumns(t *testing.T) {
 	st := Parse("INSERT INTO t (a, b) VALUES (1, 2), (3, 4)")
 	ins := st.(*sqlast.InsertStatement)

@@ -2,6 +2,7 @@ package sqltoken
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,11 +27,28 @@ var fpScripts = []string{
 	"SELECT `q`.`x` FROM q WHERE a <=> b AND c != d",
 }
 
+// splitTraps are the inputs where a one-pass splitter can drift from
+// split-then-lex: tokens that run to end of input and swallow the
+// whitespace the statement trim drops, CRLF endings, comments between
+// a statement's last token and its semicolon, semicolons inside
+// parentheses, and bytes the lexer does not treat as whitespace.
+var splitTraps = []string{
+	"SELECT \"unterminated ident \n\t ",
+	"SELECT 1; SELECT 'unterminated string \r\n  ",
+	"SELECT [unterminated bracket   \n",
+	"SELECT 'escaped newline\\\n  \n",
+	"SELECT 1 /* unterminated\n comment\n\n  ",
+	"SELECT 1;\r\nINSERT INTO t VALUES (2)\r\n;\r\n\r\n",
+	"SELECT 1 /* c\n */ ;SELECT 2 -- tail\r\n;SELECT 3 -- end\r\n",
+	"SELECT f(1; 2) FROM t; SELECT (a;\nb) FROM u",
+	"SELECT\v1\f FROM t\u00a0;\v;\f; \u00a0 ",
+}
+
 // TestFingerprintSplitAgreement pins the one invariant everything
 // else builds on: the fingerprinted statement texts and offsets are
 // exactly what SplitStatements returns, located in the input.
 func TestFingerprintSplitAgreement(t *testing.T) {
-	for _, src := range fpScripts {
+	for _, src := range append(slices.Clip(fpScripts), splitTraps...) {
 		t.Run(fmt.Sprintf("%.30q", src), func(t *testing.T) {
 			assertSplitAgreement(t, src)
 		})
@@ -64,6 +82,25 @@ func assertSplitAgreement(t *testing.T, src string) {
 				t.Errorf("statement %d literal span %q does not start a literal", i, st.Text[l.Start:l.End])
 			}
 		}
+	}
+	// The one-pass iterator yields the same texts and, for each, the
+	// tokens LexSignificant(text) returns, equal in every field, EOF
+	// included.
+	n := 0
+	for text, toks := range Statements(src) {
+		if n >= len(want) {
+			t.Fatalf("Statements yielded more than the %d statements SplitStatements found", len(want))
+		}
+		if text != want[n] {
+			t.Errorf("Statements text %d mismatch\ngot:  %q\nwant: %q", n, text, want[n])
+		}
+		if ref := LexSignificant(text); !slices.Equal(toks, ref) {
+			t.Errorf("Statements tokens %d differ from LexSignificant(%q)\ngot:  %+v\nwant: %+v", n, text, toks, ref)
+		}
+		n++
+	}
+	if n != len(want) {
+		t.Errorf("Statements yielded %d statements, SplitStatements %d", n, len(want))
 	}
 }
 
@@ -197,7 +234,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 // the script with different whitespace, comment, literal, and case
 // choices never moves the fingerprint.
 func FuzzFingerprintStability(f *testing.F) {
-	for _, src := range fpScripts {
+	for _, src := range append(slices.Clip(fpScripts), splitTraps...) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

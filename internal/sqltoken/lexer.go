@@ -1,6 +1,7 @@
 package sqltoken
 
 import (
+	"iter"
 	"strings"
 )
 
@@ -276,6 +277,85 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || isDigit(c) || c == '$'
+}
+
+// Statements iterates over the statements of a script in a single
+// lexing pass. Each step yields a statement's text exactly as
+// SplitStatements returns it, together with its significant tokens
+// exactly as LexSignificant(text) returns them: positions and line
+// numbers relative to the text, EOF-terminated. Splitting and then
+// lexing each statement would lex every byte twice and allocate a
+// token array per statement; here the whole script is lexed once and
+// the tokens go into one buffer that every step reuses, so a consumer
+// must copy any token it keeps past the step.
+//
+// SplitStatements and LexSignificant remain the reference: the fuzz
+// contract (assertSplitAgreement) holds this iterator to them.
+func Statements(input string) iter.Seq2[string, []Token] {
+	return func(yield func(string, []Token) bool) {
+		l := lexer{src: input, line: 1}
+		var (
+			toks      []Token
+			depth     int
+			begin     = -1
+			beginLine int
+			// last is the statement's last non-whitespace token and
+			// lastLine the lexer's line just after it: where lexing
+			// the trimmed text alone would reach EOF.
+			last     Token
+			lastLine int
+		)
+		for {
+			t := l.next()
+			switch {
+			case t.Kind == TokenEOF || (t.IsPunct(";") && depth == 0):
+				if begin >= 0 {
+					text := trimLexSpace(input[begin:t.Pos])
+					end := begin + len(text)
+					if last.Pos+len(last.Text) > end {
+						// A token that runs to end of input (an
+						// unterminated quote or block comment) swallowed
+						// whitespace the trim dropped. Re-lex it against
+						// the trimmed end, as lexing text alone would.
+						sub := lexer{src: input[:end], pos: last.Pos, line: last.Line}
+						clipped := sub.next()
+						lastLine = sub.line
+						if last.Kind != TokenComment {
+							toks[len(toks)-1].Text = clipped.Text
+						}
+					}
+					toks = append(toks, Token{Kind: TokenEOF, Pos: len(text), Line: lastLine - beginLine + 1})
+					if !yield(text, toks) {
+						return
+					}
+				}
+				if t.Kind == TokenEOF {
+					return
+				}
+				begin, toks = -1, toks[:0]
+			case t.Kind == TokenWhitespace:
+			case t.Kind == TokenComment:
+				// Inside a statement a comment is part of its text
+				// (it can hold newlines), but never a token of it.
+				if begin >= 0 {
+					last, lastLine = t, l.line
+				}
+			default:
+				if begin < 0 {
+					begin, beginLine = t.Pos, t.Line
+				}
+				if t.IsPunct("(") {
+					depth++
+				} else if t.IsPunct(")") && depth > 0 {
+					depth--
+				}
+				last, lastLine = t, l.line
+				t.Pos -= begin
+				t.Line -= beginLine - 1
+				toks = append(toks, t)
+			}
+		}
+	}
 }
 
 // SplitStatements splits SQL text into individual statements on

@@ -597,15 +597,24 @@ func (t *Table) Insert(r Row) (int64, error) {
 	if err := t.checkFKs(r); err != nil {
 		return 0, err
 	}
+	// Each key is encoded once and serves both the duplicate probe
+	// and the tree insert below; keyBuf keeps up to four index keys
+	// off the heap.
+	var pkKey string
 	if t.pk != nil {
-		if len(t.pk.tree.Get(t.pk.keyFor(r))) > 0 {
+		pkKey = t.pk.keyFor(r)
+		if len(t.pk.tree.Get(pkKey)) > 0 {
 			return 0, fmt.Errorf("%w: table %s pk", ErrDuplicateKey, t.Name)
 		}
 	}
+	var keyBuf [4]string
+	keys := keyBuf[:0]
 	for _, ix := range t.indexes {
-		if ix.Unique && len(ix.tree.Get(ix.keyFor(r))) > 0 {
+		key := ix.keyFor(r)
+		if ix.Unique && len(ix.tree.Get(key)) > 0 {
 			return 0, fmt.Errorf("%w: index %s", ErrDuplicateKey, ix.Name)
 		}
+		keys = append(keys, key)
 	}
 	id := int64(t.slots)
 	if int(id/PageRows) == len(t.pages) {
@@ -621,11 +630,11 @@ func (t *Table) Insert(r Row) (int64, error) {
 	t.bumpVersion()
 	t.touchRowPage(id)
 	if t.pk != nil {
-		t.pk.tree.Insert(t.pk.keyFor(r), id)
+		t.pk.tree.Insert(pkKey, id)
 		t.pk.touches++
 	}
-	for _, ix := range t.indexes {
-		ix.tree.Insert(ix.keyFor(r), id)
+	for i, ix := range t.indexes {
+		ix.tree.Insert(keys[i], id)
 		ix.touches++
 	}
 	return id, nil
