@@ -13,12 +13,12 @@ SHELL := /bin/bash -o pipefail
 # run against it and fails on >20% median ns/op regression or >25%
 # median B/op / allocs/op regression (the gated runs use -benchmem so
 # allocation regressions cannot hide behind wall-clock noise).
-BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan|BenchmarkFixtureIngest
+BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan|BenchmarkFixtureIngest|BenchmarkCheckpoint
 BENCH_COUNT ?= 5
 
-# Packages holding gated benchmarks: the root pipeline benchmarks plus
-# the daemon's end-to-end serving benchmark.
-BENCH_PKGS = . ./cmd/sqlcheckd
+# Packages holding gated benchmarks: the root pipeline benchmarks, the
+# daemon's end-to-end serving benchmark and the WAL checkpoint.
+BENCH_PKGS = . ./cmd/sqlcheckd ./internal/storage/wal
 
 .PHONY: build test test-full bench bench-baseline bench-check bench-e2e-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
 
@@ -70,12 +70,13 @@ bench-check:
 	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench-current.txt \
 		-max-regression 20 -max-mem-regression 25 -json $(BENCH_JSON) \
-		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot,FixtureIngest'
+		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot,FixtureIngest,Checkpoint'
 
 # The larger-than-RAM capacity gate (see bounded_rss_test.go): ~128
-# MiB of fixture tenants through a 16 MiB page-cache budget under a
-# GOMEMLIMIT well below the fixture total, asserting peak RSS stays
-# bounded and every report matches the all-resident baseline.
+# MiB of fixture tenants registered durably through a 16 MiB
+# page-cache budget and checkpointed, under a GOMEMLIMIT well below
+# the fixture total, asserting peak RSS stays bounded and every report
+# matches the all-resident baseline.
 bounded-rss:
 	SQLCHECK_BOUNDED_RSS=1 GOMEMLIMIT=96MiB $(GO) test -run TestBoundedRSSLargerThanRAMRegistry -v .
 

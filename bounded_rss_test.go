@@ -2,12 +2,14 @@ package sqlcheck
 
 // The larger-than-RAM capacity gate, run by the CI bounded-rss job
 // with SQLCHECK_BOUNDED_RSS=1 (and a GOMEMLIMIT well below the
-// fixture total): a registry loaded with several times its page-cache
-// budget of fixture data must stay within a bounded peak RSS while
-// every tenant still analyzes byte-identically to an all-resident
-// baseline. Without spilling, the fixture data alone exceeds the RSS
-// ceiling, so the test fails structurally — not flakily — if pages
-// stop leaving the heap.
+// fixture total): a durable registry loaded with several times its
+// page-cache budget of fixture data, and checkpointed, must stay
+// within a bounded peak RSS while every tenant still analyzes
+// byte-identically to an all-resident baseline. Without spilling, the
+// fixture data alone exceeds the RSS ceiling, and a checkpoint that
+// held every tenant's encoding at once would too, so the test fails
+// structurally — not flakily — if pages stop leaving the heap or the
+// checkpoint stops streaming.
 
 import (
 	"fmt"
@@ -29,11 +31,11 @@ const (
 	rssRowsPerTenant = 8192
 	rssBudget        = 16 << 20
 	// rssCeilingMB bounds VmHWM: page-cache budget plus the Go
-	// runtime, the test binary, the golden corpus pass, and GC lag
-	// from building each tenant before it spills. The all-resident
-	// failure mode peaks past the fixture total (~190 MiB measured),
-	// so the ceiling separates the two regimes with margin on both
-	// sides.
+	// runtime, the test binary, the golden corpus pass, one tenant's
+	// checkpoint encoding, and GC lag from building each tenant
+	// before it spills. The all-resident failure mode peaks past the
+	// fixture total (~190 MiB measured), so the ceiling separates the
+	// two regimes with margin on both sides.
 	rssCeilingMB = 120
 )
 
@@ -96,7 +98,10 @@ func TestBoundedRSSLargerThanRAMRegistry(t *testing.T) {
 	baselineDB = nil
 	_ = baselineDB
 
-	checker := New(Options{Concurrency: 2, PageCacheBytes: rssBudget})
+	checker, err := Open(Options{Concurrency: 2, PageCacheBytes: rssBudget, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { checker.Close() })
 
 	// Build and register tenant by tenant: adoption spills each one
@@ -115,8 +120,15 @@ func TestBoundedRSSLargerThanRAMRegistry(t *testing.T) {
 	if pc.SpillErrors != 0 {
 		t.Fatalf("spill writes failed: %+v", pc)
 	}
-	t.Logf("after load: %d pages spilled, %d resident bytes (budget %d), %d spill bytes on disk",
-		pc.SpilledPages, pc.ResidentBytes, pc.BudgetBytes, pc.SpillBytes)
+	t.Logf("after load: %d pages spilled, %d resident bytes (budget %d), %d spill bytes on disk, peak RSS %d MiB",
+		pc.SpilledPages, pc.ResidentBytes, pc.BudgetBytes, pc.SpillBytes, vmHWM(t)>>10)
+
+	// A checkpoint encodes every tenant, faulting each one's spilled
+	// pages back through the budget; it must hold one tenant's
+	// encoding at a time, not the registry's.
+	if err := checker.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Every tenant analyzes byte-identically to the all-resident
 	// baseline, faulting its pages through the shared budget.
@@ -152,7 +164,7 @@ func TestBoundedRSSLargerThanRAMRegistry(t *testing.T) {
 	}
 
 	if peakKB := vmHWM(t); peakKB > rssCeilingMB<<10 {
-		t.Fatalf("peak RSS %d MiB exceeds the %d MiB ceiling (budget %d MiB + slack): pages are not leaving the heap",
+		t.Fatalf("peak RSS %d MiB exceeds the %d MiB ceiling (budget %d MiB + slack): pages are not leaving the heap, or the checkpoint held the registry",
 			peakKB>>10, rssCeilingMB, rssBudget>>20)
 	} else {
 		t.Logf("peak RSS %d MiB (ceiling %d MiB, page-cache budget %d MiB)", peakKB>>10, rssCeilingMB, rssBudget>>20)

@@ -21,7 +21,10 @@
 // -json <path> additionally writes the current run's per-benchmark
 // unit medians as a JSON document — the machine-readable artifact CI
 // uploads (bench-current.json) so perf history is diffable across PRs
-// without re-parsing bench text.
+// without re-parsing bench text. Each benchmark the baseline also ran
+// carries the baseline's medians and a current/baseline ratio per
+// metric: medians move with the host, but a ratio of two runs made on
+// one host compares across PRs.
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -95,23 +99,36 @@ func median(xs []float64) float64 {
 
 // benchJSON is one benchmark's entry in the -json artifact: the
 // median of every reported unit (built-in and custom) plus the sample
-// count the medians were taken over.
+// count the medians were taken over and, for each unit the baseline
+// also reported, the baseline's median and the current/baseline
+// ratio (omitted where the baseline median is zero).
 type benchJSON struct {
-	Name    string             `json:"name"`
-	Samples int                `json:"samples"`
-	Metrics map[string]float64 `json:"metrics"`
+	Name     string             `json:"name"`
+	Samples  int                `json:"samples"`
+	Metrics  map[string]float64 `json:"metrics"`
+	Baseline map[string]float64 `json:"baseline,omitempty"`
+	Ratio    map[string]float64 `json:"ratio,omitempty"`
 }
 
-// writeJSON renders per-benchmark unit medians, sorted by name so the
-// artifact diffs cleanly between runs.
-func writeJSON(path string, cur map[string]samples) error {
+// writeJSON renders per-benchmark unit medians with their baseline
+// medians and ratios, sorted by name so the artifact diffs cleanly
+// between runs.
+func writeJSON(path string, cur, base map[string]samples) error {
 	out := make([]benchJSON, 0, len(cur))
 	for name, s := range cur {
-		e := benchJSON{Name: name, Metrics: make(map[string]float64, len(s))}
+		e := benchJSON{Name: name, Metrics: make(map[string]float64, len(s)),
+			Baseline: make(map[string]float64), Ratio: make(map[string]float64)}
 		for unit, vals := range s {
 			e.Metrics[unit] = median(vals)
 			if len(vals) > e.Samples {
 				e.Samples = len(vals)
+			}
+			if bs := base[name][unit]; len(bs) > 0 {
+				b := median(bs)
+				e.Baseline[unit] = b
+				if b != 0 {
+					e.Ratio[unit] = math.Round(e.Metrics[unit]/b*1e4) / 1e4
+				}
 			}
 		}
 		out = append(out, e)
@@ -133,7 +150,7 @@ func main() {
 		maxRegress   = flag.Float64("max-regression", 20, "fail when median ns/op regresses by more than this percent")
 		maxMem       = flag.Float64("max-mem-regression", 25, "fail when median B/op or allocs/op regresses by more than this percent")
 		require      = flag.String("require", "", "comma-separated substrings; each must match a current benchmark")
-		jsonPath     = flag.String("json", "", "write the current run's per-benchmark unit medians to this file as JSON")
+		jsonPath     = flag.String("json", "", "write the current run's per-benchmark unit medians, with the baseline's medians and ratios, to this file as JSON")
 	)
 	flag.Parse()
 	if *currentPath == "" {
@@ -154,7 +171,7 @@ func main() {
 	if *jsonPath != "" {
 		// Emit before gating so the artifact exists even when the run
 		// regresses — the failing run is the one worth inspecting.
-		if err := writeJSON(*jsonPath, cur); err != nil {
+		if err := writeJSON(*jsonPath, cur, base); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcmp: writing %s: %v\n", *jsonPath, err)
 			os.Exit(2)
 		}

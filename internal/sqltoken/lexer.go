@@ -236,8 +236,15 @@ func (l *lexer) scanOperator() bool {
 
 // looksLikeBracketIdent reports whether a '[' opens a SQL Server style
 // bracketed identifier (as opposed to, say, a regex character class
-// inside a LIKE pattern, which would be inside a string anyway).
+// inside a LIKE pattern, which would be inside a string anyway). The
+// byte after '[' must not be whitespace: a newline before the ']'
+// already rules the bracket out, so without this test "[ ]" and
+// "[\n]" would lex differently and a whitespace-only rewrite could
+// move the fingerprint.
 func looksLikeBracketIdent(s string) bool {
+	if len(s) < 2 || isSpace(s[1]) {
+		return false
+	}
 	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case ']':

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+
 	"sqlcheck/internal/storage"
 )
 
@@ -28,8 +30,8 @@ const checkpointMagic = "SQCKPT01"
 
 const checkpointFile = "checkpoint"
 
-// checkpointEntry is one tenant in a checkpoint: its state snapshot
-// and the LSN of the last log record that state reflects.
+// checkpointEntry is one tenant as read back from a checkpoint: its
+// state blob and the LSN of the last log record that state reflects.
 type checkpointEntry struct {
 	name string
 	lsn  uint64
@@ -41,26 +43,26 @@ type checkpoint struct {
 	entries     []checkpointEntry
 }
 
-func writeCheckpoint(dir string, cp *checkpoint) error {
-	b := make([]byte, 0, 4096)
-	b = append(b, checkpointMagic...)
-	b = binary.AppendUvarint(b, cp.registryLSN)
-	b = binary.AppendUvarint(b, uint64(len(cp.entries)))
-	for _, e := range cp.entries {
-		b = storage.AppendString(b, e.name)
-		b = binary.AppendUvarint(b, e.lsn)
-		b = binary.AppendUvarint(b, uint64(len(e.blob)))
-		b = append(b, e.blob...)
-	}
-	crc := crc32.Checksum(b, castagnoli)
-	b = binary.LittleEndian.AppendUint32(b, crc)
+// namedDB is one tenant handed to writeCheckpoint.
+type namedDB struct {
+	name string
+	db   *storage.Database
+}
 
+// writeCheckpoint streams a checkpoint of tenants (in the order
+// given) to a temp file, then fsyncs it and renames it over the live
+// name. Each tenant is captured as a COW snapshot right before it is
+// encoded, and every encoding reuses one buffer, so the heap holds a
+// single tenant's encoding and a 64 KiB write buffer however large
+// the registry is. The CRC is computed over the bytes as they are
+// written.
+func writeCheckpoint(dir string, registryLSN uint64, tenants []namedDB) error {
 	tmp := filepath.Join(dir, checkpointFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	if err := streamCheckpoint(f, registryLSN, tenants); err != nil {
 		f.Close()
 		return err
 	}
@@ -75,6 +77,38 @@ func writeCheckpoint(dir string, cp *checkpoint) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// streamCheckpoint writes the checkpoint layout to f: everything up
+// to the CRC through a buffer that also feeds the CRC, then the CRC.
+func streamCheckpoint(f io.Writer, registryLSN uint64, tenants []namedDB) error {
+	crc := crc32.New(castagnoli)
+	w := bufio.NewWriterSize(io.MultiWriter(f, crc), 64<<10)
+	hdr := append(make([]byte, 0, 64), checkpointMagic...)
+	hdr = binary.AppendUvarint(hdr, registryLSN)
+	hdr = binary.AppendUvarint(hdr, uint64(len(tenants)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	var blob []byte
+	for _, t := range tenants {
+		snap := t.db.Snapshot()
+		blob = appendDatabase(blob[:0], snap)
+		hdr = storage.AppendString(hdr[:0], t.name)
+		hdr = binary.AppendUvarint(hdr, snap.DurableLSN())
+		hdr = binary.AppendUvarint(hdr, uint64(len(blob)))
+		// A bufio.Writer's error is sticky: a failed header write is
+		// reported by the blob write that follows it.
+		w.Write(hdr)
+		if _, err := w.Write(blob); err != nil {
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	_, err := f.Write(binary.LittleEndian.AppendUint32(hdr[:0], crc.Sum32()))
+	return err
 }
 
 // readCheckpoint loads and validates the checkpoint; ok=false when

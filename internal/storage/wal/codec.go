@@ -28,7 +28,13 @@ const codecVersion = 1
 // quiesced: either a frozen snapshot (the checkpoint path) or a live
 // database whose writer lock the caller holds (the register path).
 func EncodeDatabase(db *storage.Database) []byte {
-	b := make([]byte, 0, 1024)
+	return appendDatabase(make([]byte, 0, 1024), db)
+}
+
+// appendDatabase appends EncodeDatabase's serialization of db to b.
+// The checkpoint passes one buffer for every tenant, so it holds a
+// single tenant's encoding at a time.
+func appendDatabase(b []byte, db *storage.Database) []byte {
 	b = append(b, codecVersion)
 	b = storage.AppendString(b, db.Name)
 	tables := db.Tables()

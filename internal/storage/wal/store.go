@@ -334,24 +334,14 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	s.mu.Lock()
-	cp := &checkpoint{registryLSN: s.lastRegistryLSN}
-	handles := make(map[string]*storage.Database, len(s.tenants))
-	names := make([]string, 0, len(s.tenants))
+	registryLSN := s.lastRegistryLSN
+	tenants := make([]namedDB, 0, len(s.tenants))
 	for name, db := range s.tenants {
-		handles[name] = db
-		names = append(names, name)
+		tenants = append(tenants, namedDB{name, db})
 	}
 	s.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		snap := handles[name].Snapshot()
-		cp.entries = append(cp.entries, checkpointEntry{
-			name: name,
-			lsn:  snap.DurableLSN(),
-			blob: EncodeDatabase(snap),
-		})
-	}
-	if err := writeCheckpoint(s.dir, cp); err != nil {
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
+	if err := writeCheckpoint(s.dir, registryLSN, tenants); err != nil {
 		return err
 	}
 	if err := s.log.prune(); err != nil {
