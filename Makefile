@@ -8,11 +8,11 @@ GO ?= go
 # gate would compare partial output.
 SHELL := /bin/bash -o pipefail
 
-# The benchmarks gating CI regressions (DESIGN.md §4). bench-baseline
-# regenerates the checked-in reference; bench-check compares a fresh
-# run against it and fails on >20% median ns/op regression or >25%
-# median B/op / allocs/op regression (the gated runs use -benchmem so
-# allocation regressions cannot hide behind wall-clock noise).
+# The benchmarks gating CI regressions (DESIGN.md §4). bench-check
+# runs them at a base commit and then on the working tree, on the same
+# host, and fails on >20% median ns/op regression or >25% median B/op /
+# allocs/op regression (the gated runs use -benchmem so allocation
+# regressions cannot hide behind wall-clock noise).
 BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan|BenchmarkFixtureIngest|BenchmarkCheckpoint
 BENCH_COUNT ?= 5
 
@@ -20,11 +20,11 @@ BENCH_COUNT ?= 5
 # daemon's end-to-end serving benchmark and the WAL checkpoint.
 BENCH_PKGS = . ./cmd/sqlcheckd ./internal/storage/wal
 
-.PHONY: build test test-full bench bench-baseline bench-check bench-e2e-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
+.PHONY: build test test-full bench bench-check bench-e2e-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
 
-# The single source of truth for the gated-benchmark pattern: CI's
-# base-ref step reads it from the PR's Makefile (before checking out
-# the base, whose Makefile may predate newer gate benchmarks).
+# The single source of truth for the gated-benchmark pattern:
+# bench/base.sh reads it from this Makefile, not the base commit's,
+# which may predate newer gate benchmarks.
 print-bench-gate:
 	@echo '$(BENCH_GATE)'
 
@@ -48,18 +48,12 @@ test-full:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Regenerate the checked-in baseline for the gated benchmarks. Run on
-# a quiet machine; commit bench/baseline.txt with the change that
-# legitimately moves the numbers.
-bench-baseline:
-	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench/baseline.txt
-
-# Compare a fresh run of the gated benchmarks against a baseline;
-# fails on >20% median regression or a missing gated benchmark.
-# BENCH_BASELINE defaults to the checked-in reference; CI's
-# pull-request job points it at a base-ref run from the same runner,
-# which removes hardware variance from the comparison.
-BENCH_BASELINE ?= bench/baseline.txt
+# Compare a fresh run of the gated benchmarks against a run of
+# BENCH_BASE (default: the parent commit) made first on this same host
+# by bench/base.sh, from a temporary git worktree; fails on >20% median
+# regression or a missing gated benchmark. CI's bench-regression job
+# sets BENCH_BASE to the pull request's base.
+BENCH_BASE ?= HEAD^
 # BENCH_JSON names the machine-readable medians artifact benchcmp
 # writes alongside the comparison; CI uploads it so perf history diffs
 # across PRs without re-parsing bench text. A change that records its
@@ -67,8 +61,9 @@ BENCH_BASELINE ?= bench/baseline.txt
 # BENCH_JSON=bench/BENCH_<n>.json instead.
 BENCH_JSON ?= bench-current.json
 bench-check:
+	BENCH_BASE='$(BENCH_BASE)' BENCH_COUNT='$(BENCH_COUNT)' GO='$(GO)' bash bench/base.sh bench-base.txt
 	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench-current.txt
-	$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench-current.txt \
+	$(GO) run ./cmd/benchcmp -baseline bench-base.txt -current bench-current.txt \
 		-max-regression 20 -max-mem-regression 25 -json $(BENCH_JSON) \
 		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot,FixtureIngest,Checkpoint'
 

@@ -4,9 +4,9 @@
 // it runs from a bare checkout.
 //
 //	go test -bench 'CheckSQLParallel|RuleDispatch|ProfileParallel' \
-//	    -count 5 -benchmem -run '^$' . > bench/current.txt
-//	go run ./cmd/benchcmp -baseline bench/baseline.txt \
-//	    -current bench/current.txt -max-regression 20
+//	    -count 5 -benchmem -run '^$' . > bench-current.txt
+//	go run ./cmd/benchcmp -baseline bench-base.txt \
+//	    -current bench-current.txt -max-regression 20
 //
 // Each benchmark's samples (one line per -count repetition) are
 // reduced to their per-metric medians, which is robust to the odd
@@ -145,7 +145,7 @@ func writeJSON(path string, cur, base map[string]samples) error {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "bench/baseline.txt", "checked-in baseline bench output")
+		baselinePath = flag.String("baseline", "bench-base.txt", "baseline bench output (bench/base.sh writes it)")
 		currentPath  = flag.String("current", "", "bench output to compare (required)")
 		maxRegress   = flag.Float64("max-regression", 20, "fail when median ns/op regresses by more than this percent")
 		maxMem       = flag.Float64("max-mem-regression", 25, "fail when median B/op or allocs/op regresses by more than this percent")

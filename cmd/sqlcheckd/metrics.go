@@ -52,6 +52,7 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	counter("sqlcheck_profile_cache_hits_total", "Table-profile cache hits (tables whose data phase skipped sampling entirely).", m.ProfileCache.Hits)
 	counter("sqlcheck_profile_cache_misses_total", "Table-profile cache misses (tables profiled from scratch).", m.ProfileCache.Misses)
 	counter("sqlcheck_profile_cache_evictions_total", "Table-profile cache LRU evictions.", m.ProfileCache.Evictions)
+	counter("sqlcheck_profile_cache_superseded_total", "Profiles replaced in place by their table's re-profiled newer version (at most one per write; not evictions).", m.ProfileCache.Superseded)
 	gauge("sqlcheck_profile_cache_bytes", "Estimated resident bytes of memoized table profiles.", m.ProfileCache.Bytes)
 	gauge("sqlcheck_profile_cache_max_bytes", "Profile cache byte budget.", m.ProfileCache.MaxBytes)
 	gauge("sqlcheck_profile_cache_entries", "Profiles resident in the cache.", int64(m.ProfileCache.Entries))
@@ -62,6 +63,7 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	counter("sqlcheck_report_cache_misses_total", "Report cache misses (workloads that ran the full pipeline).", m.ReportCache.Misses)
 	counter("sqlcheck_report_cache_variant_misses_total", "Misses whose script fingerprint matched a resident entry but whose statement texts did not (literal/case variants).", m.ReportCache.VariantMisses)
 	counter("sqlcheck_report_cache_evictions_total", "Report cache LRU evictions.", m.ReportCache.Evictions)
+	counter("sqlcheck_report_cache_superseded_total", "Reports replaced in place by a re-analysis of their database's newer version (not evictions).", m.ReportCache.Superseded)
 	gauge("sqlcheck_report_cache_bytes", "Estimated resident bytes of memoized reports.", m.ReportCache.Bytes)
 	gauge("sqlcheck_report_cache_max_bytes", "Report cache byte budget.", m.ReportCache.MaxBytes)
 	gauge("sqlcheck_report_cache_entries", "Reports resident in the cache.", int64(m.ReportCache.Entries))

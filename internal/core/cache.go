@@ -67,12 +67,12 @@ func NewParseCache(maxBytes int64) *ParseCache {
 // request's script, and an entry whose key or AST strings pointed into
 // it would keep the whole script alive while the entry stays resident.
 func (c *ParseCache) Parse(text string) sqlast.Statement {
-	if stmt, ok := c.lru.get(text); ok {
+	if stmt, ok := c.lru.get(text, 0); ok {
 		return stmt
 	}
 	text = strings.Clone(text)
 	stmt := parser.Parse(text)
-	c.lru.add(text, stmt, entryCost(text))
+	c.lru.add(text, 0, stmt, entryCost(text))
 	return stmt
 }
 

@@ -56,9 +56,10 @@ type Options struct {
 	// SharedProfileCache, when non-nil, is the table-profile
 	// memoization cache the Engine uses instead of building a private
 	// one — the data-phase analogue of SharedCache. Profiles are keyed
-	// by (table identity, table version, options), so registered
-	// databases reuse them across batches until DML bumps the version.
-	// Ignored by the sequential Detect path.
+	// by (table identity, options) at the table version, so registered
+	// databases reuse them across batches until DML bumps the version,
+	// and the re-profiled version then replaces the old one. Ignored
+	// by the sequential Detect path.
 	SharedProfileCache *ProfileCache
 	// SharedReportCache, when non-nil, is the report memoization cache
 	// the Engine uses instead of building a private one — the serving
@@ -66,9 +67,9 @@ type Options struct {
 	// origin ID + state version, normalized ruleset, configuration)
 	// with byte-identical statement texts as the hit condition, so a
 	// repeated workload against an unchanged database returns its
-	// memoized report before any pipeline phase runs, and any DML on
-	// the database moves the key. Ignored by the sequential Detect
-	// path.
+	// memoized report before any pipeline phase runs; any DML on the
+	// database moves its version, and the re-analyzed report replaces
+	// the stale one. Ignored by the sequential Detect path.
 	SharedReportCache *ReportCache
 	// ReportScope is an opaque discriminator mixed into report-cache
 	// keys. Owners whose final reports depend on state the engine

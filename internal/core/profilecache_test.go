@@ -70,6 +70,20 @@ func TestProfileCacheVersionInvalidation(t *testing.T) {
 		t.Fatal("frozen snapshot lost its entry after source DML")
 	}
 
+	// Profiling the new version supersedes the old entry: the live
+	// table hits, the old snapshot misses, and one profile stays
+	// resident.
+	c.Add(tab, opts, profile.ProfileTable(tab, opts))
+	if _, ok := c.Lookup(tab, opts); !ok {
+		t.Fatal("mutated table missed after its new profile was stored")
+	}
+	if _, ok := c.Lookup(snap, opts); ok {
+		t.Fatal("old snapshot hit after the newer version was stored")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Superseded != 1 {
+		t.Fatalf("stats = %+v, want 1 resident profile, superseded once", st)
+	}
+
 	// A distinct table that happens to share name and row count is a
 	// different identity.
 	other := profTable("t", 40)

@@ -23,14 +23,19 @@ package core
 // variants, bounded per fingerprint bucket so an unbounded literal
 // stream cannot monopolize the budget.
 //
-// Invalidation is the PR 5 version-counter scheme extended to whole
-// databases: storage.Database.Version now advances on every DML
-// statement of any member table (see storage.Table.bumpVersion), so
-// the key's (dbID, dbVersion) pair moves on any observable change and
-// stale reports age out of the LRU — busting exactly the mutated
-// database's entries, never another tenant's. Whitespace and comments
-// *between* statements may differ on a hit; the consumer rebinds
-// finding spans to the submitted text via the ScriptPrint offsets.
+// Invalidation is the profile cache's version-counter scheme extended
+// to whole databases: storage.Database.Version advances on every DML
+// statement of any member table (see storage.Table.bumpVersion). The
+// database version is not part of an entry's identity but its version
+// in the cache core (lru.go): a lookup after any observable change
+// misses, and the re-analyzed report supersedes the dead one in place
+// — touching exactly the mutated database's entries, never another
+// tenant's, and holding one resident report per script and database
+// however many writes arrive. Once a newer version is cached, checking
+// an older snapshot of the database runs uncached. Whitespace and
+// comments *between* statements may differ on a hit; the consumer
+// rebinds finding spans to the submitted text via the ScriptPrint
+// offsets.
 //
 // Eviction is the cache core's (lru.go), and the script-print side
 // cache is a second instance of it. A ReportCache is safe for
@@ -65,7 +70,10 @@ const (
 
 // reportKey identifies everything besides the statement texts that a
 // memoized report depends on. All fields are comparable scalars or
-// strings; profile options inside cfg enter normalized.
+// strings; profile options inside cfg enter normalized. The cache
+// stores an entry under the key with dbVersion cleared and passes
+// dbVersion as the entry's version (see identity); singleflight and
+// in-batch coalescing key on the whole tuple.
 type reportKey struct {
 	fp        sqltoken.Fingerprint
 	dbID      uint64
@@ -85,6 +93,15 @@ type reportVariantKey struct {
 	texts string
 }
 
+// identity splits a report key and its texts into the cache core's key
+// (the variant key without the database version) and the entry's
+// version.
+func identity(key reportKey, texts string) (reportVariantKey, uint64) {
+	ver := key.dbVersion
+	key.dbVersion = 0
+	return reportVariantKey{key: key, texts: texts}, ver
+}
+
 // ReportCache memoizes finished workload reports keyed by script
 // fingerprint, database state, and analysis configuration. Payloads
 // are opaque to core — the owning layer stores whatever it serves (the
@@ -92,9 +109,10 @@ type reportVariantKey struct {
 // read-only. Safe for concurrent use by any number of engines.
 type ReportCache struct {
 	reports *lru[reportVariantKey, any]
-	// variants counts resident entries per fingerprint-keyed tuple and
-	// prints per fingerprint. Both are guarded by reports.mu and kept
-	// in step with the resident set by its eviction callback.
+	// variants counts resident entries per fingerprint-keyed tuple at
+	// the version each entry holds, and prints counts them per
+	// fingerprint. Both are guarded by reports.mu and kept in step with
+	// the resident set by its removal callback.
 	variants map[reportKey]int
 	prints   map[sqltoken.Fingerprint]int
 
@@ -126,9 +144,11 @@ func NewReportCache(maxBytes int64) *ReportCache {
 		prints:   make(map[sqltoken.Fingerprint]int),
 		scripts:  newLRU[string, scriptPrint](maxBytes / scriptCacheDivisor),
 	}
-	c.reports.onEvict = func(vk reportVariantKey) {
-		decrement(c.variants, vk.key)
-		decrement(c.prints, vk.key.fp)
+	c.reports.onRemove = func(vk reportVariantKey, ver uint64) {
+		key := vk.key
+		key.dbVersion = ver
+		decrement(c.variants, key)
+		decrement(c.prints, key.fp)
 	}
 	return c
 }
@@ -153,23 +173,24 @@ func decrement[K comparable](m map[K]int, k K) {
 // entries retain the input string, so the cost estimate is dominated
 // by the script bytes themselves.
 func (c *ReportCache) script(sql string) (*sqltoken.ScriptPrint, string) {
-	if s, ok := c.scripts.get(sql); ok {
+	if s, ok := c.scripts.get(sql, 0); ok {
 		return s.sp, s.texts
 	}
 	// Fingerprint outside the lock: it is the expensive part.
 	sp := sqltoken.FingerprintScript(sql)
 	s := scriptPrint{sp: sp, texts: strings.Join(sp.Texts(), "\x00")}
-	c.scripts.add(sql, s, int64(2*len(sql))+160)
+	c.scripts.add(sql, 0, s, int64(2*len(sql))+160)
 	return s.sp, s.texts
 }
 
 // lookup returns the memoized payload for the key and exact statement
 // texts, counting a hit or miss. A miss whose fingerprint tuple has
-// resident entries under different texts (a literal/collision variant)
-// additionally counts a variant miss.
+// resident entries under different texts at the same database version
+// (a literal/collision variant) additionally counts a variant miss;
+// finding only an older version of the same texts is a plain miss.
 func (c *ReportCache) lookup(key reportKey, texts string) (any, bool) {
 	c.reports.mu.Lock()
-	payload, ok := c.reports.touch(reportVariantKey{key: key, texts: texts})
+	payload, ok := c.reports.touch(identity(key, texts))
 	siblings := 0
 	if !ok {
 		siblings = c.variants[key]
@@ -188,7 +209,7 @@ func (c *ReportCache) lookup(key reportKey, texts string) (any, bool) {
 // counts — the caller really is served from the cache.
 func (c *ReportCache) recheck(key reportKey, texts string) (any, bool) {
 	c.reports.mu.Lock()
-	payload, ok := c.reports.touch(reportVariantKey{key: key, texts: texts})
+	payload, ok := c.reports.touch(identity(key, texts))
 	c.reports.mu.Unlock()
 	if ok {
 		c.reports.count(true)
@@ -197,14 +218,15 @@ func (c *ReportCache) recheck(key reportKey, texts string) (any, bool) {
 }
 
 // add memoizes a report under the key and texts, applying the variant
-// bound and the admission and eviction policy. A key whose bucket is
-// full of sibling variants admits nothing; LRU pressure frees slots
-// when the resident ones stop being used.
+// bound, the supersede rule, and the admission and eviction policy. A
+// key whose bucket is full of sibling variants at its version admits
+// nothing; LRU pressure frees slots when the resident ones stop being
+// used.
 func (c *ReportCache) add(key reportKey, texts string, payload any, cost int64) {
 	c.reports.mu.Lock()
 	defer c.reports.mu.Unlock()
-	if c.variants[key] < reportMaxVariants &&
-		c.reports.insert(reportVariantKey{key: key, texts: texts}, payload, cost) {
+	vk, ver := identity(key, texts)
+	if c.variants[key] < reportMaxVariants && c.reports.insert(vk, ver, payload, cost) {
 		c.variants[key]++
 		c.prints[key.fp]++
 	}

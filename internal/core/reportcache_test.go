@@ -103,3 +103,63 @@ func TestReportCacheScriptPrintBudget(t *testing.T) {
 		t.Errorf("stats = %+v, want evictions and bytes within the budget", st)
 	}
 }
+
+// TestReportCacheSupersedesOlderVersion: a report stored at a newer
+// database version replaces the one for the same texts in place, with
+// the variant and fingerprint counts moved to the new version; a
+// lookup that finds only an older version of the same texts is a
+// plain miss, not a variant miss; and a late store from an older
+// snapshot is declined.
+func TestReportCacheSupersedesOlderVersion(t *testing.T) {
+	c := NewReportCache(1 << 20)
+	at := func(ver uint64) reportKey {
+		k := reportTestKey(1)
+		k.dbID, k.dbVersion = 7, ver
+		return k
+	}
+	counts := func() (map[reportKey]int, map[sqltoken.Fingerprint]int) {
+		c.reports.mu.Lock()
+		defer c.reports.mu.Unlock()
+		return maps.Clone(c.variants), maps.Clone(c.prints)
+	}
+	const texts = "SELECT * FROM t"
+	c.add(at(1), texts, "v1", lruCost)
+
+	if _, ok := c.lookup(at(2), texts); ok {
+		t.Fatal("lookup at version 2 hit the version-1 report")
+	}
+	if st := c.Stats(); st.VariantMisses != 0 {
+		t.Fatalf("older version of the same texts counted as a variant miss: %+v", st)
+	}
+
+	c.add(at(2), texts, "v2", lruCost)
+	if p, ok := c.lookup(at(2), texts); !ok || p != "v2" {
+		t.Fatalf("lookup at version 2 = %v, %v; want the version-2 report", p, ok)
+	}
+	st := c.Stats()
+	if st.Entries != 1 || st.Bytes != lruCost || st.Superseded != 1 || st.Evictions != 0 || st.Fingerprints != 1 {
+		t.Fatalf("stats = %+v, want 1 entry superseded once, nothing evicted", st)
+	}
+	variants, prints := counts()
+	if len(variants) != 1 || variants[at(2)] != 1 || len(prints) != 1 || prints[at(2).fp] != 1 {
+		t.Fatalf("counts after supersede: variants %v prints %v, want one entry at version 2", variants, prints)
+	}
+
+	// The old snapshot misses now, and its late store cannot displace
+	// the newer report.
+	if _, ok := c.lookup(at(1), texts); ok {
+		t.Fatal("old snapshot hit after the newer version was stored")
+	}
+	c.add(at(1), texts, "v1 again", lruCost)
+	if p, ok := c.lookup(at(2), texts); !ok || p != "v2" {
+		t.Fatalf("older store displaced the newer report: %v, %v", p, ok)
+	}
+
+	// A different text at the current version is still a variant miss.
+	if _, ok := c.lookup(at(2), "SELECT * FROM t WHERE id = 1"); ok {
+		t.Fatal("different texts hit")
+	}
+	if st := c.Stats(); st.VariantMisses != 1 {
+		t.Errorf("variant misses = %d, want 1 (only the different texts)", st.VariantMisses)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // AppendString appends a uvarint-length-prefixed string.
@@ -51,6 +52,48 @@ func AppendValue(b []byte, v Value) []byte {
 	}
 	return b
 }
+
+// AppendRow appends a row as its uvarint arity followed by each
+// value's AppendValue encoding: the row layout of register and
+// checkpoint blobs and of page spill records.
+func AppendRow(b []byte, r Row) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r)))
+	for _, v := range r {
+		b = AppendValue(b, v)
+	}
+	return b
+}
+
+// RowLen returns len(AppendRow(nil, r)) without encoding the row, so a
+// writer can size a whole blob's buffer before filling it.
+func RowLen(r Row) int {
+	n := uvarintLen(uint64(len(r)))
+	for _, v := range r {
+		n++ // kind byte
+		switch v.Kind {
+		case KindInt:
+			n += varintLen(v.I)
+		case KindFloat:
+			n += 8
+		case KindString:
+			n += uvarintLen(uint64(len(v.S))) + len(v.S)
+		case KindBool:
+			n++
+		case KindTime:
+			n += varintLen(v.I) + 1
+			if v.TZKnown {
+				n += varintLen(int64(v.TZOffsetMin))
+			}
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's zig-zag encoding.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // ByteReader is a cursor over an encoded blob; the first malformed
 // read sets Err and every later read returns a zero value, so decode

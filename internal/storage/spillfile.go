@@ -107,10 +107,7 @@ func encodePage(rows *[PageRows]Row, used int) (blob []byte, liveSlots int) {
 			continue
 		}
 		b = binary.AppendUvarint(b, uint64(i))
-		b = binary.AppendUvarint(b, uint64(len(r)))
-		for _, v := range r {
-			b = AppendValue(b, v)
-		}
+		b = AppendRow(b, r)
 	}
 	return b, count
 }

@@ -490,3 +490,28 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRowLenMatchesAppendRow: RowLen sizes exactly what AppendRow
+// writes, for every value kind and across varint length boundaries —
+// the WAL allocates register records from this figure.
+func TestRowLenMatchesAppendRow(t *testing.T) {
+	long := string(make([]byte, 300))
+	rows := []Row{
+		{},
+		{Null(), Bool(true), Bool(false), Float(-2.5), Str(""), Str("ada"), Str(long)},
+		{Int(0), Int(63), Int(64), Int(-64), Int(-65), Int(1 << 40), Int(-1 << 62), Int(1<<63 - 1), Int(-1 << 63)},
+		{Time(0), Time(-1_700_000_000_000_000), TimeTZ(1_700_000_000_000_000, 0), TimeTZ(5, -720), TimeTZ(-5, 840)},
+	}
+	for i, r := range rows {
+		if got, want := RowLen(r), len(AppendRow(nil, r)); got != want {
+			t.Errorf("row %d: RowLen = %d, AppendRow wrote %d bytes", i, got, want)
+		}
+	}
+	f := func(i int64, s string, tz int16) bool {
+		r := Row{Int(i), Str(s), Time(i), TimeTZ(i, tz)}
+		return RowLen(r) == len(AppendRow(nil, r))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -587,6 +587,10 @@ func (t *Table) matchIndex(ords []int) *Index {
 
 // Insert adds a row, enforcing all constraints and maintaining every
 // index (per-index maintenance cost is what Figure 8a measures).
+// Insert takes ownership of r: on success the table stores r itself,
+// not a copy, so the caller must neither modify r nor reuse its
+// backing array afterwards. Stored rows are never mutated in place,
+// so a row read from a table may be inserted into another as it is.
 func (t *Table) Insert(r Row) (int64, error) {
 	if t.frozen {
 		return 0, ErrFrozen
@@ -624,7 +628,7 @@ func (t *Table) Insert(r Row) (int64, error) {
 		}
 		t.pages = append(t.pages, np)
 	}
-	t.setRow(id, r.Clone())
+	t.setRow(id, r)
 	t.slots++
 	t.live++
 	t.bumpVersion()
@@ -641,7 +645,9 @@ func (t *Table) Insert(r Row) (int64, error) {
 }
 
 // MustInsert inserts and panics on constraint violation; intended for
-// workload generators building known-good data.
+// workload generators building known-good data. Like Insert it takes
+// ownership of vals: pass the values as arguments, or spread a slice
+// that is never used again.
 func (t *Table) MustInsert(vals ...Value) int64 {
 	id, err := t.Insert(Row(vals))
 	if err != nil {
@@ -730,7 +736,9 @@ func (t *Table) ScanReadOnly(fn func(id int64, r Row) bool) {
 }
 
 // Update replaces the row with the given id, re-checking constraints
-// and maintaining indexes.
+// and maintaining indexes. Like Insert it takes ownership of newRow:
+// build it fresh (a Clone of the stored row, then modified) and do not
+// touch it afterwards.
 func (t *Table) Update(id int64, newRow Row) error {
 	if t.frozen {
 		return ErrFrozen
@@ -780,7 +788,7 @@ func (t *Table) Update(id int64, newRow Row) error {
 			ix.touches += 2
 		}
 	}
-	t.setRow(id, newRow.Clone())
+	t.setRow(id, newRow)
 	t.bumpVersion()
 	return nil
 }

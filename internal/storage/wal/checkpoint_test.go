@@ -113,3 +113,50 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 }
+
+// TestRegisterEncodesInItsFrame pins the register record to its
+// layout — type, tenant name, state length, then EncodeDatabase's
+// bytes, in a frame whose CRC the scanner verifies — and bounds what
+// one Register allocates by the encoded state: the record must be
+// built once, in its frame, not encoded into a growing buffer and
+// copied into the record and again into the frame.
+func TestRegisterEncodesInItsFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, testConfig(t))
+	defer s.log.close()
+	const name = "tenant-1"
+	db := storage.NewDatabase(name)
+	for _, stmt := range parser.ParseAll(corpus.TenantFixture(4000, 250, 1)) {
+		if _, err := exec.Run(db, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := EncodeDatabase(db)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Register(name, db); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Register allocated %d bytes for a %d-byte state (%.2fx)", alloc, len(state), float64(alloc)/float64(len(state)))
+	if alloc > 2*uint64(len(state)) {
+		t.Errorf("Register allocated %.1fx the encoded state, want at most 2x", float64(alloc)/float64(len(state)))
+	}
+
+	want := storage.AppendString([]byte{byte(recRegister)}, name)
+	want = binary.AppendUvarint(want, uint64(len(state)))
+	want = append(want, state...)
+	var got [][]byte
+	if _, err := scanDir(dir, func(_ uint64, payload []byte) error {
+		got = append(got, bytes.Clone(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0], want) {
+		t.Fatalf("log holds %d records; want one register record of %d bytes in the documented layout", len(got), len(want))
+	}
+}

@@ -35,17 +35,46 @@ func EncodeDatabase(db *storage.Database) []byte {
 // The checkpoint passes one buffer for every tenant, so it holds a
 // single tenant's encoding at a time.
 func appendDatabase(b []byte, db *storage.Database) []byte {
-	b = append(b, codecVersion)
-	b = storage.AppendString(b, db.Name)
 	tables := db.Tables()
-	b = binary.AppendUvarint(b, uint64(len(tables)))
+	b = appendHeader(b, db.Name, len(tables))
 	for _, t := range tables {
-		b = encodeTable(b, t)
+		b = encodeSchema(b, t)
+		t.ScanReadOnly(func(_ int64, r storage.Row) bool {
+			b = storage.AppendRow(b, r)
+			return true
+		})
 	}
 	return b
 }
 
-func encodeTable(b []byte, t *storage.Table) []byte {
+// databaseLen returns len(EncodeDatabase(db)) without building the
+// blob, so a register record can be allocated once at its final size:
+// the header and each table's schema are encoded into a small scratch
+// buffer and measured, and rows are sized value by value.
+func databaseLen(db *storage.Database) int {
+	tables := db.Tables()
+	scratch := appendHeader(nil, db.Name, len(tables))
+	n := len(scratch)
+	for _, t := range tables {
+		scratch = encodeSchema(scratch[:0], t)
+		n += len(scratch)
+		t.ScanReadOnly(func(_ int64, r storage.Row) bool {
+			n += storage.RowLen(r)
+			return true
+		})
+	}
+	return n
+}
+
+func appendHeader(b []byte, name string, tables int) []byte {
+	b = append(b, codecVersion)
+	b = storage.AppendString(b, name)
+	return binary.AppendUvarint(b, uint64(tables))
+}
+
+// encodeSchema appends a table's name, columns, constraints and live
+// row count: everything the table section holds before its rows.
+func encodeSchema(b []byte, t *storage.Table) []byte {
 	b = storage.AppendString(b, t.Name)
 	b = binary.AppendUvarint(b, uint64(len(t.Cols)))
 	for _, c := range t.Cols {
@@ -98,16 +127,8 @@ func encodeTable(b []byte, t *storage.Table) []byte {
 		}
 		b = storage.AppendString(b, fk.OnDelete)
 	}
-	// Live rows in scan order — the order profiling observes.
-	b = binary.AppendUvarint(b, uint64(t.Len()))
-	t.ScanReadOnly(func(id int64, r storage.Row) bool {
-		b = binary.AppendUvarint(b, uint64(len(r)))
-		for _, v := range r {
-			b = storage.AppendValue(b, v)
-		}
-		return true
-	})
-	return b
+	// Live rows follow in scan order — the order profiling observes.
+	return binary.AppendUvarint(b, uint64(t.Len()))
 }
 
 // decodedTable buffers one table's sections so DecodeDatabase can

@@ -26,23 +26,37 @@ const (
 	recUnregister recordType = 3
 )
 
-func encodeRegister(name string, state []byte) []byte {
-	b := make([]byte, 0, len(name)+len(state)+16)
+// Each encoder builds its record in place behind a reserved frame
+// header (newFrame), so the frame walLog.append writes is the only
+// buffer a record ever occupies.
+
+// encodeRegister encodes db's state directly into the record's frame.
+// The state is sized first (databaseLen), so the frame is allocated
+// once at its final length: no growth, no copy of the state. A
+// sizing that disagrees with the encoding is reported, never logged.
+func encodeRegister(name string, db *storage.Database) ([]byte, error) {
+	n := databaseLen(db)
+	b := newFrame(1 + binary.MaxVarintLen64 + len(name) + binary.MaxVarintLen64 + n)
 	b = append(b, byte(recRegister))
 	b = storage.AppendString(b, name)
-	b = binary.AppendUvarint(b, uint64(len(state)))
-	return append(b, state...)
+	b = binary.AppendUvarint(b, uint64(n))
+	start := len(b)
+	b = appendDatabase(b, db)
+	if got := len(b) - start; got != n {
+		return nil, fmt.Errorf("wal: register %q: state encoded to %d bytes, sized at %d", name, got, n)
+	}
+	return b, nil
 }
 
 func encodeExec(name, sql string) []byte {
-	b := make([]byte, 0, len(name)+len(sql)+16)
+	b := newFrame(len(name) + len(sql) + 16)
 	b = append(b, byte(recExec))
 	b = storage.AppendString(b, name)
 	return storage.AppendString(b, sql)
 }
 
 func encodeUnregister(name string) []byte {
-	b := make([]byte, 0, len(name)+8)
+	b := newFrame(len(name) + 8)
 	b = append(b, byte(recUnregister))
 	return storage.AppendString(b, name)
 }

@@ -237,8 +237,11 @@ func (s *Store) Register(name string, db *storage.Database) error {
 	defer db.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blob := EncodeDatabase(db)
-	lsn, err := s.log.append(encodeRegister(name, blob))
+	frame, err := encodeRegister(name, db)
+	if err != nil {
+		return err
+	}
+	lsn, err := s.log.append(frame)
 	if err != nil {
 		return err
 	}

@@ -131,13 +131,18 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// append frames and writes one record, then blocks until a group
-// fsync covers it. Concurrent appenders coalesce onto one fsync: each
-// waiting appender's bytes are on disk when the syncer's next
-// f.Sync() returns, so a burst of N statements pays far fewer than N
-// synchronous flushes.
-func (l *walLog) append(payload []byte) (uint64, error) {
-	frame := make([]byte, frameHeaderLen+len(payload))
+// newFrame returns an empty record buffer: frameHeaderLen reserved
+// bytes for append to fill, and capacity for n payload bytes behind
+// them.
+func newFrame(n int) []byte { return make([]byte, frameHeaderLen, frameHeaderLen+n) }
+
+// append fills in the header of one frame built by newFrame, writes
+// it, then blocks until a group fsync covers it. Concurrent appenders
+// coalesce onto one fsync: each waiting appender's bytes are on disk
+// when the syncer's next f.Sync() returns, so a burst of N statements
+// pays far fewer than N synchronous flushes.
+func (l *walLog) append(frame []byte) (uint64, error) {
+	payload := frame[frameHeaderLen:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 
 	l.mu.Lock()
@@ -153,7 +158,6 @@ func (l *walLog) append(payload []byte) (uint64, error) {
 	crc := crc32.Update(0, castagnoli, frame[4:12])
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(frame[12:16], crc)
-	copy(frame[frameHeaderLen:], payload)
 	if _, err := l.f.Write(frame); err != nil {
 		l.mu.Unlock()
 		return 0, err

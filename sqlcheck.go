@@ -108,11 +108,12 @@ type Options struct {
 	SharedCache *Cache
 	// ProfileCache, when non-nil, replaces the Checker's private
 	// table-profile memoization cache — the data-phase analogue of
-	// SharedCache. Profiles are keyed by (table identity, table
-	// version, sampling options); versions bump on every DML
-	// statement, so a registered database whose data has not changed
-	// re-checks without re-profiling (the warm path is a cache hit per
-	// table), and any write invalidates by moving the key. Point
+	// SharedCache. Profiles are keyed by (table identity, sampling
+	// options) and tagged with the table version they profiled;
+	// versions bump on every DML statement, so a registered database
+	// whose data has not changed re-checks without re-profiling (the
+	// warm path is a cache hit per table), and after a write the
+	// table's re-profiled version replaces the old one in place. Point
 	// several Checkers at one NewProfileCache to share profiles
 	// process-wide. Reports are identical warm or cold: profiling is
 	// deterministic, so a hit returns exactly what a fresh pass would
@@ -129,11 +130,12 @@ type Options struct {
 	// rules read literal values. A repeated workload against an
 	// unchanged database is then served in microseconds without
 	// parsing, profiling, or rule evaluation — and any DML on the
-	// database moves its version, so stale reports are structurally
-	// unreachable rather than expired. Served reports are deep copies:
-	// mutating one never corrupts the cache. Point several Checkers at
-	// one NewReportCache to share the fast path process-wide; workloads
-	// opt out per request with Workload.NoReportCache.
+	// database moves its version, so a stale report never hits and the
+	// next analysis of the workload replaces it in place. Served
+	// reports are deep copies: mutating one never corrupts the cache.
+	// Point several Checkers at one NewReportCache to share the fast
+	// path process-wide; workloads opt out per request with
+	// Workload.NoReportCache.
 	ReportCache *ReportCache
 	// NoCoalesce disables batch statement coalescing and the cold-miss
 	// singleflight. By default a CheckWorkloads batch analyzes each
