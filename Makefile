@@ -9,10 +9,11 @@ GO ?= go
 SHELL := /bin/bash -o pipefail
 
 # The benchmarks gating CI regressions (DESIGN.md §4). bench-check
-# runs them at a base commit and then on the working tree, on the same
-# host, and fails on >20% median ns/op regression or >25% median B/op /
-# allocs/op regression (the gated runs use -benchmem so allocation
-# regressions cannot hide behind wall-clock noise).
+# runs them at a base commit and on the working tree, alternating the
+# two on the same host, and fails on >20% median ns/op regression or
+# >25% median B/op / allocs/op regression (the gated runs use
+# -benchmem so allocation regressions cannot hide behind wall-clock
+# noise).
 BENCH_GATE = BenchmarkCheckSQLParallel|BenchmarkRuleDispatch|BenchmarkProfileParallel|BenchmarkProfileMemoized|BenchmarkFingerprintMemoized|BenchmarkRegistryReuse|BenchmarkQueryOnlyWorkload|BenchmarkColdParse|BenchmarkBatchCoalesced|BenchmarkDaemonServe|BenchmarkSpillScan|BenchmarkFixtureIngest|BenchmarkCheckpoint
 BENCH_COUNT ?= 5
 
@@ -48,11 +49,12 @@ test-full:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Compare a fresh run of the gated benchmarks against a run of
-# BENCH_BASE (default: the parent commit) made first on this same host
-# by bench/base.sh, from a temporary git worktree; fails on >20% median
-# regression or a missing gated benchmark. CI's bench-regression job
-# sets BENCH_BASE to the pull request's base.
+# Compare the gated benchmarks of the working tree against BENCH_BASE
+# (default: the parent commit): bench/base.sh runs BENCH_COUNT rounds
+# on this same host, each running both sides once in alternating
+# order, into bench-base.txt and bench-current.txt; fails on >20%
+# median regression or a missing gated benchmark. CI's
+# bench-regression job sets BENCH_BASE to the pull request's base.
 BENCH_BASE ?= HEAD^
 # BENCH_JSON names the machine-readable medians artifact benchcmp
 # writes alongside the comparison; CI uploads it so perf history diffs
@@ -61,8 +63,7 @@ BENCH_BASE ?= HEAD^
 # BENCH_JSON=bench/BENCH_<n>.json instead.
 BENCH_JSON ?= bench-current.json
 bench-check:
-	BENCH_BASE='$(BENCH_BASE)' BENCH_COUNT='$(BENCH_COUNT)' GO='$(GO)' bash bench/base.sh bench-base.txt
-	$(GO) test -bench '$(BENCH_GATE)' -count $(BENCH_COUNT) -benchtime 0.3s -benchmem -run '^$$' $(BENCH_PKGS) | tee bench-current.txt
+	BENCH_BASE='$(BENCH_BASE)' BENCH_COUNT='$(BENCH_COUNT)' GO='$(GO)' bash bench/base.sh bench-base.txt bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline bench-base.txt -current bench-current.txt \
 		-max-regression 20 -max-mem-regression 25 -json $(BENCH_JSON) \
 		-require 'CheckSQLParallel,RuleDispatch,ProfileParallel,ProfileMemoized,FingerprintMemoized/cold,FingerprintMemoized/warm,RegistryReuse,QueryOnlyWorkload,ColdParse,BatchCoalesced/coalesced,BatchCoalesced/uncoalesced,DaemonServe,SpillScan/resident,SpillScan/hot,FixtureIngest,Checkpoint'

@@ -1,35 +1,81 @@
 #!/usr/bin/env bash
-# Benchmarks the gated benchmarks at a base commit on this host, so the
-# regression gate compares two runs on one machine rather than a run
-# against numbers recorded elsewhere. From the root of a checkout:
+# Benchmarks the gated benchmarks at a base commit and in this working
+# tree on this host, alternating the two, so the regression gate
+# compares runs made on one machine in the same stretch of time rather
+# than a block of base runs against a later block of change runs. From
+# the root of a checkout:
 #
-#   bash bench/base.sh [out]        # out defaults to bench-base.txt
+#   bash bench/base.sh [base-out [current-out]]
 #
-# `make bench-check` runs it first, locally and in CI. BENCH_BASE names
-# the base commit (default HEAD^, the parent); BENCH_COUNT sets -count
-# (default 5). The base is checked out into a temporary git worktree,
-# so the working tree is never touched. The benchmark pattern and
-# packages come from this checkout's Makefile: a gated benchmark that
-# does not exist at the base prints no lines and shows up as NEW in the
+# The outputs default to bench-base.txt and bench-current.txt;
+# `make bench-check` runs the script, locally and in CI, and then
+# compares the two files. BENCH_BASE names the base commit (default
+# HEAD^, the parent); BENCH_COUNT sets the number of rounds (default
+# 5). Each side's gated packages are compiled once into test binaries
+# (go test -c). Every round then runs each package's two binaries once
+# (-test.count 1), the base first in even rounds and the change first
+# in odd ones, so a slow or fast window of the host lands on both
+# sides. Each binary runs from its own package directory with go
+# test's default 10-minute timeout, as go test would run it. The base
+# is exported into a temporary directory with git archive, so the
+# working tree is never touched. The benchmark pattern and packages
+# come from this checkout's Makefile: a gated benchmark that does not
+# exist at the base prints no lines and shows up as NEW in the
 # comparison, and a package that does not exist there is skipped.
 set -euo pipefail
 
-out="${1:-bench-base.txt}"
+base_out="${1:-bench-base.txt}"
+cur_out="${2:-bench-current.txt}"
 ref="${BENCH_BASE:-HEAD^}"
+rounds="${BENCH_COUNT:-5}"
+go="${GO:-go}"
 base="$(git rev-parse --verify --quiet "$ref^{commit}")" || {
 	echo "bench/base.sh: base commit $ref not found; fetch it (a shallow clone lacks history) or set BENCH_BASE" >&2
 	exit 1
 }
 gate="$(make -s print-bench-gate)"
-tree="$(mktemp -d)"
-trap 'git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"' EXIT
-git worktree add --quiet --detach "$tree" "$base"
-pkgs=()
-for p in $(make -s print-bench-pkgs); do
-	if [ -d "$tree/$p" ]; then
-		pkgs+=("$p")
+read -r -a pkgs <<<"$(make -s print-bench-pkgs)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base" "$tmp/bin"
+git archive "$base" | tar -x -C "$tmp/base"
+
+# build compiles each gated package under root into
+# $tmp/bin/<side>-<index>.test; a package root lacks builds nothing.
+build() {
+	local side="$1" root="$2" i
+	for i in "${!pkgs[@]}"; do
+		if [ -d "$root/${pkgs[i]}" ]; then
+			(cd "$root" && "$go" test -c -o "$tmp/bin/$side-$i.test" "${pkgs[i]}")
+		fi
+	done
+}
+
+# run benchmarks package i once with one side's binary, from the
+# package's directory under root, appending the results to out.
+run() {
+	local side="$1" i="$2" root="$3" out="$4"
+	local bin="$tmp/bin/$side-$i.test"
+	if [ -x "$bin" ]; then
+		(cd "$root/${pkgs[i]}" && "$bin" -test.run '^$' -test.bench "$gate" -test.count 1 \
+			-test.benchtime 0.3s -test.benchmem -test.timeout 10m) | tee -a "$out"
 	fi
+}
+
+echo "bench/base.sh: building $ref ($base) and the working tree" >&2
+build base "$tmp/base"
+build current "$PWD"
+: >"$base_out"
+: >"$cur_out"
+for ((r = 0; r < rounds; r++)); do
+	echo "bench/base.sh: round $((r + 1)) of $rounds" >&2
+	for i in "${!pkgs[@]}"; do
+		if ((r % 2 == 0)); then
+			run base "$i" "$tmp/base" "$base_out"
+			run current "$i" "$PWD" "$cur_out"
+		else
+			run current "$i" "$PWD" "$cur_out"
+			run base "$i" "$tmp/base" "$base_out"
+		fi
+	done
 done
-echo "bench/base.sh: benchmarking $ref ($base)" >&2
-(cd "$tree" && "${GO:-go}" test -bench "$gate" -count "${BENCH_COUNT:-5}" -benchtime 0.3s \
-	-benchmem -run '^$' "${pkgs[@]}") | tee "$out"

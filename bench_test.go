@@ -217,12 +217,14 @@ func corpusWorkloads(repos, stmtsPer int) (workloads []string, total int) {
 	return workloads, total
 }
 
-// BenchmarkCheckSQLParallel measures the concurrent batched pipeline
-// against the sequential path on a multi-hundred-statement corpus
-// workload (DESIGN.md §4). Both variants run the identical algorithm
-// and produce identical reports; on a multi-core runner the parallel
-// variant demonstrates the worker pool's speedup, on a single core
-// it shows parity. The headline metric is statements per second.
+// BenchmarkCheckSQLParallel measures a batch of six 40-statement
+// workloads analyzed side by side on a GOMAXPROCS pool against the
+// same batch one workload at a time (DESIGN.md §4). Parallelism is
+// across workloads: each runs its statements in order on the slot it
+// holds. Both variants run the identical algorithm and produce
+// identical reports; on a multi-core runner the parallel variant
+// demonstrates the pool's speedup, on a single core it shows parity.
+// The headline metric is statements per second.
 func BenchmarkCheckSQLParallel(b *testing.B) {
 	workloads, total := corpusWorkloads(6, 40)
 	for _, cfg := range []struct {

@@ -63,7 +63,7 @@ func registerCancelRule(t *testing.T) {
 	})
 }
 
-// assertDrained waits for the checker's pools and flight registry to
+// assertDrained waits for the checker's pool and flight registry to
 // return to idle and fails the test if they do not — the leak
 // assertion shared by every cancellation scenario.
 func assertDrained(t *testing.T, c *Checker) {
@@ -71,12 +71,12 @@ func assertDrained(t *testing.T, c *Checker) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		m := c.Metrics()
-		if m.Statements.InUse == 0 && m.Workloads.InUse == 0 && m.Coalesce.OpenFlights == 0 {
+		if m.Pool.InUse == 0 && m.Coalesce.OpenFlights == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leaked after cancellation: statements in_use=%d workloads in_use=%d open_flights=%d",
-				m.Statements.InUse, m.Workloads.InUse, m.Coalesce.OpenFlights)
+			t.Fatalf("leaked after cancellation: pool in_use=%d open_flights=%d",
+				m.Pool.InUse, m.Coalesce.OpenFlights)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -132,7 +132,7 @@ func TestCancelMidProfile(t *testing.T) {
 	}()
 	// Cancel as soon as the engine demonstrably started working.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Metrics().Workloads.InUse == 0 && time.Now().Before(deadline) {
+	for c.Metrics().Pool.InUse == 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	cancel()
@@ -274,7 +274,7 @@ func TestCancelLeaderSingleflightHandoff(t *testing.T) {
 	}()
 	// Let the waiter reach the flight wait, then kill the leader.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Metrics().Workloads.InUse < 2 && time.Now().Before(deadline) {
+	for c.Metrics().Pool.InUse < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancelLeader()
@@ -285,6 +285,60 @@ func TestCancelLeaderSingleflightHandoff(t *testing.T) {
 	}
 	if err := <-waiterRes; err != nil {
 		t.Fatalf("waiter err = %v, want success after retrying for leadership", err)
+	}
+	assertDrained(t, c)
+}
+
+// TestMemoHitTakesNoSlot: a report-cache hit is served at admission
+// and holds no pool slot, so it never queues behind a cold analysis —
+// here a cold workload gated in stage 4 holding the only slot of a
+// Concurrency: 1 checker.
+func TestMemoHitTakesNoSlot(t *testing.T) {
+	registerCancelRule(t)
+	c := New(Options{Concurrency: 1})
+	primed := "SELECT c4 FROM t WHERE note = 'primed'"
+	if _, err := c.CheckSQL(primed); err != nil {
+		t.Fatal(err)
+	}
+
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	var gated atomic.Int64
+	setCancelGate(func() {
+		if gated.Add(1) == 1 {
+			entered <- struct{}{}
+			<-gate
+		}
+	})
+	defer setCancelGate(nil)
+	coldErr := make(chan error, 1)
+	go func() {
+		_, err := c.CheckSQL("SELECT c4 FROM t WHERE note = 'CANCEL_GATE_MARKER memo'")
+		coldErr <- err
+	}()
+	<-entered // the cold workload holds the only slot, inside stage 4
+
+	hitDone := make(chan struct{})
+	var hitErr error
+	go func() {
+		defer close(hitDone)
+		_, hitErr = c.CheckSQL(primed)
+	}()
+	select {
+	case <-hitDone:
+	case <-time.After(5 * time.Second):
+		t.Error("report-cache hit waited for the pool slot a cold analysis holds")
+	}
+	close(gate)
+	<-hitDone
+	if hitErr != nil {
+		t.Fatalf("hit: %v", hitErr)
+	}
+	if err := <-coldErr; err != nil {
+		t.Fatalf("cold check: %v", err)
+	}
+	if m := c.Metrics(); m.ReportCache.Hits != 1 {
+		t.Errorf("report cache hits = %d, want 1", m.ReportCache.Hits)
 	}
 	assertDrained(t, c)
 }

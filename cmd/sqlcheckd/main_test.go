@@ -411,8 +411,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Cache.HitRate() == 0 {
 		t.Errorf("hit rate = 0; stats %+v", m.Cache)
 	}
-	if m.Statements.Tasks == 0 || m.Workloads.Tasks == 0 {
-		t.Errorf("pool tasks not counted: %+v / %+v", m.Statements, m.Workloads)
+	if m.Pool.Tasks == 0 {
+		t.Errorf("pool tasks not counted: %+v", m.Pool)
 	}
 	if m.Coalesce.InBatch == 0 {
 		t.Errorf("duplicate in-batch workload did not coalesce: %+v", m.Coalesce)
@@ -434,7 +434,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"sqlcheck_cache_hits_total",
 		"sqlcheck_cache_hit_rate",
-		`sqlcheck_pool_in_use{pool="statements"}`,
+		"\nsqlcheck_pool_in_use ",
 		`sqlcheck_phase_seconds_bucket{phase="parse",le="+Inf"}`,
 		`sqlcheck_phase_seconds_count{phase="global"}`,
 		"sqlcheck_coalesce_in_batch_total",

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"sqlcheck"
 	"sqlcheck/internal/core"
 )
 
@@ -112,16 +111,9 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	fmt.Fprintf(w, "sqlcheck_phase_skipped_total{phase=%q} %d\n", "snapshot", m.Skips.Snapshot)
 	fmt.Fprintf(w, "sqlcheck_phase_skipped_total{phase=%q} %d\n", "inter_query", m.Skips.InterQuery)
 
-	pool := func(label string, p sqlcheck.PoolStats) {
-		fmt.Fprintf(w, "sqlcheck_pool_size{pool=%q} %d\n", label, p.Size)
-		fmt.Fprintf(w, "sqlcheck_pool_in_use{pool=%q} %d\n", label, p.InUse)
-		fmt.Fprintf(w, "sqlcheck_pool_tasks_total{pool=%q} %d\n", label, p.Tasks)
-	}
-	fmt.Fprint(w, "# HELP sqlcheck_pool_size Worker pool bound.\n# TYPE sqlcheck_pool_size gauge\n")
-	fmt.Fprint(w, "# HELP sqlcheck_pool_in_use Pool slots held now (in_use/size = saturation).\n# TYPE sqlcheck_pool_in_use gauge\n")
-	fmt.Fprint(w, "# HELP sqlcheck_pool_tasks_total Cumulative pool slot acquisitions.\n# TYPE sqlcheck_pool_tasks_total counter\n")
-	pool("statements", m.Statements)
-	pool("workloads", m.Workloads)
+	gauge("sqlcheck_pool_size", "Bound on concurrently analyzing workloads (the worker pool size).", int64(m.Pool.Size))
+	gauge("sqlcheck_pool_in_use", "Pool slots held now (in_use/size = saturation).", int64(m.Pool.InUse))
+	counter("sqlcheck_pool_tasks_total", "Cumulative pool slot acquisitions: one per analyzed workload plus one per profiling helper.", m.Pool.Tasks)
 
 	if pc := m.PageCache; pc != nil {
 		gauge("sqlcheck_page_cache_budget_bytes", "Resident-byte budget for registered databases' row pages.", pc.BudgetBytes)

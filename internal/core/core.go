@@ -14,7 +14,6 @@ import (
 
 	"sqlcheck/internal/appctx"
 	"sqlcheck/internal/parser"
-	"sqlcheck/internal/qanalyze"
 	"sqlcheck/internal/rules"
 	"sqlcheck/internal/sqlast"
 	"sqlcheck/internal/sqltoken"
@@ -165,17 +164,11 @@ func DetectSQL(sqlText string, db *storage.Database, opts Options) *Result {
 }
 
 func detectWithContext(ctx *appctx.Context, opts Options, rs *rules.RuleSet) *Result {
-	res := &Result{Context: ctx}
-
 	// Phase 1: query rules per statement (intra-query detection with
 	// contextual refinement).
-	buf := make([]*rules.Rule, 0, rs.Size())
-	for qi, f := range ctx.Facts {
-		fs, err := queryFindings(ctx, opts, rs, qi, f, buf)
-		if err != nil {
-			return &Result{Err: err}
-		}
-		res.Findings = append(res.Findings, fs...)
+	findings, err := queryRuleFindings(ctx, opts, rs)
+	if err != nil {
+		return &Result{Err: err}
 	}
 
 	// Phases 2 and 3: inter-query and data rules.
@@ -183,10 +176,7 @@ func detectWithContext(ctx *appctx.Context, opts Options, rs *rules.RuleSet) *Re
 	if err != nil {
 		return &Result{Err: err}
 	}
-	res.Findings = append(res.Findings, gfs...)
-
-	res.Findings = dedupe(res.Findings, opts.MinConfidence)
-	return res
+	return &Result{Context: ctx, Findings: dedupe(append(findings, gfs...), opts.MinConfidence)}
 }
 
 // safeDetect invokes one rule detector behind a recover: a panicking
@@ -208,28 +198,31 @@ func safeDetect(ruleID, scope string, qi int, fn func() []rules.Finding) (out []
 	return fn(), nil
 }
 
-// queryFindings runs the set's query-scoped rules over one statement
-// — the per-statement unit of work the concurrent pipeline fans out.
+// queryRuleFindings runs the set's query-scoped rules over every
+// statement of the context, in statement order — the one query-rule
+// loop, shared by the sequential path and the Engine's stage 4.
 // Disabled rules were compiled out of the set at admission, so the
 // loop touches only enabled rules; unless NoPrefilter is set, the
 // derived dispatch gates further narrow the set to the rules that
-// could fire on this statement. buf is optional dispatch scratch
-// space reused across statements by sequential callers. A panicking
-// detector fails the statement with a wrapped ErrRulePanic.
-func queryFindings(ctx *appctx.Context, opts Options, rs *rules.RuleSet, qi int, f *qanalyze.Facts, buf []*rules.Rule) ([]rules.Finding, error) {
-	candidates := rs.QueryRules()
-	if !opts.NoPrefilter {
-		candidates = rs.QueryRulesFor(f, buf)
-	}
+// could fire on each statement. The first panicking detector, in
+// statement order, fails the run with a wrapped ErrRulePanic.
+func queryRuleFindings(ctx *appctx.Context, opts Options, rs *rules.RuleSet) ([]rules.Finding, error) {
+	buf := make([]*rules.Rule, 0, rs.Size())
 	var out []rules.Finding
-	for _, r := range candidates {
-		fs, err := safeDetect(r.ID, "query", qi, func() []rules.Finding {
-			return r.DetectQuery(qi, f, ctx)
-		})
-		if err != nil {
-			return nil, err
+	for qi, f := range ctx.Facts {
+		candidates := rs.QueryRules()
+		if !opts.NoPrefilter {
+			candidates = rs.QueryRulesFor(f, buf)
 		}
-		out = append(out, fs...)
+		for _, r := range candidates {
+			fs, err := safeDetect(r.ID, "query", qi, func() []rules.Finding {
+				return r.DetectQuery(qi, f, ctx)
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, fs...)
+		}
 	}
 	return out, nil
 }
@@ -239,19 +232,11 @@ func queryFindings(ctx *appctx.Context, opts Options, rs *rules.RuleSet, qi int,
 // dispatch and evaluation without the context build and global
 // phases diluting the measurement.
 // Findings are returned raw: no dedupe or confidence threshold runs
-// on this path, and a panicking rule surfaces as missing findings
+// on this path, and a panicking rule yields no findings at all
 // (benchmark-only path; engine paths report the error instead).
 func DetectQueries(ctx *appctx.Context, opts Options) []rules.Finding {
 	rs, _ := rules.NewRuleSet(opts.Rules)
-	buf := make([]*rules.Rule, 0, rs.Size())
-	var out []rules.Finding
-	for qi, f := range ctx.Facts {
-		fs, err := queryFindings(ctx, opts, rs, qi, f, buf)
-		if err != nil {
-			continue
-		}
-		out = append(out, fs...)
-	}
+	out, _ := queryRuleFindings(ctx, opts, rs)
 	return out
 }
 

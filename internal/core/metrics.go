@@ -17,10 +17,10 @@ import (
 // through all of them; profile is skipped (zero observations) when no
 // database is attached.
 const (
-	PhaseParse      = "parse"       // tokenize + parse + fact extraction fan-out
+	PhaseParse      = "parse"       // tokenize + parse + fact extraction
 	PhaseProfile    = "profile"     // per-table data profiling fan-out
 	PhaseContext    = "context"     // application-context build
-	PhaseQueryRules = "query_rules" // gated per-statement rule evaluation fan-out
+	PhaseQueryRules = "query_rules" // gated per-statement rule evaluation
 	PhaseGlobal     = "global"      // schema + data rules, dedupe, ordering
 )
 
@@ -156,10 +156,11 @@ type EngineMetrics struct {
 	// Every hit is a workload served without running any pipeline
 	// phase at all; Fingerprints is the resident-cardinality gauge.
 	ReportCache ReportCacheStats `json:"report_cache"`
-	// Statements is the per-statement worker pool; Workloads bounds
-	// concurrently open batch workloads.
-	Statements PoolStats `json:"statements"`
-	Workloads  PoolStats `json:"workloads"`
+	// Pool is the worker pool bounding concurrently analyzing
+	// workloads: one task per analyzed workload plus one per helper
+	// that joined a workload's per-table profiling. Report-cache hits
+	// take no slot.
+	Pool PoolStats `json:"pool"`
 	// Registry counts named-database registrations and workload
 	// resolutions against them.
 	Registry RegistryStats `json:"registry"`
@@ -226,15 +227,14 @@ type PhaseSkipStats struct {
 	InterQuery int64 `json:"inter_query"`
 }
 
-// Metrics snapshots the engine's cache, pools, registry counters, and
+// Metrics snapshots the engine's caches, pool, registry counters, and
 // phase histograms.
 func (e *Engine) Metrics() EngineMetrics {
 	return EngineMetrics{
 		Cache:        e.cache.Stats(),
 		ProfileCache: e.profiles.Stats(),
 		ReportCache:  e.reports.Stats(),
-		Statements:   e.stmts.Stats(),
-		Workloads:    e.workloads.Stats(),
+		Pool:         e.pool.Stats(),
 		Registry:     e.registry.Stats(),
 		Snapshots:    e.snapshots.Load(),
 		Skips: PhaseSkipStats{

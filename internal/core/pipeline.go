@@ -1,20 +1,19 @@
 package core
 
-// Concurrent batched analysis pipeline. The detection algorithm
-// splits cleanly into per-statement work (tokenize, parse, fact
-// extraction, intra-query rule evaluation), per-table work (data
-// profiling), and global work (the application-context build,
-// inter-query rules, data rules). An Engine fans the per-statement
-// and per-table stages out across a bounded worker pool while keeping
-// the global stages and the final dedupe order identical to the
-// sequential path, so an Engine run returns exactly what Detect
-// returns — just faster on multi-core hardware, on workloads with
-// repeated statements, and on multi-table databases.
+// Concurrent batched analysis pipeline. The unit of work is a
+// Workload: one SQL script plus an optional attached database and
+// per-workload profile options. Everything else (single checks,
+// string batches) is a special case of DetectWorkloads.
 //
-// The unit of work is a Workload: one SQL script plus an optional
-// attached database and per-workload profile options. Everything else
-// (single checks, string batches) is a special case of
-// DetectWorkloads.
+// There is one level of parallelism: across workloads. Each workload
+// holds one slot of the engine's bounded pool and runs the detection
+// algorithm's stages in order on that goroutine — per-statement work
+// (tokenize, parse, fact extraction), the application-context build,
+// query rules, then inter-query and data rules — in the sequential
+// path's exact order, so an Engine run returns exactly what Detect
+// returns. The one fan-out inside a workload is per-table data
+// profiling, which shares slots that are free at that moment
+// (Pool.share) and never waits for one.
 
 import (
 	"context"
@@ -36,8 +35,11 @@ import (
 )
 
 // Pool is a bounded worker pool. The zero size (via NewPool(0)) means
-// GOMAXPROCS workers; size 1 degenerates to inline sequential
-// execution with no goroutines.
+// GOMAXPROCS workers. Its one invariant: no goroutine ever waits for
+// a slot while holding one. each acquires blocking and is called only
+// by goroutines that hold no slot; share runs on a slot holder and
+// only takes slots that are free, so the pool cannot deadlock however
+// calls nest.
 type Pool struct {
 	sem   chan struct{}
 	tasks atomic.Int64
@@ -64,42 +66,12 @@ func (p *Pool) Stats() PoolStats {
 	return PoolStats{Size: p.Size(), InUse: p.InUse(), Tasks: p.tasks.Load()}
 }
 
-// run executes fn inline while holding one pool slot, so sequential
-// stages count against the same bound as fanned-out work. fn must not
-// acquire the same pool.
-func (p *Pool) run(ctx context.Context, fn func()) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case p.sem <- struct{}{}:
-	}
-	p.tasks.Add(1)
-	defer func() { <-p.sem }()
-	fn()
-	return nil
-}
-
-// each runs fn(i) for every i in [0, n), bounded by the pool, and
-// waits for all scheduled calls. When ctx is canceled it stops
-// scheduling new work, waits for in-flight calls, and returns the
-// context error. Slots are released before each waiting caller
-// returns, so nested each calls on *different* pools never deadlock.
+// each runs fn(i) for every i in [0, n) on its own goroutine, each
+// holding one pool slot, and waits for all scheduled calls. When ctx
+// is canceled it stops scheduling new work, waits for in-flight calls,
+// and returns the context error. The caller must not hold a slot of
+// p: acquisition blocks.
 func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
-	if cap(p.sem) == 1 {
-		// Single worker: run inline, no goroutines — but still take
-		// the slot per item so the bound holds across concurrent
-		// callers sharing the pool.
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			select {
-			case <-ctx.Done():
-			case p.sem <- struct{}{}:
-				p.tasks.Add(1)
-				fn(i)
-				<-p.sem
-			}
-		}
-		return ctx.Err()
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
@@ -114,6 +86,45 @@ func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
 			}(i)
 		}
 	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// share runs fn(i) for every i in [0, n) on the calling goroutine,
+// which holds a slot of p already, helped by one goroutine for each
+// slot free at the moment of the call (at most n-1). It never waits
+// for a slot: on a full pool the caller works through every item
+// itself. The caller and the helpers claim items from one counter.
+// When ctx is canceled the remaining items are skipped and the context
+// error is returned once every claimed call has finished.
+func (p *Pool) share(ctx context.Context, n int, fn func(i int)) error {
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+helpers:
+	for h := 1; h < n; h++ {
+		select {
+		case p.sem <- struct{}{}:
+			p.tasks.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-p.sem }()
+				work()
+			}()
+		default:
+			break helpers // pool full: the caller does the rest
+		}
+	}
+	work()
 	wg.Wait()
 	return ctx.Err()
 }
@@ -155,13 +166,11 @@ type Workload struct {
 // instead of spawning per-request workers.
 type Engine struct {
 	opts Options
-	// stmts bounds per-statement and per-table work (parse, facts,
-	// profiling, query rules); workloads bounds how many batch
-	// workloads are open at once. Statement slots never wait on
-	// workload slots, so the layered acquisition cannot deadlock.
-	stmts     *Pool
-	workloads *Pool
-	cache     *ParseCache
+	// pool bounds concurrently analyzing workloads: each holds one
+	// slot for its whole pipeline run, and per-table profiling shares
+	// the slots free at the time.
+	pool  *Pool
+	cache *ParseCache
 	// profiles memoizes table profiles across batches, keyed by
 	// (table identity, version, options) — see ProfileCache.
 	profiles *ProfileCache
@@ -239,7 +248,7 @@ type phaseSkipCounters struct {
 }
 
 // NewEngine builds an Engine. concurrency bounds the worker pool
-// (<= 0 means GOMAXPROCS, 1 means sequential). When
+// (<= 0 means GOMAXPROCS, 1 means one workload at a time). When
 // opts.SharedCache is non-nil the engine parses through it — the
 // process-wide cache — instead of building a private one.
 func NewEngine(opts Options, concurrency int) *Engine {
@@ -260,17 +269,16 @@ func NewEngine(opts Options, concurrency int) *Engine {
 	}
 	rs, rsErr := rules.NewRuleSet(opts.Rules)
 	e := &Engine{
-		opts:      opts,
-		stmts:     NewPool(concurrency),
-		workloads: NewPool(concurrency),
-		cache:     cache,
-		profiles:  pcache,
-		reports:   rcache,
-		phases:    newPhaseSet(),
-		registry:  NewRegistry(),
-		ruleSet:   rs,
-		rulesErr:  rsErr,
-		flights:   make(map[reportVariantKey]*flight),
+		opts:     opts,
+		pool:     NewPool(concurrency),
+		cache:    cache,
+		profiles: pcache,
+		reports:  rcache,
+		phases:   newPhaseSet(),
+		registry: NewRegistry(),
+		ruleSet:  rs,
+		rulesErr: rsErr,
+		flights:  make(map[reportVariantKey]*flight),
 	}
 	if opts.PageCacheBytes > 0 {
 		e.pageCache = storage.NewPageCache(opts.PageCacheBytes, opts.SpillDir)
@@ -286,9 +294,6 @@ func (e *Engine) PageCache() *storage.PageCache { return e.pageCache }
 // Registry returns the engine's named-database registry.
 func (e *Engine) Registry() *Registry { return e.registry }
 
-// Concurrency returns the engine's worker bound.
-func (e *Engine) Concurrency() int { return e.stmts.Size() }
-
 // ProfileOptions returns the engine's default data-profiling options
 // — the base that per-workload overrides start from.
 func (e *Engine) ProfileOptions() profile.Options { return e.opts.Config.Profile }
@@ -302,13 +307,13 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 
 // DetectWorkloads analyzes independent workloads concurrently on the
 // shared pool and returns one Result per workload, in input order.
-// Per-statement and per-table work from all workloads interleaves on
-// the statement pool, so a batch mixing a 1000-statement script with
-// ten small ones keeps every worker busy. Workload databases — named
-// or inline — are snapshotted up front, so the whole batch analyzes a
-// consistent view taken at admission. The error is non-nil when ctx
-// is canceled or when a workload is malformed (unknown DBName, or
-// both DB and DBName set); no results are returned on error.
+// Each analyzed workload holds one pool slot and runs its whole
+// pipeline on that goroutine; a report-cache hit holds none. Workload
+// databases — named or inline — are snapshotted up front, so the
+// whole batch analyzes a consistent view taken at admission. The
+// error is non-nil when ctx is canceled or when a workload is
+// malformed (unknown DBName, or both DB and DBName set); no results
+// are returned on error.
 func (e *Engine) DetectWorkloads(ctx context.Context, ws []Workload) ([]*Result, error) {
 	planned, err := e.resolveWorkloads(ws)
 	if err != nil {
@@ -316,43 +321,44 @@ func (e *Engine) DetectWorkloads(ctx context.Context, ws []Workload) ([]*Result,
 	}
 	out := make([]*Result, len(planned))
 
-	// In-batch coalescing: workloads sharing a report identity (same
-	// fingerprint, byte-identical statement texts, same database state
-	// and configuration — exactly the report cache's hit condition)
-	// run the pipeline once. The first of each group leads; the rest
-	// share the leader's context and findings after the batch, each
-	// under its own script so finding spans rebind to its exact
-	// submitted text. Only memo-eligible cold misses group: a NoMemo
-	// workload's contract is a from-scratch analysis, and a memo hit
-	// has no pipeline run to share.
+	// Admission hits are served here: the finished report was memoized
+	// under this exact (fingerprint, db state, ruleset, texts) key, so
+	// no phase runs and no slot is taken; the caller rebinds spans
+	// through Script. In-batch coalescing groups the rest: workloads
+	// sharing a report identity (same fingerprint, byte-identical
+	// statement texts, same database state and configuration — exactly
+	// the report cache's hit condition) run the pipeline once. The
+	// first of each group leads; the rest share the leader's context
+	// and findings after the batch, each under its own script so
+	// finding spans rebind to its exact submitted text. Only
+	// memo-eligible cold misses group: a NoMemo workload's contract is
+	// a from-scratch analysis.
 	run := make([]int, 0, len(planned))
 	var followers map[int]int // follower index -> leader index
-	if e.opts.NoCoalesce {
-		for i := range planned {
-			run = append(run, i)
+	leaders := make(map[reportVariantKey]int)
+	for i := range planned {
+		pw := &planned[i]
+		if pw.memo != nil {
+			out[i] = &Result{Memo: pw.memo, Script: pw.script}
+			continue
 		}
-	} else {
-		leaders := make(map[reportVariantKey]int, len(planned))
-		for i := range planned {
-			pw := &planned[i]
-			if !pw.canStore {
-				run = append(run, i)
-				continue
-			}
-			vk := reportVariantKey{key: pw.key, texts: pw.texts}
-			if li, ok := leaders[vk]; ok {
-				if followers == nil {
-					followers = make(map[int]int)
-				}
-				followers[i] = li
-				continue
-			}
-			leaders[vk] = i
+		if e.opts.NoCoalesce || !pw.canStore {
 			run = append(run, i)
+			continue
 		}
+		vk := reportVariantKey{key: pw.key, texts: pw.texts}
+		if li, ok := leaders[vk]; ok {
+			if followers == nil {
+				followers = make(map[int]int)
+			}
+			followers[i] = li
+			continue
+		}
+		leaders[vk] = i
+		run = append(run, i)
 	}
 
-	err = e.workloads.each(ctx, len(run), func(ri int) {
+	err = e.pool.each(ctx, len(run), func(ri int) {
 		i := run[ri]
 		r, err := e.detectWorkload(ctx, planned[i])
 		if err != nil {
@@ -576,23 +582,16 @@ func (e *Engine) memoConfig(override *profile.Options) appctx.Config {
 	return cfg
 }
 
-// detectWorkload runs one admitted workload, merging concurrent
+// detectWorkload runs one admitted cold workload, merging concurrent
 // identical cold misses onto a single pipeline run (the cross-batch
 // singleflight): when another goroutine is already analyzing the same
 // report identity, this workload waits and shares that result instead
-// of parsing and evaluating the same statements again. Leaders hold
-// only a workload-pool slot while waiting is impossible (they run),
-// and waiters hold only a workload-pool slot while leaders consume
-// statement-pool slots — the pools are disjoint, so the wait cannot
-// deadlock. A waiter whose leader fails (context canceled) retries
-// for leadership rather than inheriting the failure.
+// of parsing and evaluating the same statements again. A waiter holds
+// its pool slot while it waits, which cannot deadlock: the leader
+// already holds its own slot and never waits for another (see Pool).
+// A waiter whose leader fails (context canceled) retries for
+// leadership rather than inheriting the failure.
 func (e *Engine) detectWorkload(ctx context.Context, pw plannedWorkload) (*Result, error) {
-	if pw.memo != nil {
-		// Admission hit: the finished report was memoized under this
-		// exact (fingerprint, db state, ruleset, texts) key. No phase
-		// runs; the caller rebinds spans through Script.
-		return &Result{Memo: pw.memo, Script: pw.script}, nil
-	}
 	if e.opts.NoCoalesce || !pw.canStore {
 		return e.runWorkload(ctx, pw)
 	}
@@ -662,10 +661,12 @@ func (e *Engine) detectWorkload(ctx context.Context, pw plannedWorkload) (*Resul
 	}
 }
 
-// runWorkload runs the staged pipeline over one admitted workload.
-// Stages observe their wall time into the engine's phase histograms;
-// stages the workload's rule set does not demand are skipped (zero
-// observations) rather than run empty.
+// runWorkload runs the staged pipeline over one admitted workload, on
+// the goroutine holding the workload's pool slot. Stages observe their
+// wall time into the engine's phase histograms; stages the workload's
+// rule set does not demand are skipped (zero observations) rather
+// than run empty. Between stages the context is checked, so a shed or
+// timed-out request stops before starting the next stage's work.
 func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, error) {
 	w := pw.Workload
 	cfg := e.opts.Config
@@ -680,25 +681,18 @@ func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, 
 	// Stage 1, per statement: tokenize + parse (through the AST
 	// cache) + fact extraction.
 	start := time.Now()
-	if err := e.stmts.each(ctx, len(texts), func(i int) {
-		stmts[i] = e.cache.Parse(texts[i])
+	for i, text := range texts {
+		stmts[i] = e.cache.Parse(text)
 		facts[i] = qanalyze.Analyze(stmts[i])
-	}); err != nil {
-		return nil, err
 	}
 	e.phases.observe(PhaseParse, time.Since(start))
 
-	// Stage 2, per table: data profiling fans out on the same pool as
-	// statement work, so a 50-table database profiles with N-way
-	// parallelism instead of serially inside the context build. The
-	// phase runs only on demand: when no rule in the workload's set
-	// consumes profiles, the whole stage — snapshot scan, sampling,
+	// Stage 2, per table: data profiling, shared with free pool slots
+	// so a 50-table database profiles with up to N-way parallelism
+	// instead of serially inside the context build. The phase runs
+	// only on demand: when no rule in the workload's set consumes
+	// profiles, the whole stage — snapshot scan, sampling,
 	// histogramming — is elided (counted at admission in skips).
-	// Cooperative cancellation checkpoint between phases: a shed or
-	// timed-out request stops here rather than starting the next
-	// stage's work. The pool select at slot acquisition also checks,
-	// but it picks a ready branch at random when slots are free —
-	// these explicit checks make the stop prompt and deterministic.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -716,43 +710,24 @@ func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, 
 	}
 
 	// Stage 3, global: application-context build (schema replay,
-	// cross-statement aggregates) over the prebuilt profiles. Global
-	// stages hold a statement-pool slot so concurrent checks on a
-	// shared engine stay bounded end to end, not just during fan-out.
+	// cross-statement aggregates) over the prebuilt profiles.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	var actx *appctx.Context
-	if err := e.stmts.run(ctx, func() {
-		actx = appctx.BuildWithProfiles(stmts, facts, w.DB, cfg, profiles)
-	}); err != nil {
-		return nil, err
-	}
+	actx := appctx.BuildWithProfiles(stmts, facts, w.DB, cfg, profiles)
 	e.phases.observe(PhaseContext, time.Since(start))
 
 	// Stage 4, per statement: query-rule evaluation behind the
 	// dispatch prefilter, over the workload's compiled rule set —
-	// disabled rules were dropped at admission and never reach the
-	// gates. The context is read-only from here on; per-statement
-	// result slots keep ordering deterministic. A rule panic is
-	// recovered into a per-statement error; the first one (in
-	// statement order, for determinism) fails this workload.
+	// the sequential path's own loop.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	perStmt := make([][]rules.Finding, len(facts))
-	stmtErrs := make([]error, len(facts))
-	if err := e.stmts.each(ctx, len(facts), func(i int) {
-		perStmt[i], stmtErrs[i] = queryFindings(actx, e.opts, pw.rs, i, facts[i], nil)
-	}); err != nil {
+	findings, err := queryRuleFindings(actx, e.opts, pw.rs)
+	if err != nil {
 		return nil, err
-	}
-	for _, serr := range stmtErrs {
-		if serr != nil {
-			return nil, serr
-		}
 	}
 	e.phases.observe(PhaseQueryRules, time.Since(start))
 
@@ -767,24 +742,12 @@ func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, 
 		return nil, err
 	}
 	start = time.Now()
-	res := &Result{Context: actx, Script: pw.script}
-	var globalErr error
-	if err := e.stmts.run(ctx, func() {
-		for _, fs := range perStmt {
-			res.Findings = append(res.Findings, fs...)
-		}
-		var gf []rules.Finding
-		if gf, globalErr = globalFindings(actx, pw.rs); globalErr != nil {
-			return
-		}
-		res.Findings = append(res.Findings, gf...)
-		res.Findings = dedupe(res.Findings, e.opts.MinConfidence)
-	}); err != nil {
+	gf, err := globalFindings(actx, pw.rs)
+	if err != nil {
 		return nil, err
 	}
-	if globalErr != nil {
-		return nil, globalErr
-	}
+	res := &Result{Context: actx, Script: pw.script,
+		Findings: dedupe(append(findings, gf...), e.opts.MinConfidence)}
 	e.phases.observe(PhaseGlobal, time.Since(start))
 	if pw.canStore {
 		key, texts := pw.key, pw.texts
@@ -795,31 +758,31 @@ func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, 
 	return res, nil
 }
 
-// profileTables profiles every table of the workload's database as
-// independent tasks on the statement pool and merges the results in
-// the deterministic lower-cased-name keying the sequential
-// ProfileDatabase uses. Each table consults the engine's profile
-// cache first: db is always an admission snapshot, so its tables'
-// (identity, version) pairs are frozen and a hit returns the profile
-// an identical fresh pass would compute — the warm path for a
-// registered database whose data has not changed does no sampling at
-// all. A canceled ctx stops mid-profile and returns the context
-// error. Without a database (or in intra mode, which skips data
-// analysis) it returns nil.
+// profileTables profiles every table of the workload's database,
+// shared between the calling workload goroutine and helpers on free
+// pool slots, and merges the results in the deterministic
+// lower-cased-name keying the sequential ProfileDatabase uses. Each
+// table consults the engine's profile cache first: db is always an
+// admission snapshot, so its tables' (identity, version) pairs are
+// frozen and a hit returns the profile an identical fresh pass would
+// compute — the warm path for a registered database whose data has
+// not changed does no sampling at all. A canceled ctx stops
+// mid-profile and returns the context error. Without a database (or
+// in intra mode, which skips data analysis) it returns nil.
 func (e *Engine) profileTables(ctx context.Context, db *storage.Database, cfg appctx.Config) (map[string]*profile.TableProfile, error) {
 	if db == nil || cfg.Mode == appctx.ModeIntra {
 		return nil, nil
 	}
 	tables := db.Tables()
 	tps := make([]*profile.TableProfile, len(tables))
-	if err := e.stmts.each(ctx, len(tables), func(i int) {
+	if err := e.pool.share(ctx, len(tables), func(i int) {
 		if tp, ok := e.profiles.Lookup(tables[i], cfg.Profile); ok {
 			tps[i] = tp
 			return
 		}
 		tp, err := profile.ProfileTableContext(ctx, tables[i], cfg.Profile)
 		if err != nil {
-			return // ctx canceled; each surfaces it
+			return // ctx canceled; share surfaces it
 		}
 		e.profiles.Add(tables[i], cfg.Profile, tp)
 		tps[i] = tp

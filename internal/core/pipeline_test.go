@@ -122,11 +122,9 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestEngineParseCache verifies repeated statements parse once: the
-// second identical workload should be all cache hits. It runs at
-// concurrency 1 because the exact counts assume statements parse in
-// order: with two workers, the slot holding statement 0 can be
-// descheduled while the other reaches its repeat at statement 9, and
-// both miss, which the cache permits by design.
+// second identical workload should be all cache hits. The exact
+// counts rely on a workload parsing its statements in order, on its
+// own goroutine.
 func TestEngineParseCache(t *testing.T) {
 	eng := NewEngine(DefaultOptions(), 1)
 	sql := pipelineSQL(4) // 4 repetitions of 9 distinct statements
@@ -151,36 +149,65 @@ func TestPoolBounds(t *testing.T) {
 	}
 }
 
-// TestPoolSizeOneBoundsCallers verifies the Concurrency=1 contract:
-// the bound holds across concurrent callers sharing the pool, not
-// just within one call.
+// TestPoolSizeOneBoundsCallers verifies the pool bound: it holds
+// across concurrent callers sharing the pool, not just within one
+// call, and with share nested inside each — the engine's shape, where
+// a workload holding a slot fans its tables out. A nested blocking
+// acquire would deadlock at size 1; share must return on a full pool.
 func TestPoolSizeOneBoundsCallers(t *testing.T) {
-	p := NewPool(1)
-	var cur, peak atomic.Int32
-	fn := func(int) {
-		c := cur.Add(1)
-		for {
-			old := peak.Load()
-			if c <= old || peak.CompareAndSwap(old, c) {
-				break
+	for _, tc := range []struct {
+		size   int
+		nested bool
+	}{{1, false}, {1, true}, {2, true}} {
+		t.Run(fmt.Sprintf("size%d-nested=%v", tc.size, tc.nested), func(t *testing.T) {
+			p := NewPool(tc.size)
+			var cur, peak atomic.Int32
+			leaf := func(int) {
+				c := cur.Add(1)
+				for {
+					old := peak.Load()
+					if c <= old || peak.CompareAndSwap(old, c) {
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
+				cur.Add(-1)
 			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := p.each(context.Background(), 5, fn); err != nil {
-				t.Error(err)
+			fn := leaf
+			if tc.nested {
+				fn = func(int) {
+					if err := p.share(context.Background(), 3, leaf); err != nil {
+						t.Error(err)
+					}
+				}
 			}
-		}()
-	}
-	wg.Wait()
-	if peak.Load() != 1 {
-		t.Errorf("peak concurrent executions = %d, want 1", peak.Load())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				var wg sync.WaitGroup
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := p.each(context.Background(), 5, fn); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("pool calls did not return: nested acquisition deadlocked")
+			}
+			if n := peak.Load(); n < 1 || n > int32(tc.size) {
+				t.Errorf("peak concurrent executions = %d, want 1..%d", n, tc.size)
+			}
+			if st := p.Stats(); st.InUse != 0 {
+				t.Errorf("slots held after return: %+v", st)
+			}
+		})
 	}
 }
 
@@ -516,7 +543,9 @@ func TestEngineSharedCache(t *testing.T) {
 }
 
 // TestEngineMetrics: after a database-attached run every phase has
-// observations and the pool counters are coherent.
+// observations and the pool counters are coherent: a workload takes
+// one slot, its per-table profiling at most one helper per other
+// slot, and a database-free workload exactly its own slot.
 func TestEngineMetrics(t *testing.T) {
 	eng := NewEngine(DefaultOptions(), 2)
 	if _, err := eng.DetectWorkloads(context.Background(), []Workload{
@@ -525,11 +554,11 @@ func TestEngineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := eng.Metrics()
-	if m.Statements.Size != 2 || m.Workloads.Size != 2 {
-		t.Errorf("pool sizes = %+v / %+v", m.Statements, m.Workloads)
+	if m.Pool.Size != 2 || m.Pool.InUse != 0 {
+		t.Errorf("pool = %+v", m.Pool)
 	}
-	if m.Statements.Tasks == 0 || m.Workloads.Tasks != 1 {
-		t.Errorf("task counts = %d stmts / %d workloads", m.Statements.Tasks, m.Workloads.Tasks)
+	if m.Pool.Tasks < 1 || m.Pool.Tasks > int64(m.Pool.Size) {
+		t.Errorf("database-attached workload took %d pool tasks, want 1..%d", m.Pool.Tasks, m.Pool.Size)
 	}
 	if m.Cache.Misses == 0 {
 		t.Errorf("cache = %+v", m.Cache)
@@ -548,5 +577,13 @@ func TestEngineMetrics(t *testing.T) {
 		if last.LE >= 0 || last.Count != ph.Count {
 			t.Errorf("phase %s +Inf bucket %+v, want cumulative count %d", name, last, ph.Count)
 		}
+	}
+
+	before := m.Pool.Tasks
+	if _, err := eng.DetectWorkloads(context.Background(), []Workload{{SQL: pipelineSQL(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Metrics().Pool.Tasks - before; got != 1 {
+		t.Errorf("database-free workload took %d pool tasks, want 1", got)
 	}
 }

@@ -95,11 +95,13 @@ type Options struct {
 	// SampleSize bounds data-analysis sampling per table (default
 	// 1000 rows).
 	SampleSize int
-	// Concurrency bounds the analysis worker pool shared by every
-	// check made through the Checker — CheckSQL, CheckApplication,
-	// CheckBatch, and CheckWorkloads all draw per-statement and
-	// per-table work from the same pool. 0 uses GOMAXPROCS; 1 runs
-	// sequentially.
+	// Concurrency bounds how many workloads analyze at once across
+	// every check made through the Checker — CheckSQL,
+	// CheckApplication, CheckBatch, and CheckWorkloads share one
+	// worker pool. Each analyzed workload holds one slot and runs its
+	// statements in order; its per-table data profiling also uses
+	// slots that are idle at the time. Report-cache hits take no slot.
+	// 0 uses GOMAXPROCS; 1 analyzes one workload at a time.
 	Concurrency int
 	// SharedCache, when non-nil, replaces the Checker's private
 	// parsed-statement cache: point several Checkers (or a daemon and
@@ -630,16 +632,15 @@ type RegistryStats = core.RegistryStats
 
 // CheckWorkloads analyzes independent workloads concurrently on the
 // Checker's shared pool and returns one ranked Report per workload in
-// input order. Statement parsing, per-table data profiling, and rule
-// evaluation from all workloads interleave on the same bounded
-// worker pool, so large and small workloads batch together without
-// oversubscribing the host; reports are identical at any Concurrency
-// setting. A blank workload yields an empty report rather than
-// failing the batch. The error is non-nil for an empty batch, a
-// canceled ctx (in which case it is ctx.Err()), a DBName that is not
-// registered (ErrUnknownDatabase), a rule filter naming an unknown
-// rule ID (ErrUnknownRule), or a workload setting both DB and DBName;
-// those batch-level failures return no reports.
+// input order. Workloads from every concurrent call share the same
+// bounded worker pool, one slot per analyzing workload, so batches
+// run side by side without oversubscribing the host; reports are
+// identical at any Concurrency setting. A blank workload yields an
+// empty report rather than failing the batch. The error is non-nil
+// for an empty batch, a canceled ctx (in which case it is ctx.Err()),
+// a DBName that is not registered (ErrUnknownDatabase), a rule filter
+// naming an unknown rule ID (ErrUnknownRule), or a workload setting
+// both DB and DBName; those batch-level failures return no reports.
 //
 // A panicking rule detector, by contrast, fails only the workloads it
 // ran on: the reports slice is still returned full-length with nil at
@@ -798,12 +799,12 @@ func (c *Checker) CheckBatch(ctx context.Context, workloads []string) ([]*Report
 // daemon's /metrics endpoint is a rendering of this snapshot.
 func (c *Checker) Metrics() Metrics { return c.engine().Metrics() }
 
-// Metrics aliases the engine snapshot: cache, pools, and phase
+// Metrics aliases the engine snapshot: caches, pool, and phase
 // histograms.
 type Metrics = core.EngineMetrics
 
-// PoolStats describes one worker pool's bound, instantaneous
-// occupancy, and cumulative task count.
+// PoolStats describes the worker pool's bound, instantaneous
+// occupancy, and cumulative task count (Metrics().Pool).
 type PoolStats = core.PoolStats
 
 // PhaseStats is one pipeline phase's latency histogram.

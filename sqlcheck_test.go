@@ -741,8 +741,8 @@ func TestCheckerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := checker.Metrics()
-	if m.Statements.Size != 2 || m.Statements.Tasks == 0 {
-		t.Errorf("statement pool = %+v", m.Statements)
+	if m.Pool.Size != 2 || m.Pool.Tasks == 0 {
+		t.Errorf("pool = %+v", m.Pool)
 	}
 	if m.Cache.Misses == 0 {
 		t.Errorf("cache = %+v", m.Cache)
