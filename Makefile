@@ -21,7 +21,7 @@ BENCH_COUNT ?= 5
 # daemon's end-to-end serving benchmark and the WAL checkpoint.
 BENCH_PKGS = . ./cmd/sqlcheckd ./internal/storage/wal
 
-.PHONY: build test test-full bench bench-check bench-e2e-check bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
+.PHONY: build test test-full bench bench-check bench-e2e-check bench-e2e-smoke bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
 
 # The single source of truth for the gated-benchmark pattern:
 # bench/base.sh reads it from this Makefile, not the base commit's,
@@ -107,6 +107,14 @@ docs-check:
 bench-e2e-check:
 	$(GO) -C bench/e2e vet ./...
 	$(GO) -C bench/e2e test -short ./...
+
+# bench/e2e's live-daemon smoke test, which -short skips: it builds
+# sqlcheckd, sends every workload's traffic through it — mixed-open's
+# duplicate batches and concurrent identical cold misses included —
+# byte-checks sampled responses against an in-process reference, and
+# fails if mixed-open coalesces nothing.
+bench-e2e-smoke:
+	$(GO) -C bench/e2e test -count=1 -run TestSmoke ./...
 
 # The non-test Go line count the ROADMAP tracks and CHANGES.md records:
 # .go files outside bench/ and hidden directories, _test.go excluded.

@@ -82,6 +82,14 @@ func assertDrained(t *testing.T, c *Checker) {
 	}
 }
 
+// awaitEvent returns once cond holds, or after five seconds, yielding
+// the processor between probes rather than sleeping.
+func awaitEvent(cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+}
+
 // assertGoroutinesSettle fails if the goroutine count stays above its
 // pre-test baseline (cancellation must not strand pipeline workers).
 func assertGoroutinesSettle(t *testing.T, baseline int) {
@@ -272,11 +280,9 @@ func TestCancelLeaderSingleflightHandoff(t *testing.T) {
 		_, err := c.CheckWorkloads(context.Background(), []Workload{{SQL: sql}})
 		waiterRes <- err
 	}()
-	// Let the waiter reach the flight wait, then kill the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Metrics().Pool.InUse < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Let the waiter reach the flight — its admission miss comes just
+	// before it joins — then kill the leader.
+	awaitEvent(func() bool { return c.Metrics().ReportCache.Misses >= 2 })
 	cancelLeader()
 	close(gate)
 
@@ -292,7 +298,9 @@ func TestCancelLeaderSingleflightHandoff(t *testing.T) {
 // TestMemoHitTakesNoSlot: a report-cache hit is served at admission
 // and holds no pool slot, so it never queues behind a cold analysis —
 // here a cold workload gated in stage 4 holding the only slot of a
-// Concurrency: 1 checker.
+// Concurrency: 1 checker. Neither does a duplicate that joined a cold
+// analysis's flight: while it waits, a different cold request still
+// gets the second slot of a Concurrency: 2 checker.
 func TestMemoHitTakesNoSlot(t *testing.T) {
 	registerCancelRule(t)
 	c := New(Options{Concurrency: 1})
@@ -339,6 +347,49 @@ func TestMemoHitTakesNoSlot(t *testing.T) {
 	}
 	if m := c.Metrics(); m.ReportCache.Hits != 1 {
 		t.Errorf("report cache hits = %d, want 1", m.ReportCache.Hits)
+	}
+	assertDrained(t, c)
+
+	// The joiner case.
+	c = New(Options{Concurrency: 2})
+	gated.Store(0)
+	gate = make(chan struct{})
+	leaderSQL := "SELECT c5 FROM t WHERE note = 'CANCEL_GATE_MARKER join'"
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := c.CheckSQL(leaderSQL)
+		leaderErr <- err
+	}()
+	<-entered // the leader holds one slot, inside stage 4
+	joinErr := make(chan error, 1)
+	go func() {
+		_, err := c.CheckSQL(leaderSQL)
+		joinErr <- err
+	}()
+	// The joiner's admission miss comes just before it joins.
+	awaitEvent(func() bool { return c.Metrics().ReportCache.Misses >= 2 })
+	otherErr := make(chan error, 1)
+	go func() {
+		_, err := c.CheckSQL("SELECT c6 FROM t WHERE note = 'other'")
+		otherErr <- err
+	}()
+	select {
+	case err := <-otherErr:
+		if err != nil {
+			t.Fatalf("other cold check: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a cold request waited for a pool slot while a flight joiner idled")
+	}
+	close(gate)
+	if err := <-leaderErr; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := <-joinErr; err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	if m := c.Metrics(); m.Coalesce.Singleflight != 1 {
+		t.Errorf("singleflight = %d, want 1 (the joiner)", m.Coalesce.Singleflight)
 	}
 	assertDrained(t, c)
 }

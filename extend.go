@@ -126,13 +126,13 @@ func RegisterRule(cr CustomRule) error {
 		needs |= rules.NeedSchema | rules.NeedProfile
 	}
 	id, name := cr.ID, cr.Name
-	guidance := cr.Guidance
 	rules.Register(&rules.Rule{
 		Meta:        rules.Meta{Kinds: kinds, Needs: needs},
 		ID:          id,
 		Name:        name,
 		Category:    category,
 		Description: description,
+		Guidance:    cr.Guidance,
 		Metrics: rules.Metrics{
 			ReadPerf: cr.Impact.ReadPerf, WritePerf: cr.Impact.WritePerf,
 			Maint: cr.Impact.Maint, DataAmp: cr.Impact.DataAmp,
@@ -165,21 +165,8 @@ func RegisterRule(cr CustomRule) error {
 			}}
 		},
 	})
-	if guidance != "" {
-		// The fix engine falls back to per-rule guidance text.
-		registerGuidance(id, guidance)
-	}
 	return nil
 }
-
-// customGuidance carries fix text for registered custom rules; the
-// Report assembly consults it when the fix engine has no repair rule.
-var customGuidance = map[string]string{}
-
-func registerGuidance(id, text string) { customGuidance[id] = text }
-
-// guidanceFor returns custom guidance for a rule ("" if none).
-func guidanceFor(id string) string { return customGuidance[id] }
 
 func minF(a, b float64) float64 {
 	if a < b {

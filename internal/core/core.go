@@ -70,12 +70,9 @@ type Options struct {
 	// database moves its version, and the re-analyzed report replaces
 	// the stale one. Ignored by the sequential Detect path.
 	SharedReportCache *ReportCache
-	// ReportScope is an opaque discriminator mixed into report-cache
-	// keys. Owners whose final reports depend on state the engine
-	// cannot see (the public Checker's ranking weights, for example)
-	// set it so engines sharing one ReportCache under different such
-	// state never serve each other's reports.
-	ReportScope string
+	// Reporter, when non-nil, builds each analyzed workload's report;
+	// without one, nothing is memoized.
+	Reporter Reporter
 	// PageCacheBytes, when > 0, bounds the resident heap bytes of
 	// registered databases' row pages: the engine builds a
 	// process-wide spill-capable page cache (storage.PageCache) and
@@ -92,19 +89,34 @@ type Options struct {
 	// files in it are removed at engine construction (spill files are
 	// transient process state, not durable data — the WAL is).
 	SpillDir string
-	// NoCoalesce disables batch statement coalescing and the cold-miss
-	// singleflight. By default, workloads in one batch that share a
-	// report-cache identity (same fingerprint, byte-identical statement
-	// texts, same database state and configuration) run the pipeline
-	// once and share the result, and concurrent identical cold misses
-	// across batches merge onto one in-flight analysis. Both
-	// optimizations are output-transparent — reports stay
-	// byte-identical to the uncoalesced path — so the knob exists for
-	// benchmarking the raw pipeline and for debugging. Workloads opted
-	// out of memoization (Workload.NoMemo) never coalesce: their
-	// contract is a from-scratch analysis even for a byte-identical
-	// repeat.
+	// NoCoalesce disables coalescing. By default every cold workload
+	// sharing a report-cache identity (same fingerprint, byte-identical
+	// statement texts, same database state and configuration) with one
+	// already in flight — from the same batch or any other — joins that
+	// flight at admission and shares its result and report instead of
+	// running the pipeline again. Coalescing is output-transparent —
+	// reports stay byte-identical to the uncoalesced path — so the knob
+	// exists for benchmarking the raw pipeline and for debugging.
+	// Workloads opted out of memoization (Workload.NoMemo) never
+	// coalesce: their contract is a from-scratch analysis even for a
+	// byte-identical repeat.
 	NoCoalesce bool
+}
+
+// Reporter builds the owner's finished report from a detection result
+// (the public Checker ranks and fixes). The engine calls Report on the
+// pool slot that analyzed the workload and stores the report before
+// the workload's flight closes, so each cold identity's report is
+// built once. A panic in Report fails the workload with ErrRulePanic.
+type Reporter interface {
+	// Report returns the report and its estimated resident bytes, its
+	// cost against the report cache's budget.
+	Report(res *Result) (report any, cost int64)
+	// Scope is an opaque discriminator mixed into report-cache keys
+	// for state the engine cannot see (the Checker's ranking weights),
+	// so engines sharing one ReportCache under different such state
+	// never serve each other's reports.
+	Scope() string
 }
 
 // DefaultOptions returns the standard configuration (full inter-query
@@ -113,36 +125,29 @@ func DefaultOptions() Options {
 	return Options{Config: appctx.DefaultConfig(), MinConfidence: 0.5}
 }
 
-// Result is the outcome of a detection run.
+// Result is the outcome of a detection run. A coalesced workload's
+// Result shares its Context, Findings and Report with the run it
+// joined; only Script is its own.
 type Result struct {
 	Context  *appctx.Context
 	Findings []rules.Finding
 	// Err, when non-nil, records a per-workload analysis failure (a
-	// panicking rule detector, wrapped in ErrRulePanic). The rest of
-	// the batch is unaffected: engine paths return a Result with Err
-	// set for the failed workload and complete results for the others.
-	// Context, Findings, and Memo are nil when Err is set.
+	// panicking rule detector or Reporter, wrapped in ErrRulePanic).
+	// The rest of the batch is unaffected: engine paths return a Result
+	// with Err set for the failed workload and complete results for
+	// the others. Nothing else but Script is set with Err.
 	Err error
 	// Script carries the workload's fingerprint, statement texts, and
 	// byte offsets (engine paths only; nil on the sequential path).
 	// Consumers use it to attach statement spans to findings — and, on
-	// a memoized result, to rebind cached spans to the submitted text.
+	// a shared report, to bind spans to the submitted text.
 	Script *sqltoken.ScriptPrint
-	// Memo, when non-nil, is a report-cache hit: the payload a prior
-	// Store call saved for this exact workload. Context and Findings
-	// are nil — no pipeline phase ran.
-	Memo any
-	// Store, when non-nil, memoizes the finished report built from
-	// this result: the owning layer calls it once with the payload it
-	// would serve on a future hit and the payload's estimated resident
-	// bytes. Nil when the workload opted out (Workload.NoMemo), hit
-	// the cache, or ran on the sequential path.
-	Store func(payload any, cost int64)
-	// abandon, when non-nil, releases the singleflight flight backing
-	// this result without storing a report. The engine calls it when a
-	// batch fails after this workload completed — the owner will never
-	// call Store, and a flight must not outlive its store attempt.
-	abandon func()
+	// Report is the Options.Reporter's report (engine paths only). A
+	// memo-eligible workload's report is shared — with the report cache
+	// and every duplicate of its run — and read-only; a NoMemo
+	// workload's is its own. On a report-cache hit no pipeline phase
+	// ran: Context and Findings are nil.
+	Report any
 }
 
 // Detect runs the full pipeline over parsed statements and an optional

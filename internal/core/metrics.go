@@ -159,7 +159,7 @@ type EngineMetrics struct {
 	// Pool is the worker pool bounding concurrently analyzing
 	// workloads: one task per analyzed workload plus one per helper
 	// that joined a workload's per-table profiling. Report-cache hits
-	// take no slot.
+	// and coalesced duplicates take no slot.
 	Pool PoolStats `json:"pool"`
 	// Registry counts named-database registrations and workload
 	// resolutions against them.
@@ -171,8 +171,8 @@ type EngineMetrics struct {
 	// that did not run because no enabled rule needed them.
 	Skips PhaseSkipStats `json:"skips"`
 	// Coalesce counts workloads served without a pipeline run because
-	// an identical workload ran in the same batch or was in flight
-	// concurrently. Zero when Options.NoCoalesce is set.
+	// they joined the flight of an identical workload, from the same
+	// batch or another. Zero when Options.NoCoalesce is set.
 	Coalesce CoalesceStats `json:"coalesce"`
 	// RulePanics counts rule-detector panics recovered into
 	// per-workload errors. Nonzero means a registered rule is buggy;
@@ -190,22 +190,24 @@ type EngineMetrics struct {
 	PageCache *storage.PageCacheStats `json:"page_cache,omitempty"`
 }
 
-// CoalesceStats counts pipeline runs avoided by statement coalescing.
-// Both counters are per avoided workload: a batch of eight identical
-// statements adds seven to InBatch.
+// CoalesceStats counts pipeline runs avoided by statement coalescing:
+// cold workloads that joined the flight of another with the same
+// report identity (fingerprint, byte-identical texts, database state,
+// configuration) and shared its result. Both counters are per avoided
+// workload: a batch of eight identical statements adds seven to
+// InBatch.
 type CoalesceStats struct {
-	// InBatch counts workloads served by a same-batch leader: the
-	// batch contained another workload with the same report identity
-	// (fingerprint, byte-identical texts, database state,
-	// configuration), so the pipeline ran once for the group.
+	// InBatch counts workloads served by a flight a workload of their
+	// own batch led.
 	InBatch int64 `json:"in_batch"`
-	// Singleflight counts workloads that merged onto a concurrent
-	// identical analysis from another batch instead of running their
-	// own — the cold-miss stampede case.
+	// Singleflight counts workloads served by a flight another batch
+	// led — the cold-miss stampede case — even when they had twins in
+	// their own batch.
 	Singleflight int64 `json:"singleflight"`
-	// OpenFlights is the singleflight registry's current size: cold
-	// analyses in flight right now. It returns to zero when traffic
-	// drains; a steady nonzero residue would mean a leaked flight.
+	// OpenFlights is the flight registry's current size: cold
+	// analyses in flight right now. Every flight lands before the
+	// batch that opened it returns, so it is zero whenever no batch is
+	// running.
 	OpenFlights int64 `json:"open_flights"`
 }
 

@@ -153,9 +153,9 @@ type Workload struct {
 	// schema-scoped rules skips the inter-query phase.
 	Rules []string
 	// NoMemo opts this workload out of the report memoization cache:
-	// the admission probe is skipped and the result carries no Store
-	// hook, so the workload neither serves from nor populates the
-	// cache.
+	// the admission probe is skipped and its report, built for it
+	// alone, is not stored, so the workload neither serves from nor
+	// populates the cache.
 	NoMemo bool
 }
 
@@ -176,8 +176,8 @@ type Engine struct {
 	profiles *ProfileCache
 	// reports memoizes finished workload reports across batches, keyed
 	// by (script fingerprint, database state, ruleset, configuration)
-	// — see ReportCache. The engine probes and invalidates; the owning
-	// layer supplies the payloads through Result.Store.
+	// — see ReportCache. The engine probes it at admission and stores
+	// the reports Options.Reporter builds.
 	reports  *ReportCache
 	phases   *phaseSet
 	registry *Registry
@@ -198,15 +198,14 @@ type Engine struct {
 	// skips counts demand-planning decisions: pipeline work not done
 	// because no enabled rule needed it.
 	skips phaseSkipCounters
-	// flights tracks in-flight cold analyses by report identity for
-	// the cross-batch singleflight: a stampede of concurrent identical
-	// cold misses analyzes once and fans the result out. Guarded by
-	// flightMu; entries live only while their leader runs.
+	// flights tracks cold analyses by report identity, from admission
+	// until the leader's report is stored: every cold duplicate, from
+	// the leader's batch or any other, joins the flight instead of
+	// running the pipeline again. Guarded by flightMu.
 	flightMu sync.Mutex
 	flights  map[reportVariantKey]*flight
-	// coalesce counts the workloads served without running the
-	// pipeline because an identical workload was already running or
-	// ran in the same batch.
+	// coalesce counts the workloads served from a flight they joined
+	// instead of running the pipeline.
 	coalesce coalesceCounters
 	// rulePanics counts rule-detector panics recovered into
 	// per-workload errors (ErrRulePanic). A nonzero count means a
@@ -215,21 +214,26 @@ type Engine struct {
 	rulePanics atomic.Int64
 }
 
-// flight is one in-flight cold analysis. done closes when the leader
-// finishes; res is the leader's result, nil when the leader failed
-// (context canceled) — waiters then retry for leadership.
+// flight is one cold report identity's analysis, open from its
+// leader's admission until the leader has built and stored the report.
+// res is the leader's result, written before done closes: its report,
+// or Err when a rule or the Reporter panicked, and nil when the leader
+// was canceled — its joiners then retry for leadership.
 type flight struct {
 	done chan struct{}
-	res  *Result
+	// batch is the first workload of the leader's batch, which
+	// identifies the DetectWorkloads call that opened the flight.
+	batch *plannedWorkload
+	res   *Result
 }
 
 // coalesceCounters tallies pipeline runs avoided by coalescing.
 type coalesceCounters struct {
-	// inBatch counts batch workloads served by a same-batch leader's
-	// result (the duplicate-heavy batch case).
+	// inBatch counts workloads served by a flight their own batch
+	// leads (the duplicate-heavy batch case).
 	inBatch atomic.Int64
-	// singleflight counts workloads that waited on — and were served
-	// by — a concurrent identical analysis from another batch.
+	// singleflight counts workloads served by a flight another batch
+	// leads (the concurrent identical cold miss case).
 	singleflight atomic.Int64
 }
 
@@ -308,9 +312,10 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 // DetectWorkloads analyzes independent workloads concurrently on the
 // shared pool and returns one Result per workload, in input order.
 // Each analyzed workload holds one pool slot and runs its whole
-// pipeline on that goroutine; a report-cache hit holds none. Workload
-// databases — named or inline — are snapshotted up front, so the
-// whole batch analyzes a consistent view taken at admission. The
+// pipeline — and, with a Reporter, its report build — on that
+// goroutine; a report-cache hit or a coalesced duplicate holds none.
+// Workload databases — named or inline — are snapshotted up front, so
+// the whole batch analyzes a consistent view taken at admission. The
 // error is non-nil when ctx is canceled or when a workload is
 // malformed (unknown DBName, or both DB and DBName set); no results
 // are returned on error.
@@ -323,85 +328,149 @@ func (e *Engine) DetectWorkloads(ctx context.Context, ws []Workload) ([]*Result,
 
 	// Admission hits are served here: the finished report was memoized
 	// under this exact (fingerprint, db state, ruleset, texts) key, so
-	// no phase runs and no slot is taken; the caller rebinds spans
-	// through Script. In-batch coalescing groups the rest: workloads
-	// sharing a report identity (same fingerprint, byte-identical
-	// statement texts, same database state and configuration — exactly
-	// the report cache's hit condition) run the pipeline once. The
-	// first of each group leads; the rest share the leader's context
-	// and findings after the batch, each under its own script so
-	// finding spans rebind to its exact submitted text. Only
-	// memo-eligible cold misses group: a NoMemo workload's contract is
-	// a from-scratch analysis.
-	run := make([]int, 0, len(planned))
-	var followers map[int]int // follower index -> leader index
-	leaders := make(map[reportVariantKey]int)
+	// no phase runs and no slot is taken; the caller binds spans
+	// through Script.
+	cold := make([]int, 0, len(planned))
 	for i := range planned {
-		pw := &planned[i]
-		if pw.memo != nil {
-			out[i] = &Result{Memo: pw.memo, Script: pw.script}
-			continue
+		if pw := &planned[i]; pw.memo != nil {
+			out[i] = &Result{Report: pw.memo, Script: pw.script}
+		} else {
+			cold = append(cold, i)
 		}
+	}
+	// Each round runs its leaders on the pool, then collects its
+	// joiners, holding no slot while it waits. A joiner whose leader
+	// was canceled goes round again to lead or join anew.
+	for len(cold) > 0 {
+		run, joined := e.admit(planned, out, cold)
+		if err := e.pool.each(ctx, len(run), func(ri int) { e.lead(ctx, planned, out, run[ri]) }); err != nil {
+			// Land the flights of leaders canceled or never started, so
+			// their joiners in other batches retry.
+			for _, i := range run {
+				if planned[i].flight != nil && out[i] == nil {
+					e.land(&planned[i], nil)
+				}
+			}
+			return nil, err
+		}
+		cold = cold[:0]
+		for _, i := range joined {
+			pw := &planned[i]
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-pw.flight.done:
+			}
+			lead := pw.flight.res
+			switch {
+			case lead == nil:
+				cold = append(cold, i)
+			case lead.Err != nil:
+				// The leader's panic is the joiner's too: identical
+				// input, identical deterministic failure.
+				out[i] = &Result{Err: lead.Err, Script: pw.script}
+			default:
+				out[i] = &Result{Context: lead.Context, Findings: lead.Findings, Report: lead.Report, Script: pw.script}
+				if pw.flight.batch == &planned[0] {
+					e.coalesce.inBatch.Add(1)
+				} else {
+					e.coalesce.singleflight.Add(1)
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// admit places a batch's cold workloads under the flight lock. It
+// returns those to run — NoMemo and NoCoalesce workloads, and one
+// leader per report identity, opening its flight — and those that
+// joined a flight already open, whichever batch opened it. A would-be
+// leader first re-probes the cache: leaders store before their flights
+// close, so a workload that finds neither has no identical analysis to
+// reuse. run reuses cold's array, which it never outgrows.
+func (e *Engine) admit(planned []plannedWorkload, out []*Result, cold []int) (run, joined []int) {
+	e.flightMu.Lock()
+	defer e.flightMu.Unlock()
+	run = cold[:0]
+	for _, i := range cold {
+		pw := &planned[i]
 		if e.opts.NoCoalesce || !pw.canStore {
 			run = append(run, i)
 			continue
 		}
 		vk := reportVariantKey{key: pw.key, texts: pw.texts}
-		if li, ok := leaders[vk]; ok {
-			if followers == nil {
-				followers = make(map[int]int)
-			}
-			followers[i] = li
+		if fl, ok := e.flights[vk]; ok {
+			pw.flight = fl
+			joined = append(joined, i)
 			continue
 		}
-		leaders[vk] = i
+		if report, ok := e.reports.recheck(pw.key, pw.texts); ok {
+			out[i] = &Result{Report: report, Script: pw.script}
+			continue
+		}
+		pw.flight = &flight{done: make(chan struct{}), batch: &planned[0]}
+		e.flights[vk] = pw.flight
 		run = append(run, i)
 	}
+	return run, joined
+}
 
-	err = e.pool.each(ctx, len(run), func(ri int) {
-		i := run[ri]
-		r, err := e.detectWorkload(ctx, planned[i])
-		if err != nil {
-			if isContextErr(err) {
-				return // batch-level cancellation; surfaced below
-			}
-			// Per-workload failure (a panicking rule): this workload
-			// reports the error, the rest of the batch is unaffected.
-			if errors.Is(err, ErrRulePanic) {
-				e.rulePanics.Add(1)
-			}
-			out[i] = &Result{Err: err, Script: planned[i].script}
-			return
-		}
-		out[i] = r
-	})
+// lead runs one cold workload on the pool slot its goroutine holds:
+// the pipeline, then the Reporter's report, stored before the flight
+// the workload leads, if any, lands.
+func (e *Engine) lead(ctx context.Context, planned []plannedWorkload, out []*Result, i int) {
+	pw := &planned[i]
+	res, err := e.runWorkload(ctx, pw)
+	if err == nil && e.opts.Reporter != nil {
+		err = e.report(pw, res)
+	}
+	if isContextErr(err) {
+		return // batch-level cancellation, surfaced by the pool
+	}
 	if err != nil {
-		// The batch failed before the owner could collect results: no
-		// Store call will ever land, so release any singleflight
-		// flights completed results still hold — a flight must never
-		// outlive its store attempt.
-		for _, r := range out {
-			if r != nil && r.abandon != nil {
-				r.abandon()
-			}
+		// Per-workload failure (a panicking rule or Reporter): this
+		// workload and its joiners report the error, the rest of the
+		// batch is unaffected.
+		if errors.Is(err, ErrRulePanic) {
+			e.rulePanics.Add(1)
 		}
-		return nil, err
+		res = &Result{Err: err, Script: pw.script}
 	}
-	for fi, li := range followers {
-		lead := out[li]
-		if lead == nil {
-			continue // leader failed; only possible when ctx canceled
-		}
-		if lead.Err != nil {
-			// The leader's rule panic is the follower's too: identical
-			// input, identical deterministic failure.
-			out[fi] = &Result{Err: lead.Err, Script: planned[fi].script}
-			continue
-		}
-		out[fi] = &Result{Context: lead.Context, Findings: lead.Findings, Script: planned[fi].script}
-		e.coalesce.inBatch.Add(1)
+	out[i] = res
+	if pw.flight != nil {
+		e.land(pw, res)
 	}
-	return out, nil
+}
+
+// report builds res's report and stores it when the workload is
+// memo-eligible. It runs on a pool goroutine, beyond any caller's
+// recover, so a Reporter panic is recovered here into ErrRulePanic.
+func (e *Engine) report(pw *plannedWorkload, res *Result) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: building the report: %v", ErrRulePanic, p)
+		}
+	}()
+	report, cost := e.opts.Reporter.Report(res)
+	if pw.canStore {
+		e.reports.add(pw.key, pw.texts, report, cost)
+	}
+	res.Report = report
+	return nil
+}
+
+// land closes the flight pw leads with its result (nil when canceled):
+// deregister it, then wake its joiners. Any report is stored already;
+// if the cache declined it, later arrivals run afresh rather than
+// pinning a flight per declined variant.
+func (e *Engine) land(pw *plannedWorkload, res *Result) {
+	fl := pw.flight
+	fl.res = res
+	e.flightMu.Lock()
+	delete(e.flights, reportVariantKey{key: pw.key, texts: pw.texts})
+	e.flightMu.Unlock()
+	close(fl.done)
 }
 
 // isContextErr reports whether err is a cancellation or deadline
@@ -411,9 +480,9 @@ func isContextErr(err error) bool {
 }
 
 // openFlights returns how many cold analyses are registered in the
-// cross-batch singleflight right now. A steady-state nonzero value
-// after traffic drains would mean a leaked flight — the cancellation
-// suite asserts it returns to zero.
+// flight registry right now. Every flight lands before the
+// DetectWorkloads call that opened it returns, so the count is zero
+// whenever no call is running — the cancellation suite asserts it.
 func (e *Engine) openFlights() int {
 	e.flightMu.Lock()
 	defer e.flightMu.Unlock()
@@ -439,6 +508,9 @@ type plannedWorkload struct {
 	key      reportKey
 	texts    string
 	canStore bool
+	// flight is the flight the workload leads or joined; nil when it
+	// runs alone.
+	flight *flight
 }
 
 // resolveWorkloads admits a batch: it compiles each workload's
@@ -504,6 +576,10 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 	// decisions.
 	snaps := make(map[*storage.Database]*storage.Database)
 	inter := e.opts.Config.Mode != appctx.ModeIntra
+	var scope string
+	if e.opts.Reporter != nil {
+		scope = e.opts.Reporter.Scope()
+	}
 	for i := range out {
 		pw := &out[i]
 		w, rs := &pw.Workload, pw.rs
@@ -530,7 +606,7 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 				cfg:       e.memoConfig(w.Profile),
 				minConf:   e.opts.MinConfidence,
 				noPrefilt: e.opts.NoPrefilter,
-				scope:     e.opts.ReportScope,
+				scope:     scope,
 			}
 			if useDB {
 				// The live database's state version, read under the
@@ -582,92 +658,13 @@ func (e *Engine) memoConfig(override *profile.Options) appctx.Config {
 	return cfg
 }
 
-// detectWorkload runs one admitted cold workload, merging concurrent
-// identical cold misses onto a single pipeline run (the cross-batch
-// singleflight): when another goroutine is already analyzing the same
-// report identity, this workload waits and shares that result instead
-// of parsing and evaluating the same statements again. A waiter holds
-// its pool slot while it waits, which cannot deadlock: the leader
-// already holds its own slot and never waits for another (see Pool).
-// A waiter whose leader fails (context canceled) retries for
-// leadership rather than inheriting the failure.
-func (e *Engine) detectWorkload(ctx context.Context, pw plannedWorkload) (*Result, error) {
-	if e.opts.NoCoalesce || !pw.canStore {
-		return e.runWorkload(ctx, pw)
-	}
-	vk := reportVariantKey{key: pw.key, texts: pw.texts}
-	for {
-		e.flightMu.Lock()
-		if other, ok := e.flights[vk]; ok {
-			e.flightMu.Unlock()
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-other.done:
-			}
-			if other.res != nil {
-				e.coalesce.singleflight.Add(1)
-				return &Result{Context: other.res.Context, Findings: other.res.Findings, Script: pw.script}, nil
-			}
-			continue // leader failed; retry for leadership
-		}
-		// No flight. The admission probe ran before this goroutine was
-		// scheduled, so a leader may have finished and stored in the
-		// gap — re-probe under the flight lock before re-running the
-		// whole pipeline. Flights are deregistered only after their
-		// report lands in the cache, so flight-then-cache misses both
-		// only when no identical analysis happened.
-		if payload, ok := e.reports.recheck(pw.key, pw.texts); ok {
-			e.flightMu.Unlock()
-			return &Result{Memo: payload, Script: pw.script}, nil
-		}
-		fl := &flight{done: make(chan struct{})}
-		e.flights[vk] = fl
-		e.flightMu.Unlock()
-
-		res, err := e.runWorkload(ctx, pw)
-		fl.res = res // written before done closes; nil on error
-		if res != nil && res.Store != nil {
-			// Keep the flight registered until the owner's Store call
-			// actually lands the report in the cache: between done
-			// closing and that store, new arrivals merge on the
-			// flight's result instead of finding neither a cache entry
-			// nor a flight and re-running the analysis. The flight
-			// never outlives the store attempt: if the cache declines
-			// admission (variant bound, doorkeeper under memory
-			// pressure), later arrivals re-run rather than pinning an
-			// unbounded flight per declined literal variant. And when
-			// the owner will never store — the batch was canceled
-			// mid-collection — it calls abandon instead, so a shed
-			// request cannot leak its flight.
-			release := func() {
-				e.flightMu.Lock()
-				delete(e.flights, vk)
-				e.flightMu.Unlock()
-			}
-			store := res.Store
-			res.Store = func(payload any, cost int64) {
-				store(payload, cost)
-				release()
-			}
-			res.abandon = release
-		} else {
-			e.flightMu.Lock()
-			delete(e.flights, vk)
-			e.flightMu.Unlock()
-		}
-		close(fl.done)
-		return res, err
-	}
-}
-
 // runWorkload runs the staged pipeline over one admitted workload, on
 // the goroutine holding the workload's pool slot. Stages observe their
 // wall time into the engine's phase histograms; stages the workload's
 // rule set does not demand are skipped (zero observations) rather
 // than run empty. Between stages the context is checked, so a shed or
 // timed-out request stops before starting the next stage's work.
-func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, error) {
+func (e *Engine) runWorkload(ctx context.Context, pw *plannedWorkload) (*Result, error) {
 	w := pw.Workload
 	cfg := e.opts.Config
 	if w.Profile != nil {
@@ -749,12 +746,6 @@ func (e *Engine) runWorkload(ctx context.Context, pw plannedWorkload) (*Result, 
 	res := &Result{Context: actx, Script: pw.script,
 		Findings: dedupe(append(findings, gf...), e.opts.MinConfidence)}
 	e.phases.observe(PhaseGlobal, time.Since(start))
-	if pw.canStore {
-		key, texts := pw.key, pw.texts
-		res.Store = func(payload any, cost int64) {
-			e.reports.add(key, texts, payload, cost)
-		}
-	}
 	return res, nil
 }
 

@@ -126,13 +126,7 @@ func TestProfileCacheEvictionAndDoorkeeper(t *testing.T) {
 // mutated table.
 func TestEngineProfileMemoization(t *testing.T) {
 	db := workloadDB(0)
-	// This test never calls res.Store, so without NoCoalesce the cold
-	// run's report-level flight would persist and serve the warm run
-	// whole — identical output, but the pipeline (and the profile
-	// cache under test) would never run again.
-	opts := DefaultOptions()
-	opts.NoCoalesce = true
-	eng := NewEngine(opts, 2)
+	eng := NewEngine(DefaultOptions(), 2)
 	if err := eng.Registry().Register("app", db); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +136,7 @@ func TestEngineProfileMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoOpenFlights(t, eng)
 	coldStats := eng.Metrics().ProfileCache
 	if coldStats.Hits != 0 || coldStats.Misses == 0 {
 		t.Fatalf("cold run: stats = %+v, want misses only", coldStats)
@@ -152,6 +147,7 @@ func TestEngineProfileMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoOpenFlights(t, eng)
 	warmStats := eng.Metrics().ProfileCache
 	if warmStats.Hits != tables {
 		t.Fatalf("warm run: hits = %d, want %d (one per table)", warmStats.Hits, tables)
@@ -175,6 +171,7 @@ func TestEngineProfileMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoOpenFlights(t, eng)
 	afterStats := eng.Metrics().ProfileCache
 	if afterStats.Misses != warmStats.Misses+1 {
 		t.Errorf("post-DML misses = %d, want exactly one new (the mutated table); was %d",

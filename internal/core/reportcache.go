@@ -72,8 +72,8 @@ const (
 // memoized report depends on. All fields are comparable scalars or
 // strings; profile options inside cfg enter normalized. The cache
 // stores an entry under the key with dbVersion cleared and passes
-// dbVersion as the entry's version (see identity); singleflight and
-// in-batch coalescing key on the whole tuple.
+// dbVersion as the entry's version (see identity); flights key on the
+// whole tuple.
 type reportKey struct {
 	fp        sqltoken.Fingerprint
 	dbID      uint64
@@ -104,9 +104,9 @@ func identity(key reportKey, texts string) (reportVariantKey, uint64) {
 
 // ReportCache memoizes finished workload reports keyed by script
 // fingerprint, database state, and analysis configuration. Payloads
-// are opaque to core — the owning layer stores whatever it serves (the
-// public Checker stores a *sqlcheck.Report clone) — and shared
-// read-only. Safe for concurrent use by any number of engines.
+// are opaque to core — the engine stores what its Options.Reporter
+// builds (for the public Checker, a span-free *sqlcheck.Report) — and
+// shared read-only. Safe for concurrent use by any number of engines.
 type ReportCache struct {
 	reports *lru[reportVariantKey, any]
 	// variants counts resident entries per fingerprint-keyed tuple at
@@ -203,10 +203,10 @@ func (c *ReportCache) lookup(key reportKey, texts string) (any, bool) {
 	return payload, ok
 }
 
-// recheck is lookup without miss accounting: the singleflight re-probe
-// runs after the caller's admission probe already counted its miss, so
-// a second miss here would double-count one pipeline run. A hit still
-// counts — the caller really is served from the cache.
+// recheck is lookup without miss accounting: a would-be flight
+// leader's re-probe runs after its admission probe already counted its
+// miss, so a second miss here would double-count one pipeline run. A
+// hit still counts — the caller really is served from the cache.
 func (c *ReportCache) recheck(key reportKey, texts string) (any, bool) {
 	c.reports.mu.Lock()
 	payload, ok := c.reports.touch(identity(key, texts))

@@ -108,6 +108,9 @@ func (e *Engine) Repair(f rules.Finding) Fix {
 		return Fix{Finding: f, Textual: fmt.Sprintf(tpl, orUnknown(f.Table), orUnknown(f.Column)),
 			Impacted: e.ImpactedQueries(f)}
 	}
+	if r := rules.ByID(f.RuleID); r != nil && r.Guidance != "" {
+		return Fix{Finding: f, Textual: r.Guidance}
+	}
 	return Fix{Finding: f, Textual: "no automated fix available; review " + f.Message}
 }
 

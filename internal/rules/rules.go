@@ -194,6 +194,10 @@ type Rule struct {
 	// Metrics is the default impact vector; the experiment harness
 	// can substitute measured values.
 	Metrics Metrics
+	// Guidance is the fix text for a rule the fix engine has no repair
+	// for (registered custom rules). It is published with the rule, so
+	// readers never race its registration.
+	Guidance string
 
 	// Meta declares dispatch and planning metadata. Register derives
 	// the rule's dispatch gate and resource needs from it; rule

@@ -139,18 +139,18 @@ type Options struct {
 	// path process-wide; workloads opt out per request with
 	// Workload.NoReportCache.
 	ReportCache *ReportCache
-	// NoCoalesce disables batch statement coalescing and the cold-miss
-	// singleflight. By default a CheckWorkloads batch analyzes each
-	// distinct workload once — workloads sharing a report identity
-	// (same normalized fingerprint, byte-identical statement texts,
-	// same database state and configuration) run the pipeline a single
-	// time and fan the result out — and identical cold misses arriving
-	// concurrently from different batches merge onto one in-flight
-	// analysis. Both optimizations are output-transparent: reports stay
-	// byte-identical to the uncoalesced path, so the knob exists for
-	// benchmarking the raw pipeline and for debugging. Workloads that
-	// set Workload.NoReportCache never coalesce; their contract is a
-	// from-scratch analysis even for a byte-identical repeat. Avoided
+	// NoCoalesce disables coalescing. By default each distinct cold
+	// workload is analyzed once however many copies arrive: workloads
+	// sharing a report identity (same normalized fingerprint,
+	// byte-identical statement texts, same database state and
+	// configuration) with an analysis already in flight — a duplicate
+	// in the same CheckWorkloads batch or an identical request from a
+	// concurrent one — join it, wait without holding a worker slot, and
+	// are served its report. Coalescing is output-transparent: reports
+	// stay byte-identical to the uncoalesced path, so the knob exists
+	// for benchmarking the raw pipeline and for debugging. Workloads
+	// that set Workload.NoReportCache never coalesce; their contract is
+	// a from-scratch analysis even for a byte-identical repeat. Avoided
 	// pipeline runs are counted in Metrics().Coalesce.
 	NoCoalesce bool
 	// DataDir, when non-empty, makes the named-database registry
@@ -635,8 +635,12 @@ type RegistryStats = core.RegistryStats
 // input order. Workloads from every concurrent call share the same
 // bounded worker pool, one slot per analyzing workload, so batches
 // run side by side without oversubscribing the host; reports are
-// identical at any Concurrency setting. A blank workload yields an
-// empty report rather than failing the batch. The error is non-nil
+// identical at any Concurrency setting. Each distinct cold workload
+// is analyzed, ranked and fixed once, on its slot, and its report
+// stored; its duplicates, in this batch or any concurrent one, and
+// later report-cache hits are each served a deep copy with spans bound
+// to their own text (see Options.NoCoalesce). A blank workload yields
+// an empty report rather than failing the batch. The error is non-nil
 // for an empty batch, a canceled ctx (in which case it is ctx.Err()),
 // a DBName that is not registered (ErrUnknownDatabase), a rule filter
 // naming an unknown rule ID (ErrUnknownRule), or a workload setting
@@ -670,18 +674,6 @@ func (c *Checker) CheckWorkloads(ctx context.Context, workloads []Workload) ([]*
 	if err != nil {
 		return nil, err
 	}
-	// Coalesced workloads (same-batch duplicates and singleflight
-	// merges) share one detection result: their Context pointers are
-	// identical. Count the sharing up front so the report build — the
-	// ranking and fix synthesis — also runs once per shared result,
-	// with every sharer served its own clone.
-	sharedCount := make(map[*appctx.Context]int)
-	for _, res := range results {
-		if res.Context != nil {
-			sharedCount[res.Context]++
-		}
-	}
-	var masters map[*appctx.Context]*Report // span-free, for shared results
 	var werrs []error
 	reports := make([]*Report, len(results))
 	for i, res := range results {
@@ -689,35 +681,14 @@ func (c *Checker) CheckWorkloads(ctx context.Context, workloads []Workload) ([]*
 			werrs = append(werrs, &WorkloadError{Workload: i, Err: res.Err})
 			continue
 		}
-		if res.Memo != nil {
-			// Report-cache hit: no pipeline phase ran. Serve a deep copy
-			// of the memoized report with spans rebound to the submitted
-			// text (statement texts are byte-identical on a hit, but the
-			// layout around them may differ).
-			rep := cloneReport(res.Memo.(*Report))
-			setSpans(rep, res.Script)
-			reports[i] = rep
-			continue
+		rep := res.Report.(*Report)
+		if !workloads[i].NoReportCache {
+			// Shared with the report cache and every duplicate: serve a
+			// deep copy, so no caller's mutation reaches the others.
+			rep = cloneReport(rep)
 		}
-		var rep *Report
-		if master, ok := masters[res.Context]; ok {
-			rep = cloneReport(master)
-		} else {
-			rep = c.buildReport(res)
-			if res.Store != nil {
-				// Memoize a span-free deep copy: spans are rebound per
-				// serve, and the caller's mutations must never reach the
-				// cache. Only the coalescing leader carries a Store hook,
-				// so a shared result memoizes once.
-				res.Store(cloneReport(rep), reportMemCost(rep))
-			}
-			if sharedCount[res.Context] > 1 {
-				if masters == nil {
-					masters = make(map[*appctx.Context]*Report)
-				}
-				masters[res.Context] = cloneReport(rep)
-			}
-		}
+		// Sharers' statement texts are byte-identical, but the layout
+		// around them may differ: spans bind to this submission.
 		setSpans(rep, res.Script)
 		reports[i] = rep
 	}
@@ -727,7 +698,7 @@ func (c *Checker) CheckWorkloads(ctx context.Context, workloads []Workload) ([]*
 	return reports, nil
 }
 
-// cloneReport deep-copies a report so cached masters and served
+// cloneReport deep-copies a report so the shared report and served
 // copies never share mutable state.
 func cloneReport(r *Report) *Report {
 	out := &Report{Statements: r.Statements}
@@ -810,11 +781,12 @@ type PoolStats = core.PoolStats
 // PhaseStats is one pipeline phase's latency histogram.
 type PhaseStats = core.PhaseStats
 
-// CoalesceStats counts pipeline runs avoided by batch statement
-// coalescing (Metrics().Coalesce): InBatch for workloads served by a
-// same-batch leader, Singleflight for workloads merged onto a
-// concurrent identical analysis. Both stay zero under
-// Options.NoCoalesce.
+// CoalesceStats counts pipeline runs avoided by coalescing
+// (Metrics().Coalesce): InBatch for workloads served by an analysis
+// their own batch led, Singleflight for workloads served by one
+// another batch led — even when they had twins in their own batch.
+// Both stay zero under Options.NoCoalesce; OpenFlights is zero
+// whenever no check is running.
 type CoalesceStats = core.CoalesceStats
 
 // DurabilityStats snapshots the durable registry's WAL and checkpoint
@@ -864,39 +836,57 @@ func (c *Checker) coreOptions() core.Options {
 		opts.SharedReportCache = c.opts.ReportCache.inner
 	}
 	opts.NoCoalesce = c.opts.NoCoalesce
+	opts.Reporter = newReporter(c.opts)
 	if c.opts.PageCacheBytes > 0 {
 		opts.PageCacheBytes = c.opts.PageCacheBytes
 		if c.opts.DataDir != "" {
 			opts.SpillDir = filepath.Join(c.opts.DataDir, "spill")
 		}
 	}
-	// The ranking configuration shapes scores and query ordering inside
-	// finished reports but is invisible to the engine, so it rides in
-	// the report-cache key as an opaque scope: Checkers with different
-	// ranking settings sharing one ReportCache never serve each other's
-	// reports.
-	opts.ReportScope = fmt.Sprintf("w%d,c%t", c.opts.Weights, c.opts.RankQueriesByCount)
 	return opts
 }
 
-// buildReport ranks a detection result and attaches fixes.
-func (c *Checker) buildReport(res *core.Result) *Report {
+// reporter is the Checker's core.Reporter: ap-rank and ap-fix over a
+// detection result, run by the engine on the pool slot that detected
+// it.
+type reporter struct {
+	model *rank.Model // read-only once built
+	scope string
+}
+
+func newReporter(o Options) *reporter {
 	weights := rank.C1
-	if c.opts.Weights == Hybrid {
+	if o.Weights == Hybrid {
 		weights = rank.C2
 	}
 	model := rank.NewModel(weights)
-	if c.opts.RankQueriesByCount {
+	if o.RankQueriesByCount {
 		model.Mode = rank.ByCount
 	}
+	// The ranking configuration shapes scores and query ordering inside
+	// finished reports but is invisible to the engine, so it rides in
+	// the report-cache key as the scope: Checkers with different
+	// ranking settings sharing one ReportCache never serve each other's
+	// reports.
+	return &reporter{model: model, scope: fmt.Sprintf("w%d,c%t", o.Weights, o.RankQueriesByCount)}
+}
+
+// Scope is the ranking configuration (see newReporter).
+func (r *reporter) Scope() string { return r.scope }
+
+// Report ranks a detection result and attaches fixes. The report is
+// span-free and may be memoized, so its slices are sized up front, and
+// left nil when empty.
+func (r *reporter) Report(res *core.Result) (any, int64) {
 	engine := fix.New(res.Context)
 
 	report := &Report{Statements: len(res.Context.Facts)}
-	for _, ranked := range model.Rank(res.Findings) {
+	findings := r.model.Rank(res.Findings)
+	if len(findings) > 0 {
+		report.Findings = make([]Finding, 0, len(findings))
+	}
+	for _, ranked := range findings {
 		fx := engine.Repair(ranked.Finding)
-		if g := guidanceFor(ranked.RuleID); g != "" && !fx.Automated() {
-			fx.Textual = g
-		}
 		pf := Finding{
 			Rule:       ranked.RuleID,
 			Name:       ranked.RuleName,
@@ -913,6 +903,9 @@ func (c *Checker) buildReport(res *core.Result) *Report {
 				ImpactedQueries: fx.Impacted,
 			},
 		}
+		if len(fx.Rewrites) > 0 {
+			pf.Fix.Rewrites = make([]Rewrite, 0, len(fx.Rewrites))
+		}
 		for _, rw := range fx.Rewrites {
 			pf.Fix.Rewrites = append(pf.Fix.Rewrites, Rewrite{
 				Query: rw.QueryIndex, Original: rw.Original, Fixed: rw.Fixed,
@@ -920,14 +913,18 @@ func (c *Checker) buildReport(res *core.Result) *Report {
 		}
 		report.Findings = append(report.Findings, pf)
 	}
-	for _, qr := range model.RankQueries(res.Findings) {
+	queries := r.model.RankQueries(res.Findings)
+	if len(queries) > 0 {
+		report.Queries = make([]QueryReport, 0, len(queries))
+	}
+	for _, qr := range queries {
 		q := QueryReport{Query: qr.QueryIndex, Count: qr.Count, TotalScore: qr.TotalScore}
 		if qr.QueryIndex >= 0 && qr.QueryIndex < len(res.Context.Facts) {
 			q.SQL = res.Context.Facts[qr.QueryIndex].Raw
 		}
 		report.Queries = append(report.Queries, q)
 	}
-	return report
+	return report, reportMemCost(report)
 }
 
 // Rules describes the anti-pattern catalog: rule IDs, names,
