@@ -319,6 +319,61 @@ func TestShedOverCapacityHTTP(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestRefusedBeforeAdmission pins that a request whose
+// shape can never succeed is answered 400 even when the daemon is
+// saturated: it neither takes an admission slot nor is shed with a 429
+// that would invite the client to retry it.
+func TestMalformedRequestRefusedBeforeAdmission(t *testing.T) {
+	registerAdmissionTestRules(t)
+	srv := configuredServer(t, ServerConfig{MaxInflight: 1, MaxQueue: 0})
+	unblock := make(chan struct{})
+	setBlockHook(func() { <-unblock })
+	held := make(chan struct{})
+	defer func() {
+		close(unblock)
+		<-held
+		setBlockHook(nil)
+	}()
+	go func() {
+		defer close(held)
+		resp, err := http.Post(srv.URL+"/api/check", "application/json",
+			strings.NewReader(`{"query":"SELECT c1 FROM t WHERE note = 'ADM_BLOCK_MARKER shape'"}`))
+		if err != nil {
+			t.Errorf("held request: %v", err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("held request: status %d, want 200", resp.StatusCode)
+		}
+	}()
+	waitFor(t, func() bool { return metricsSnapshot(t, srv.URL).Admission.Inflight == 1 })
+	before := metricsSnapshot(t, srv.URL).Admission
+
+	for _, tc := range []struct{ name, path, body, want string }{
+		{"check_none", "/api/check", `{}`, "missing query"},
+		{"check_query_and_queries", "/api/check", `{"query":"SELECT 1","queries":["SELECT 2"]}`, "exactly one"},
+		{"check_query_and_workloads", "/api/check", `{"query":"SELECT 1","workloads":[{"sql":"SELECT 2"}]}`, "exactly one"},
+		{"check_queries_and_workloads", "/api/check", `{"queries":["SELECT 1"],"workloads":[{"sql":"SELECT 2"}]}`, "exactly one"},
+		{"check_fixture_and_db", "/api/check", `{"workloads":[{"sql":"SELECT 1","fixture":"CREATE TABLE t (id INT)","db":"d1"}]}`, "mutually exclusive"},
+		{"register_empty_fixture", "/api/databases/d1", `{"fixture":""}`, "fixture required"},
+		{"exec_empty_sql", "/api/databases/d1/exec", `{"sql":""}`, "sql required"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := do(t, "POST", srv.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+				t.Errorf("%s %s: status %d body %s, want 400 naming %q", tc.path, tc.body, resp.StatusCode, raw, tc.want)
+			}
+		})
+	}
+
+	after := metricsSnapshot(t, srv.URL).Admission
+	if after.Admitted != before.Admitted || after.ShedTotal() != before.ShedTotal() {
+		t.Errorf("malformed requests reached admission: admitted %d -> %d, shed %d -> %d",
+			before.Admitted, after.Admitted, before.ShedTotal(), after.ShedTotal())
+	}
+}
+
 func waitForQueueDepth(t *testing.T, url string, depth int64) {
 	t.Helper()
 	waitFor(t, func() bool { return metricsSnapshot(t, url).Admission.Queued >= depth })

@@ -168,6 +168,9 @@ type MetricsResponse struct {
 	// counts requests that hit the per-request deadline (504s).
 	Panics   int64 `json:"panics"`
 	Timeouts int64 `json:"request_timeouts"`
+	// Runtime is the Go runtime's cumulative allocation and GC
+	// counters.
+	Runtime RuntimeStats `json:"go_runtime"`
 }
 
 func (s *apiServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -176,6 +179,7 @@ func (s *apiServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Admission: s.adm.Stats(),
 		Panics:    serveStats.panics.Load(),
 		Timeouts:  serveStats.timeouts.Load(),
+		Runtime:   readRuntimeStats(),
 	}
 	if r.URL.Query().Get("format") == "json" ||
 		strings.Contains(r.Header.Get("Accept"), "application/json") {
@@ -293,15 +297,15 @@ func (s *apiServer) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	if strings.TrimSpace(req.Fixture) == "" {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "fixture required"})
+		return
+	}
 	release, ok := s.admit(w, r, name)
 	if !ok {
 		return
 	}
 	defer release()
-	if strings.TrimSpace(req.Fixture) == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "fixture required"})
-		return
-	}
 	db := sqlcheck.NewDatabase(name)
 	if err := db.ExecScript(req.Fixture); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "fixture: " + err.Error()})
@@ -324,15 +328,15 @@ func (s *apiServer) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	if strings.TrimSpace(req.SQL) == "" {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "sql required"})
+		return
+	}
 	release, ok := s.admit(w, r, name)
 	if !ok {
 		return
 	}
 	defer release()
-	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "sql required"})
-		return
-	}
 	db := s.checker.RegisteredDatabase(name)
 	if db == nil {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown database %q", name)})
@@ -386,6 +390,10 @@ func (s *apiServer) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	if msg := checkShapeError(&req); msg != "" {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: msg})
+		return
+	}
 	release, ok := s.admit(w, r, checkTenant(&req))
 	if !ok {
 		return
@@ -393,15 +401,7 @@ func (s *apiServer) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	given := 0
-	for _, set := range []bool{req.Query != "", len(req.Queries) > 0, len(req.Workloads) > 0} {
-		if set {
-			given++
-		}
-	}
 	switch {
-	case given > 1:
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "provide exactly one of query, queries, or workloads"})
 	case req.Query != "":
 		report, err := s.checker.CheckSQLContext(ctx, req.Query)
 		if err != nil {
@@ -412,17 +412,11 @@ func (s *apiServer) handleCheck(w http.ResponseWriter, r *http.Request) {
 	case len(req.Queries) > 0:
 		reports, err := s.checker.CheckBatch(ctx, req.Queries)
 		s.writeBatch(w, r, reports, err)
-	case len(req.Workloads) > 0:
+	default:
 		workloads := make([]sqlcheck.Workload, len(req.Workloads))
 		for i, wr := range req.Workloads {
 			cw := sqlcheck.Workload{SQL: wr.SQL, DBName: wr.DB, SampleSize: wr.SampleSize, Rules: wr.Rules}
 			if wr.Fixture != "" {
-				if wr.DB != "" {
-					writeJSON(w, http.StatusBadRequest, ErrorResponse{
-						Error: fmt.Sprintf("workload %d: fixture and db are mutually exclusive", i),
-					})
-					return
-				}
 				db := sqlcheck.NewDatabase(fmt.Sprintf("fixture-%d", i))
 				if err := db.ExecScript(wr.Fixture); err != nil {
 					writeJSON(w, http.StatusBadRequest, ErrorResponse{
@@ -436,9 +430,33 @@ func (s *apiServer) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		reports, err := s.checker.CheckWorkloads(ctx, workloads)
 		s.writeBatch(w, r, reports, err)
-	default:
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing query"})
 	}
+}
+
+// checkShapeError says why a check request can never succeed, or
+// returns "": it must name exactly one of query, queries and
+// workloads, and no workload may set both fixture and db. It runs
+// before admission, so such a request is refused with 400 instead of
+// taking a slot or being shed with a 429 that invites a retry.
+func checkShapeError(req *CheckRequest) string {
+	given := 0
+	for _, set := range []bool{req.Query != "", len(req.Queries) > 0, len(req.Workloads) > 0} {
+		if set {
+			given++
+		}
+	}
+	switch {
+	case given == 0:
+		return "missing query"
+	case given > 1:
+		return "provide exactly one of query, queries, or workloads"
+	}
+	for i, wr := range req.Workloads {
+		if wr.Fixture != "" && wr.DB != "" {
+			return fmt.Sprintf("workload %d: fixture and db are mutually exclusive", i)
+		}
+	}
+	return ""
 }
 
 // writeBatch renders a batch result. Per-workload failures (a

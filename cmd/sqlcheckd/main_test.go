@@ -441,6 +441,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sqlcheck_coalesce_singleflight_total",
 		"sqlcheck_http_responses_total",
 		"sqlcheck_http_buffers_reused_total",
+		"\nsqlcheck_go_heap_alloc_objects_total ",
+		"\nsqlcheck_go_heap_alloc_bytes_total ",
+		"\nsqlcheck_go_gc_cycles_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)
@@ -448,5 +451,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(out, "sqlcheck_cache_hits_total 0\n") {
 		t.Error("prometheus output reports zero cache hits after repeated batches")
+	}
+
+	// The runtime's allocation counters grow across one cold check.
+	before := metricsSnapshot(t, srv.URL).Runtime
+	cold, err := http.Post(srv.URL+"/api/check", "application/json",
+		strings.NewReader(`{"query":"CREATE TABLE u (id INT, tags TEXT); SELECT * FROM u WHERE tags LIKE '%cold%'"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Body.Close()
+	after := metricsSnapshot(t, srv.URL).Runtime
+	if after.HeapAllocObjects <= before.HeapAllocObjects || after.HeapAllocBytes <= before.HeapAllocBytes {
+		t.Errorf("allocation counters did not grow across a cold check: %+v -> %+v", before, after)
 	}
 }

@@ -7,9 +7,35 @@ package main
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
 
 	"sqlcheck/internal/core"
 )
+
+// RuntimeStats holds the Go runtime's cumulative allocation and GC
+// counters. Allocation counts do not move with host load the way
+// timings do, so a load run can divide their deltas by its operations.
+type RuntimeStats struct {
+	HeapAllocObjects int64 `json:"heap_alloc_objects"`
+	HeapAllocBytes   int64 `json:"heap_alloc_bytes"`
+	GCCycles         int64 `json:"gc_cycles"`
+}
+
+// readRuntimeStats reads the counters once per /metrics scrape; no
+// request path calls it.
+func readRuntimeStats() RuntimeStats {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(s)
+	return RuntimeStats{
+		HeapAllocObjects: int64(s[0].Value.Uint64()),
+		HeapAllocBytes:   int64(s[1].Value.Uint64()),
+		GCCycles:         int64(s[2].Value.Uint64()),
+	}
+}
 
 // writePrometheus renders the snapshot in Prometheus text exposition
 // format (version 0.0.4). Metric names and semantics are documented
@@ -99,6 +125,10 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 	counter("sqlcheck_request_timeouts_total", "Requests that hit the per-request analysis deadline (504s).", m.Timeouts)
 	counter("sqlcheck_panics_total", "Handler panics recovered into 500s (daemon bugs; rule panics are isolated per workload and counted separately).", m.Panics)
 	counter("sqlcheck_rule_panics_total", "Rule-detector panics recovered into per-workload errors (buggy registered rules; the batch and daemon keep serving).", m.RulePanics)
+
+	counter("sqlcheck_go_heap_alloc_objects_total", "Heap objects the Go runtime has allocated since start.", m.Runtime.HeapAllocObjects)
+	counter("sqlcheck_go_heap_alloc_bytes_total", "Heap bytes the Go runtime has allocated since start.", m.Runtime.HeapAllocBytes)
+	counter("sqlcheck_go_gc_cycles_total", "Completed garbage-collection cycles since start.", m.Runtime.GCCycles)
 
 	counter("sqlcheck_http_responses_total", "JSON responses served through the pooled encoder.", httpStats.responses.Load())
 	counter("sqlcheck_http_response_bytes_total", "Response body bytes written.", httpStats.responseBytes.Load())

@@ -3,7 +3,7 @@
 // context fuses three sources: the schema (from DDL statements or
 // reflected from a live database), per-statement query facts, and data
 // profiles. It exports the queryable interface the paper describes:
-// join edges, per-column reference counts, index usage, and profile
+// join edges, per-column predicate counts, index usage, and profile
 // lookup.
 package appctx
 
@@ -81,8 +81,6 @@ type Context struct {
 
 	joinEdges      []JoinEdge
 	predicateCount map[colKey]int // lower(table).lower(col) -> count of queries predicating on it
-	columnRefs     map[colKey]int // lower(table).lower(col) -> reference count (any role)
-	tableQueries   map[string][]int
 }
 
 // Build constructs the context from statements and an optional live
@@ -115,8 +113,6 @@ func BuildWithProfiles(stmts []sqlast.Statement, facts []*qanalyze.Facts, db *st
 		Profiles:       map[string]*profile.TableProfile{},
 		DB:             db,
 		predicateCount: map[colKey]int{},
-		columnRefs:     map[colKey]int{},
-		tableQueries:   map[string][]int{},
 	}
 	ctx.Facts = facts
 	if cfg.Mode == ModeIntra {
@@ -158,24 +154,11 @@ func key(table, col string) colKey {
 
 // index derives the aggregate maps from facts.
 func (c *Context) index() {
-	for qi, f := range c.Facts {
-		for _, t := range f.Tables {
-			name := strings.ToLower(t.Name)
-			c.tableQueries[name] = append(c.tableQueries[name], qi)
-		}
+	for _, f := range c.Facts {
 		for _, p := range f.Predicates {
 			tbl := c.resolveFactTable(f, p.Table)
 			if tbl != "" {
 				c.predicateCount[key(tbl, p.Column)]++
-			}
-		}
-		for _, cu := range f.Columns {
-			tbl := c.resolveFactTable(f, cu.Table)
-			if tbl == "" && len(f.Tables) == 1 {
-				tbl = f.Tables[0].Name
-			}
-			if tbl != "" {
-				c.columnRefs[key(tbl, cu.Column)]++
 			}
 		}
 		for _, je := range f.JoinEqualities {
@@ -230,18 +213,6 @@ func (c *Context) PredicateCount(table, col string) int {
 	return c.predicateCount[key(table, col)]
 }
 
-// ColumnRefCount returns how many statements reference table.column in
-// any role.
-func (c *Context) ColumnRefCount(table, col string) int {
-	return c.columnRefs[key(table, col)]
-}
-
-// QueriesOnTable returns the indexes (into Facts) of statements that
-// reference the table.
-func (c *Context) QueriesOnTable(table string) []int {
-	return c.tableQueries[strings.ToLower(table)]
-}
-
 // Profile returns the data profile for a table, or nil.
 func (c *Context) Profile(table string) *profile.TableProfile {
 	return c.Profiles[strings.ToLower(table)]
@@ -252,14 +223,3 @@ func (c *Context) Inter() bool { return c.Config.Mode == ModeInter }
 
 // HasData reports whether data profiles are available.
 func (c *Context) HasData() bool { return len(c.Profiles) > 0 }
-
-// RefreshData re-profiles the database (paper §4.2: "The data analyzer
-// periodically refreshes the context over time ... whenever the schema
-// evolves").
-func (c *Context) RefreshData() {
-	if c.DB == nil {
-		return
-	}
-	c.Schema = c.DB.Reflect()
-	c.Profiles = profile.ProfileDatabase(c.DB, c.Config.Profile)
-}

@@ -348,9 +348,3 @@ func CountByRule(findings []rules.Finding) map[string]int {
 	}
 	return out
 }
-
-// DistinctRuleCount returns how many different anti-pattern types were
-// found.
-func DistinctRuleCount(findings []rules.Finding) int {
-	return len(CountByRule(findings))
-}

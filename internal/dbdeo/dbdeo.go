@@ -156,15 +156,6 @@ func (d *Detector) DetectOne(idx int, stmt string) []Finding {
 	return out
 }
 
-// CountByType aggregates findings per rule ID.
-func CountByType(fs []Finding) map[string]int {
-	out := map[string]int{}
-	for _, f := range fs {
-		out[f.RuleID]++
-	}
-	return out
-}
-
 func dedupeStrings(in []string) []string {
 	seen := map[string]bool{}
 	var out []string

@@ -129,13 +129,18 @@ func TestRoundingAndFloatDetection(t *testing.T) {
 	}
 }
 
-func TestCountByType(t *testing.T) {
+func TestPatternMatchingPerStatement(t *testing.T) {
 	fs := Detect([]string{
 		"SELECT * FROM t WHERE a LIKE 'x%'",
 		"SELECT * FROM t WHERE b LIKE 'y%'",
 	})
-	counts := CountByType(fs)
-	if counts[rules.IDPatternMatching] != 2 {
-		t.Errorf("counts = %v", counts)
+	n := 0
+	for _, f := range fs {
+		if f.RuleID == rules.IDPatternMatching {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Errorf("pattern-matching findings = %d, want 2: %+v", n, fs)
 	}
 }

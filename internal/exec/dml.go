@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"sqlcheck/internal/parser"
 	"sqlcheck/internal/schema"
@@ -576,45 +575,4 @@ func (ex *executor) addColumn(t *storage.Table, cd sqlast.ColumnDef) error {
 		}
 	}
 	return nil
-}
-
-// TableNamesIn returns the table names a statement touches; used by
-// callers that need coarse dependency information.
-func TableNamesIn(stmt sqlast.Statement) []string {
-	var names []string
-	add := func(n string) {
-		if n == "" {
-			return
-		}
-		for _, e := range names {
-			if strings.EqualFold(e, n) {
-				return
-			}
-		}
-		names = append(names, n)
-	}
-	switch s := stmt.(type) {
-	case *sqlast.SelectStatement:
-		for _, f := range s.From {
-			add(f.Name)
-		}
-		for _, j := range s.Joins {
-			add(j.Table.Name)
-		}
-	case *sqlast.InsertStatement:
-		add(s.Table)
-	case *sqlast.UpdateStatement:
-		add(s.Table)
-	case *sqlast.DeleteStatement:
-		add(s.Table)
-	case *sqlast.CreateTableStatement:
-		add(s.Name)
-	case *sqlast.CreateIndexStatement:
-		add(s.Table)
-	case *sqlast.AlterTableStatement:
-		add(s.Table)
-	case *sqlast.DropStatement:
-		add(s.Name)
-	}
-	return names
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,36 +222,6 @@ func TestUnsupportedConstructsError(t *testing.T) {
 	// cleanly.
 	if _, err := RunSQL(db, "SELECT (SELECT 1)"); err == nil {
 		t.Error("scalar subquery accepted")
-	}
-}
-
-func TestTableNamesIn(t *testing.T) {
-	cases := map[string][]string{
-		"SELECT * FROM a JOIN b ON a.x = b.y": {"a", "b"},
-		"INSERT INTO t VALUES (1)":            {"t"},
-		"UPDATE u SET x = 1":                  {"u"},
-		"DELETE FROM d":                       {"d"},
-		"CREATE TABLE c (x INT)":              {"c"},
-		"CREATE INDEX i ON t (x)":             {"t"},
-		"ALTER TABLE t ADD COLUMN c INT":      {"t"},
-		"DROP TABLE t":                        {"t"},
-	}
-	for sql, want := range cases {
-		got := TableNamesIn(parser.Parse(sql))
-		if len(got) != len(want) {
-			t.Errorf("TableNamesIn(%q) = %v, want %v", sql, got, want)
-			continue
-		}
-		for i := range want {
-			if !strings.EqualFold(got[i], want[i]) {
-				t.Errorf("TableNamesIn(%q) = %v, want %v", sql, got, want)
-			}
-		}
-	}
-	// Duplicates collapse.
-	got := TableNamesIn(parser.Parse("SELECT * FROM t JOIN t ON t.a = t.b"))
-	if len(got) != 1 {
-		t.Errorf("dup tables = %v", got)
 	}
 }
 

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 )
@@ -18,8 +19,9 @@ import (
 // Measurement is one AP-vs-fixed timing comparison.
 type Measurement struct {
 	Label string
-	// AP and Fixed are mean execution times of the anti-pattern and
-	// repaired designs.
+	// AP and Fixed are the execution times of the anti-pattern and
+	// repaired designs: the mean run, or the median run where the two
+	// are timed interleaved (timePair).
 	AP, Fixed time.Duration
 	// PaperAP and PaperFixed record the paper's reported seconds for
 	// reference (0 when the paper gives only a factor).
@@ -69,23 +71,36 @@ func timeIt(runs int, f func()) time.Duration {
 }
 
 // timePair measures two alternatives by interleaving their runs so
-// that clock drift, GC pauses, and frequency scaling hit both sides
-// equally. Both get one warm-up call.
+// that clock drift and frequency scaling hit both sides equally, and
+// returns each side's median run. Both get one warm-up call. A mean
+// would not do: a run of a few microseconds that is preempted or
+// caught by a GC pause takes milliseconds, and on a loaded host one
+// such run lands on one side only and moves its 300-run mean
+// several-fold.
 func timePair(runs int, fa, fb func()) (da, db time.Duration) {
 	if runs <= 0 {
 		runs = 100
 	}
 	fa()
 	fb()
-	for i := 0; i < runs; i++ {
+	as := make([]time.Duration, runs)
+	bs := make([]time.Duration, runs)
+	for i := range runs {
 		start := time.Now()
 		fa()
-		da += time.Since(start)
+		as[i] = time.Since(start)
 		start = time.Now()
 		fb()
-		db += time.Since(start)
+		bs[i] = time.Since(start)
 	}
-	return da / time.Duration(runs), db / time.Duration(runs)
+	return median(as), median(bs)
+}
+
+// median returns the middle of ds (the upper middle for an even
+// count), sorting ds in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // timeOnce measures a single destructive operation (setup must provide

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFigure3Shapes(t *testing.T) {
@@ -73,6 +74,26 @@ func TestFigure8Shapes(t *testing.T) {
 	// (i) select is a wash (within 5x).
 	if f := byLabel["fig8i"].Factor(); f > 5 || f < 0.2 {
 		t.Errorf("fig8i factor = %.2fx, want ~1x", f)
+	}
+}
+
+// TestTimePairIgnoresOneStalledRun pins that one stalled run does not
+// decide a pair: a 20 ms stall among ten no-op runs would lift a mean
+// to 2 ms, while each side's median stays at its typical run.
+func TestTimePairIgnoresOneStalledRun(t *testing.T) {
+	calls := 0
+	stallOnce := func() {
+		calls++
+		if calls == 5 { // the fourth timed run, after the warm-up
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	slow, fast := timePair(10, func() { time.Sleep(2 * time.Millisecond) }, stallOnce)
+	if fast >= time.Millisecond {
+		t.Errorf("no-op side with one 20ms stall = %v, want its typical run (< 1ms)", fast)
+	}
+	if slow < 2*time.Millisecond {
+		t.Errorf("2ms side = %v, want >= 2ms", slow)
 	}
 }
 

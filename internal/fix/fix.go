@@ -114,15 +114,6 @@ func (e *Engine) Repair(f rules.Finding) Fix {
 	return Fix{Finding: f, Textual: "no automated fix available; review " + f.Message}
 }
 
-// RepairAll fixes every finding.
-func (e *Engine) RepairAll(findings []rules.Finding) []Fix {
-	out := make([]Fix, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, e.Repair(f))
-	}
-	return out
-}
-
 // ImpactedQueries returns indexes of statements that reference the
 // finding's site and would need revisiting after the fix (Algorithm 4,
 // GetImpactedQueries).

@@ -305,12 +305,11 @@ func TestRepairAllCoversEveryFinding(t *testing.T) {
 		SELECT * FROM t ORDER BY RAND();
 		INSERT INTO t VALUES (1, 2.5, 'pw');
 	`)
-	fixes := e.RepairAll(findings)
-	if len(fixes) != len(findings) {
-		t.Fatalf("fixes = %d, findings = %d", len(fixes), len(findings))
+	if len(findings) == 0 {
+		t.Fatal("no findings to repair")
 	}
-	for _, fx := range fixes {
-		if !fx.Automated() && fx.Textual == "" {
+	for _, f := range findings {
+		if fx := e.Repair(f); !fx.Automated() && fx.Textual == "" {
 			t.Errorf("finding %s has neither rewrite nor textual fix", fx.Finding.RuleID)
 		}
 	}

@@ -183,16 +183,3 @@ func (m *Model) RankQueries(findings []rules.Finding) []QueryRank {
 	})
 	return out
 }
-
-// ConflictNote explains ordering between two APs whose fixes interact
-// (paper §5.2 "Conflicting Fixes"): the higher-ranked one should be
-// fixed first.
-func (m *Model) ConflictNote(a, b string) string {
-	sa := Score(m.MetricsFor(a), m.Weights)
-	sb := Score(m.MetricsFor(b), m.Weights)
-	first, second := a, b
-	if sb > sa {
-		first, second = b, a
-	}
-	return "fix " + first + " first; re-evaluate " + second + " afterwards (fixes may conflict)"
-}

@@ -157,16 +157,6 @@ func TestScoreMonotoneBounded(t *testing.T) {
 	}
 }
 
-func TestConflictNote(t *testing.T) {
-	m := NewModel(C1)
-	m.Observe("a", rules.Metrics{ReadPerf: 10})
-	m.Observe("b", rules.Metrics{ReadPerf: 1})
-	note := m.ConflictNote("b", "a")
-	if note != "fix a first; re-evaluate b afterwards (fixes may conflict)" {
-		t.Errorf("note = %q", note)
-	}
-}
-
 func TestDeterministicTieBreak(t *testing.T) {
 	m := NewModel(C1)
 	fs := []rules.Finding{

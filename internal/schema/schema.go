@@ -6,10 +6,7 @@
 // the detection rules (which query it).
 package schema
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // TypeClass is a coarse classification of SQL column types that the
 // anti-pattern rules care about.
@@ -246,40 +243,3 @@ func (s *Schema) Tables() []*Table {
 
 // Len returns the number of tables.
 func (s *Schema) Len() int { return len(s.tables) }
-
-// TablesReferencing returns names of tables that declare a foreign key
-// to the given table, sorted.
-func (s *Schema) TablesReferencing(name string) []string {
-	var out []string
-	for _, t := range s.Tables() {
-		for _, fk := range t.ForeignKeys {
-			if strings.EqualFold(fk.RefTable, name) {
-				out = append(out, t.Name)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FindColumn searches every table for a column with the given name and
-// returns the (table, column) pairs found.
-func (s *Schema) FindColumn(col string) []struct {
-	Table  *Table
-	Column *Column
-} {
-	var out []struct {
-		Table  *Table
-		Column *Column
-	}
-	for _, t := range s.Tables() {
-		if c := t.Column(col); c != nil {
-			out = append(out, struct {
-				Table  *Table
-				Column *Column
-			}{t, c})
-		}
-	}
-	return out
-}

@@ -279,12 +279,6 @@ func TestTokenHelpers(t *testing.T) {
 	}
 }
 
-func TestIsKeywordWord(t *testing.T) {
-	if !IsKeywordWord("SELECT") || IsKeywordWord("FROG") {
-		t.Error("IsKeywordWord misclassifies")
-	}
-}
-
 func BenchmarkLex(b *testing.B) {
 	q := "SELECT u.id, u.name, o.total FROM users u JOIN orders o ON u.id = o.user_id WHERE o.total > 100 AND u.email LIKE '%@example.com' ORDER BY o.total DESC LIMIT 50"
 	b.ReportAllocs()

@@ -144,7 +144,3 @@ var keywords = map[string]bool{
 	"ENGINE": true, "CHARSET": true, "COMMENT": true, "USE": true,
 	"DATABASE": true, "SCHEMA": true, "GLOB": true, "MATCH": true,
 }
-
-// IsKeywordWord reports whether the (upper-cased) word is lexed as a
-// keyword by this lexer.
-func IsKeywordWord(w string) bool { return keywords[w] }

@@ -326,6 +326,54 @@ func TestBufferPoolBehavior(t *testing.T) {
 	}
 }
 
+func TestTotalIOSumsTables(t *testing.T) {
+	db := NewDatabase("test")
+	u := usersTable(db)
+	v := db.CreateTable("visits", []ColumnDef{{Name: "n", Class: schema.ClassInteger}})
+	for i := 0; i < PageRows*2; i++ {
+		u.MustInsert(Int(int64(i)), Str("n"), Str("e"))
+		v.MustInsert(Int(int64(i)))
+	}
+	u.ResetIO()
+	v.ResetIO()
+	if got := db.TotalIO(); got != (IOStats{}) {
+		t.Fatalf("after reset: %+v", got)
+	}
+	u.Fetch(0)
+	u.Fetch(1) // same page: cache hit
+	v.Fetch(int64(PageRows))
+	if got, want := db.TotalIO(), (IOStats{PageReads: 2, CacheHits: 1}); got != want {
+		t.Errorf("TotalIO = %+v, want %+v (users %+v, visits %+v)", got, want, u.IOStats(), v.IOStats())
+	}
+}
+
+func TestIndexTouchesCountMaintenance(t *testing.T) {
+	db := NewDatabase("test")
+	u := usersTable(db)
+	u.CreateIndex("u_name", false, "name")
+	step := func(what string, want int64) {
+		t.Helper()
+		if got := u.IndexTouches(); got != want {
+			t.Errorf("after %s: IndexTouches = %d, want %d", what, got, want)
+		}
+	}
+	step("create", 0)
+	id := u.MustInsert(Int(1), Str("a"), Str("e"))
+	step("insert (pk + u_name)", 2)
+	if err := u.Update(id, Row{Int(1), Str("b"), Str("e")}); err != nil {
+		t.Fatal(err)
+	}
+	step("update of name (u_name delete + insert)", 4)
+	if err := u.Update(id, Row{Int(1), Str("b"), Str("f")}); err != nil {
+		t.Fatal(err)
+	}
+	step("update of an unindexed column", 4)
+	if err := u.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	step("delete (pk + u_name)", 6)
+}
+
 func TestSchemaRoundTrip(t *testing.T) {
 	ddl := `
 	CREATE TABLE Users (User_ID VARCHAR(10) PRIMARY KEY, Name VARCHAR(20) NOT NULL, Role VARCHAR(5) CHECK (Role IN ('R1','R2')));

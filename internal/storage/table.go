@@ -39,9 +39,6 @@ type Index struct {
 	touches int64 // maintenance operation count, for stats
 }
 
-// ColumnsOf returns the indexed column ordinals.
-func (ix *Index) ColumnsOf() []int { return ix.Cols }
-
 // Tree exposes the underlying B+tree for ordered traversal by the
 // executor.
 func (ix *Index) Tree() *btree.Tree { return ix.tree }
@@ -470,9 +467,6 @@ func (t *Table) IndexOnLeading(col int) *Index {
 	}
 	return nil
 }
-
-// PKIndex returns the primary key index, or nil.
-func (t *Table) PKIndex() *Index { return t.pk }
 
 // checkRow validates NOT NULL and CHECK constraints.
 func (t *Table) checkRow(r Row) error {

@@ -53,56 +53,3 @@ func Shuffle[T any](r *Rand, items []T) {
 		items[i], items[j] = items[j], items[i]
 	}
 }
-
-// Zipf draws from a Zipf-like distribution over [0, n) with skew s
-// (s=0 is uniform; s≈1 is classic web-workload skew). Implemented by
-// inverse CDF over precomputed weights; for the corpus sizes used here
-// the O(n) construction is fine.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	z := &Zipf{r: r, cdf: make([]float64, n)}
-	var total float64
-	for i := 0; i < n; i++ {
-		w := 1.0
-		for k := 0.0; k < s; k++ {
-			w /= float64(i + 1)
-		}
-		// Fractional skew: blend.
-		if frac := s - float64(int(s)); frac > 0 {
-			w /= pow(float64(i+1), frac)
-		}
-		total += w
-		z.cdf[i] = total
-	}
-	for i := range z.cdf {
-		z.cdf[i] /= total
-	}
-	return z
-}
-
-func pow(base, exp float64) float64 {
-	// Small positive exponents only; a few Newton steps of exp/log are
-	// unnecessary — use repeated square root approximation via math is
-	// overkill, but stdlib math is allowed.
-	return mathPow(base, exp)
-}
-
-// Next draws the next index.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

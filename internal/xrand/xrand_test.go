@@ -69,24 +69,3 @@ func TestPickShuffle(t *testing.T) {
 		t.Error("Shuffle lost elements")
 	}
 }
-
-func TestZipfSkew(t *testing.T) {
-	r := New(11)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 20000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("zipf not skewed: head=%d mid=%d", counts[0], counts[50])
-	}
-	// Uniform when s = 0.
-	u := NewZipf(New(12), 10, 0)
-	uc := make([]int, 10)
-	for i := 0; i < 10000; i++ {
-		uc[u.Next()]++
-	}
-	if uc[0] > 3*uc[9] {
-		t.Errorf("s=0 not near uniform: %v", uc)
-	}
-}
