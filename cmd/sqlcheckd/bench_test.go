@@ -18,10 +18,7 @@ import (
 )
 
 func BenchmarkDaemonServe(b *testing.B) {
-	srv := httptest.NewServer(NewHandler(sqlcheck.New(sqlcheck.Options{
-		SharedCache: sqlcheck.NewCache(0),
-		ReportCache: sqlcheck.NewReportCache(0),
-	})))
+	srv := httptest.NewServer(NewHandler(sqlcheck.New()))
 	defer srv.Close()
 	client := srv.Client()
 

@@ -24,14 +24,15 @@ import (
 )
 
 // ServerConfig bounds the daemon's serving behavior. The zero value
-// of any field means its default; DefaultServerConfig returns the
-// fully resolved defaults.
+// of any field but MaxQueue means its default; DefaultServerConfig
+// returns the fully resolved defaults.
 type ServerConfig struct {
 	// MaxInflight bounds concurrently analyzing requests (<= 0 means
 	// twice GOMAXPROCS, minimum 4).
 	MaxInflight int
-	// MaxQueue bounds requests waiting for an inflight slot (<= 0
-	// means 64). Requests past the queue are shed with 429.
+	// MaxQueue bounds requests waiting for an inflight slot (< 0 means
+	// 64; 0 means no waiting room, so a request that finds every slot
+	// busy is shed at once). Requests past the queue are shed with 429.
 	MaxQueue int
 	// QueueWait caps how long one request may wait queued (<= 0 means
 	// 2s); a request queued longer is shed with 429.

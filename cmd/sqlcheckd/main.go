@@ -106,12 +106,12 @@ func main() {
 	flag.Parse()
 
 	opts := sqlcheck.Options{
-		Concurrency:     *concurrency,
-		SharedCache:     sqlcheck.NewCache(*cacheBytes),
-		ReportCache:     sqlcheck.NewReportCache(*reportBytes),
-		DataDir:         *dataDir,
-		CheckpointEvery: *ckptEvery,
-		PageCacheBytes:  *pageBytes,
+		Concurrency:      *concurrency,
+		ParseCacheBytes:  *cacheBytes,
+		ReportCacheBytes: *reportBytes,
+		DataDir:          *dataDir,
+		CheckpointEvery:  *ckptEvery,
+		PageCacheBytes:   *pageBytes,
 	}
 	if *mode == "intra" {
 		opts.Mode = sqlcheck.IntraQuery

@@ -157,7 +157,6 @@ func writePrometheus(w io.Writer, m MetricsResponse) {
 		counter("sqlcheck_page_cache_evictions_total", "Pages evicted from residency (clean drops plus spills).", pc.Evictions)
 		counter("sqlcheck_page_cache_spills_total", "Dirty pages written to spill files on eviction.", pc.Spills)
 		counter("sqlcheck_page_cache_clean_drops_total", "Evictions that dropped a page whose disk copy was current (no write needed).", pc.CleanDrops)
-		counter("sqlcheck_page_cache_spilled_pages_total", "Dirty pages written to spill files on eviction (alias of spills for dashboard compatibility).", pc.Spills)
 		counter("sqlcheck_page_cache_compacted_slots_total", "Deleted row slots compacted away by spill writes (bytes never hit disk).", pc.CompactedSlots)
 		counter("sqlcheck_page_cache_file_compactions_total", "Spill-file rewrites that reclaimed superseded records.", pc.FileCompactions)
 		counter("sqlcheck_page_cache_spill_errors_total", "Evictions that failed to write the spill file (page parked resident; residency degraded, no data lost).", pc.SpillErrors)

@@ -1,8 +1,8 @@
 package sqlcheck_test
 
 // Runnable godoc examples for the public API: the one-call entry
-// point, the three process-shareable caches, batch workloads, and the
-// sentinel errors. `go test` executes every example and compares its
+// point, the Checker's profile and report caches, batch workloads, and
+// the sentinel errors. `go test` executes every example and compares its
 // printed output, so these stay correct by construction.
 
 import (
@@ -32,32 +32,12 @@ func Example() {
 	// generic-primary-key
 }
 
-// Share one parse cache across Checkers: the second Checker's check
-// reuses the first's parsed statements.
-func ExampleNewCache() {
-	cache := sqlcheck.NewCache(8 << 20)
-	a := sqlcheck.New(sqlcheck.Options{SharedCache: cache})
-	b := sqlcheck.New(sqlcheck.Options{SharedCache: cache})
-
-	sql := "SELECT * FROM t ORDER BY RAND()"
-	if _, err := a.CheckSQL(sql); err != nil {
-		panic(err)
-	}
-	if _, err := b.CheckSQL(sql); err != nil {
-		panic(err)
-	}
-	fmt.Println("parse cache hits > 0:", cache.Stats().Hits > 0)
-	// Output:
-	// parse cache hits > 0: true
-}
-
-// Share one profile cache: a registered database re-checks without
+// The profile cache: a registered database re-checks without
 // re-profiling until DML moves its version. The repeat opts out of
 // report memoization so the pipeline (and therefore the profile
 // lookup) actually runs.
-func ExampleNewProfileCache() {
-	profiles := sqlcheck.NewProfileCache(8 << 20)
-	checker := sqlcheck.New(sqlcheck.Options{ProfileCache: profiles})
+func ExampleChecker_Metrics_profileCache() {
+	checker := sqlcheck.New()
 
 	db := sqlcheck.NewDatabase("app")
 	db.MustExec("CREATE TABLE tenants (id INT PRIMARY KEY, user_ids TEXT)")
@@ -74,7 +54,7 @@ func ExampleNewProfileCache() {
 	if _, err := checker.CheckWorkloads(ctx, []sqlcheck.Workload{w}); err != nil {
 		panic(err)
 	}
-	fmt.Println("profile cache hits > 0:", profiles.Stats().Hits > 0)
+	fmt.Println("profile cache hits > 0:", checker.Metrics().ProfileCache.Hits > 0)
 	// Output:
 	// profile cache hits > 0: true
 }
@@ -82,9 +62,8 @@ func ExampleNewProfileCache() {
 // The serving fast path: a repeated workload is a report-cache hit —
 // served without parsing, profiling, or rule evaluation — and stays
 // byte-equivalent to a cold analysis.
-func ExampleNewReportCache() {
-	reports := sqlcheck.NewReportCache(16 << 20)
-	checker := sqlcheck.New(sqlcheck.Options{ReportCache: reports})
+func ExampleChecker_Metrics_reportCache() {
+	checker := sqlcheck.New(sqlcheck.Options{ReportCacheBytes: 16 << 20})
 
 	sql := "SELECT name FROM users WHERE name LIKE '%smith'"
 	first, err := checker.CheckSQL(sql)
@@ -95,7 +74,7 @@ func ExampleNewReportCache() {
 	if err != nil {
 		panic(err)
 	}
-	st := reports.Stats()
+	st := checker.Metrics().ReportCache
 	fmt.Println("hits:", st.Hits, "misses:", st.Misses, "fingerprints:", st.Fingerprints)
 	fmt.Println("same findings:", len(first.Findings) == len(second.Findings))
 
@@ -105,7 +84,7 @@ func ExampleNewReportCache() {
 	if _, err := checker.CheckSQL("SELECT name FROM users WHERE name LIKE 'smith%'"); err != nil {
 		panic(err)
 	}
-	fmt.Println("variant misses:", reports.Stats().VariantMisses)
+	fmt.Println("variant misses:", checker.Metrics().ReportCache.VariantMisses)
 	// Output:
 	// hits: 1 misses: 1 fingerprints: 1
 	// same findings: true

@@ -1,6 +1,6 @@
 package core
 
-// Shared, byte-bounded parse cache. The engine's original cache was a
+// Byte-bounded parse cache. The engine's original cache was a
 // per-Checker map that reset wholesale at a fixed entry count, which
 // is pathological for workloads slightly larger than the capacity: a
 // round-robin pass over >cap distinct statements evicted everything
@@ -9,11 +9,10 @@ package core
 // so a cyclic scan past the budget still hits on the half the
 // doorkeeper keeps resident.
 //
-// A ParseCache is safe for concurrent use and is designed to be
-// shared process-wide: every Engine (and therefore every Checker and
-// the sqlcheckd daemon) can point at one cache through
-// Options.SharedCache, so repeated statements across tenants,
-// requests, and batches parse once per process.
+// Each Engine owns one ParseCache, sized by Options.ParseCacheBytes,
+// and it is safe for the engine's concurrent runs: a daemon serving
+// from one Checker parses a statement repeated across tenants,
+// requests, and batches once.
 
 import (
 	"strings"
@@ -23,8 +22,9 @@ import (
 )
 
 const (
-	// DefaultParseCacheBytes bounds an engine-private cache when no
-	// shared cache is injected (32 MiB of estimated residency).
+	// DefaultParseCacheBytes bounds the parse cache when
+	// Options.ParseCacheBytes is unset (32 MiB of estimated
+	// residency).
 	DefaultParseCacheBytes = 32 << 20
 
 	// astExpansionFactor and entryOverheadBytes model an entry's

@@ -47,29 +47,21 @@ type Options struct {
 	// query-scoped rule on every statement. Kept as the benchmark
 	// baseline and for verifying gate conservatism.
 	NoPrefilter bool
-	// SharedCache, when non-nil, is the parse cache the Engine uses
-	// instead of building a private one — inject one cache into many
-	// engines to share parsed ASTs process-wide. Ignored by the
-	// sequential Detect path, which does not cache.
-	SharedCache *ParseCache
-	// SharedProfileCache, when non-nil, is the table-profile
-	// memoization cache the Engine uses instead of building a private
-	// one — the data-phase analogue of SharedCache. Profiles are keyed
-	// by (table identity, options) at the table version, so registered
-	// databases reuse them across batches until DML bumps the version,
-	// and the re-profiled version then replaces the old one. Ignored
-	// by the sequential Detect path.
-	SharedProfileCache *ProfileCache
-	// SharedReportCache, when non-nil, is the report memoization cache
-	// the Engine uses instead of building a private one — the serving
-	// fast path. Reports are keyed by (script fingerprint, database
-	// origin ID + state version, normalized ruleset, configuration)
-	// with byte-identical statement texts as the hit condition, so a
-	// repeated workload against an unchanged database returns its
-	// memoized report before any pipeline phase runs; any DML on the
-	// database moves its version, and the re-analyzed report replaces
-	// the stale one. Ignored by the sequential Detect path.
-	SharedReportCache *ReportCache
+	// ParseCacheBytes bounds the Engine's parse cache by estimated
+	// resident bytes (<= 0 means DefaultParseCacheBytes). The sequential
+	// Detect path does not cache.
+	ParseCacheBytes int64
+	// ReportCacheBytes bounds the Engine's report memoization cache by
+	// estimated resident bytes (<= 0 means DefaultReportCacheBytes) —
+	// the serving fast path. Reports are keyed by (script fingerprint,
+	// database origin ID + state version, normalized ruleset,
+	// configuration) with byte-identical statement texts as the hit
+	// condition, so a repeated workload against an unchanged database
+	// returns its memoized report before any pipeline phase runs; any
+	// DML on the database moves its version, and the re-analyzed report
+	// replaces the stale one. The table-profile cache beside it keeps
+	// DefaultProfileCacheBytes.
+	ReportCacheBytes int64
 	// Reporter, when non-nil, builds each analyzed workload's report;
 	// without one, nothing is memoized.
 	Reporter Reporter
@@ -108,15 +100,13 @@ type Options struct {
 // pool slot that analyzed the workload and stores the report before
 // the workload's flight closes, so each cold identity's report is
 // built once. A panic in Report fails the workload with ErrRulePanic.
+// An engine has one Reporter, and its report cache is its own, so
+// configuration the engine cannot see (the Checker's ranking weights)
+// needs no place in the cache key.
 type Reporter interface {
 	// Report returns the report and its estimated resident bytes, its
 	// cost against the report cache's budget.
 	Report(res *Result) (report any, cost int64)
-	// Scope is an opaque discriminator mixed into report-cache keys
-	// for state the engine cannot see (the Checker's ranking weights),
-	// so engines sharing one ReportCache under different such state
-	// never serve each other's reports.
-	Scope() string
 }
 
 // DefaultOptions returns the standard configuration (full inter-query

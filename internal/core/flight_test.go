@@ -11,8 +11,6 @@ import (
 // carrying its marker and otherwise reports the finding count.
 type panicReporter struct{}
 
-func (panicReporter) Scope() string { return "panic-test" }
-
 func (panicReporter) Report(res *Result) (any, int64) {
 	for _, text := range res.Script.Texts() {
 		if strings.Contains(text, "REPORT_PANIC") {

@@ -143,18 +143,17 @@ type PoolStats struct {
 // EngineMetrics is a point-in-time snapshot of an engine's
 // observability counters.
 type EngineMetrics struct {
-	// Cache describes the parse cache (shared across engines when
-	// injected via Options.SharedCache).
+	// Cache describes the engine's parse cache (budget
+	// Options.ParseCacheBytes).
 	Cache CacheStats `json:"cache"`
-	// ProfileCache describes the table-profile memoization cache
-	// (shared across engines when injected via
-	// Options.SharedProfileCache). Every hit is a table whose data
-	// phase was an integer compare instead of a sampling pass.
+	// ProfileCache describes the engine's table-profile memoization
+	// cache. Every hit is a table whose data phase was an integer
+	// compare instead of a sampling pass.
 	ProfileCache CacheStats `json:"profile_cache"`
-	// ReportCache describes the report memoization cache (shared
-	// across engines when injected via Options.SharedReportCache).
-	// Every hit is a workload served without running any pipeline
-	// phase at all; Fingerprints is the resident-cardinality gauge.
+	// ReportCache describes the engine's report memoization cache
+	// (budget Options.ReportCacheBytes). Every hit is a workload
+	// served without running any pipeline phase at all; Fingerprints
+	// is the resident-cardinality gauge.
 	ReportCache ReportCacheStats `json:"report_cache"`
 	// Pool is the worker pool bounding concurrently analyzing
 	// workloads: one task per analyzed workload plus one per helper

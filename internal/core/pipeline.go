@@ -251,33 +251,20 @@ type phaseSkipCounters struct {
 	interQuery atomic.Int64
 }
 
-// NewEngine builds an Engine. concurrency bounds the worker pool
-// (<= 0 means GOMAXPROCS, 1 means one workload at a time). When
-// opts.SharedCache is non-nil the engine parses through it — the
-// process-wide cache — instead of building a private one.
+// NewEngine builds an Engine with its own parse, profile and report
+// caches, sized by opts. concurrency bounds the worker pool (<= 0
+// means GOMAXPROCS, 1 means one workload at a time).
 func NewEngine(opts Options, concurrency int) *Engine {
 	if opts.MinConfidence == 0 {
 		opts.MinConfidence = 0.5
-	}
-	cache := opts.SharedCache
-	if cache == nil {
-		cache = NewParseCache(DefaultParseCacheBytes)
-	}
-	pcache := opts.SharedProfileCache
-	if pcache == nil {
-		pcache = NewProfileCache(DefaultProfileCacheBytes)
-	}
-	rcache := opts.SharedReportCache
-	if rcache == nil {
-		rcache = NewReportCache(DefaultReportCacheBytes)
 	}
 	rs, rsErr := rules.NewRuleSet(opts.Rules)
 	e := &Engine{
 		opts:     opts,
 		pool:     NewPool(concurrency),
-		cache:    cache,
-		profiles: pcache,
-		reports:  rcache,
+		cache:    NewParseCache(opts.ParseCacheBytes),
+		profiles: NewProfileCache(DefaultProfileCacheBytes),
+		reports:  NewReportCache(opts.ReportCacheBytes),
 		phases:   newPhaseSet(),
 		registry: NewRegistry(),
 		ruleSet:  rs,
@@ -301,13 +288,6 @@ func (e *Engine) Registry() *Registry { return e.registry }
 // ProfileOptions returns the engine's default data-profiling options
 // — the base that per-workload overrides start from.
 func (e *Engine) ProfileOptions() profile.Options { return e.opts.Config.Profile }
-
-// CacheStats returns the parse cache's hit and miss counts. With a
-// shared cache the counts span every engine attached to it.
-func (e *Engine) CacheStats() (hits, misses int64) {
-	st := e.cache.Stats()
-	return st.Hits, st.Misses
-}
 
 // DetectWorkloads analyzes independent workloads concurrently on the
 // shared pool and returns one Result per workload, in input order.
@@ -576,10 +556,6 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 	// decisions.
 	snaps := make(map[*storage.Database]*storage.Database)
 	inter := e.opts.Config.Mode != appctx.ModeIntra
-	var scope string
-	if e.opts.Reporter != nil {
-		scope = e.opts.Reporter.Scope()
-	}
 	for i := range out {
 		pw := &out[i]
 		w, rs := &pw.Workload, pw.rs
@@ -606,7 +582,6 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 				cfg:       e.memoConfig(w.Profile),
 				minConf:   e.opts.MinConfidence,
 				noPrefilt: e.opts.NoPrefilter,
-				scope:     scope,
 			}
 			if useDB {
 				// The live database's state version, read under the

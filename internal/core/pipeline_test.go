@@ -131,7 +131,8 @@ func TestEngineParseCache(t *testing.T) {
 	if _, err := eng.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := eng.CacheStats()
+	st := eng.Metrics().Cache
+	hits, misses := st.Hits, st.Misses
 	if misses != int64(len(pipelineCorpus)) {
 		t.Errorf("misses = %d, want %d (one per distinct statement)", misses, len(pipelineCorpus))
 	}
@@ -508,37 +509,6 @@ func TestEngineWorkloadCancelMidProfile(t *testing.T) {
 	_, err := eng.DetectWorkloads(ctx, []Workload{{SQL: `SELECT id FROM big`, DB: db}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestEngineSharedCache: two engines pointed at one injected cache
-// share parsed ASTs — the second engine's identical workload is all
-// hits.
-func TestEngineSharedCache(t *testing.T) {
-	shared := NewParseCache(1 << 20)
-	opts := DefaultOptions()
-	opts.SharedCache = shared
-	sql := pipelineSQL(1)
-
-	engA := NewEngine(opts, 2)
-	if _, err := engA.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
-		t.Fatal(err)
-	}
-	missesAfterA := shared.Stats().Misses
-
-	engB := NewEngine(opts, 2)
-	if _, err := engB.DetectWorkloads(context.Background(), []Workload{{SQL: sql}}); err != nil {
-		t.Fatal(err)
-	}
-	st := shared.Stats()
-	if st.Misses != missesAfterA {
-		t.Errorf("second engine re-parsed: misses %d -> %d", missesAfterA, st.Misses)
-	}
-	if st.Hits < int64(len(pipelineCorpus)) {
-		t.Errorf("hits = %d, want >= %d", st.Hits, len(pipelineCorpus))
-	}
-	if h, m := engB.CacheStats(); h != st.Hits || m != st.Misses {
-		t.Errorf("engine CacheStats (%d,%d) disagrees with shared cache (%d,%d)", h, m, st.Hits, st.Misses)
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
-// Shared, byte-bounded table-profile cache — the memoization layer
-// that turns the data phase from the pipeline's dominant cost into an
-// integer compare for registered databases. A full-phase check
-// against the 16-table bench fixture costs ~10⁵ µs of profiling;
-// every batch against a registered database used to pay it again even
-// though the data had not changed. The cache keys profiles by
+// Byte-bounded table-profile cache — the memoization layer that turns
+// the data phase from the pipeline's dominant cost into an integer
+// compare for registered databases. A full-phase check against the
+// 16-table bench fixture costs ~10⁵ µs of profiling; every batch
+// against a registered database used to pay it again even though the
+// data had not changed. The cache keys profiles by
 //
 //	(table origin ID, normalized profile options)
 //
@@ -27,19 +27,18 @@ package core
 //
 // Eviction is the cache core's (lru.go): a burst of one-off inline
 // databases (each table profiled once, never again) cannot flush the
-// resident working set of registered fixtures. A ProfileCache is safe
-// for concurrent use and designed to be shared process-wide through
-// Options.SharedProfileCache.
+// resident working set of registered fixtures. Each Engine owns one
+// ProfileCache, bounded by DefaultProfileCacheBytes; it is safe for
+// concurrent use.
 
 import (
 	"sqlcheck/internal/profile"
 	"sqlcheck/internal/storage"
 )
 
-// DefaultProfileCacheBytes bounds an engine-private profile cache when
-// no shared cache is injected (16 MiB of estimated residency; a
-// typical multi-column profile costs a few KiB, so the default holds
-// thousands of tables).
+// DefaultProfileCacheBytes bounds an engine's profile cache (16 MiB of
+// estimated residency; a typical multi-column profile costs a few KiB,
+// so the budget holds thousands of tables).
 const DefaultProfileCacheBytes = 16 << 20
 
 // profileKey identifies a table's profile under given options; the

@@ -1,14 +1,18 @@
 package core
 
-// Shared, byte-bounded report memoization cache — the serving fast
-// path. Production query streams are dominated by repeats: the same
-// scripts, or the same scripts modulo literal values. After the parse
-// and profile caches, a repeated workload still paid fact extraction,
-// gate dispatch, rule evaluation, ranking, and fix synthesis per
-// batch. This cache memoizes the finished per-workload report keyed by
+// Byte-bounded report memoization cache — the serving fast path.
+// Production query streams are dominated by repeats: the same scripts,
+// or the same scripts modulo literal values. After the parse and
+// profile caches, a repeated workload still paid fact extraction, gate
+// dispatch, rule evaluation, ranking, and fix synthesis per batch.
+// This cache memoizes the finished per-workload report keyed by
 //
 //	(script fingerprint, db origin ID + version, normalized ruleset,
 //	 engine configuration, statement texts)
+//
+// Each Engine owns its cache and has one Reporter, so the owner's
+// report configuration (the Checker's ranking weights) is the same for
+// every entry and stays out of the key.
 //
 // The fingerprint (sqltoken.FingerprintScript) collapses literal,
 // whitespace, and case variants onto one value and is the cache's
@@ -39,8 +43,7 @@ package core
 //
 // Eviction is the cache core's (lru.go), and the script-print side
 // cache is a second instance of it. A ReportCache is safe for
-// concurrent use and designed to be shared process-wide through
-// Options.SharedReportCache.
+// concurrent use; its budget is Options.ReportCacheBytes.
 
 import (
 	"strings"
@@ -51,8 +54,8 @@ import (
 )
 
 const (
-	// DefaultReportCacheBytes bounds an engine-private report cache
-	// when no shared cache is injected (32 MiB of estimated residency;
+	// DefaultReportCacheBytes bounds the report cache when
+	// Options.ReportCacheBytes is unset (32 MiB of estimated residency;
 	// a typical report costs a few KiB, so the default holds thousands
 	// of distinct workloads).
 	DefaultReportCacheBytes = 32 << 20
@@ -82,7 +85,6 @@ type reportKey struct {
 	cfg       appctx.Config
 	minConf   float64
 	noPrefilt bool
-	scope     string // owner-supplied discriminator (ranking options)
 }
 
 // reportVariantKey is the exact-lookup key: the fingerprint-keyed
@@ -106,7 +108,7 @@ func identity(key reportKey, texts string) (reportVariantKey, uint64) {
 // fingerprint, database state, and analysis configuration. Payloads
 // are opaque to core — the engine stores what its Options.Reporter
 // builds (for the public Checker, a span-free *sqlcheck.Report) — and
-// shared read-only. Safe for concurrent use by any number of engines.
+// shared read-only. Safe for concurrent use.
 type ReportCache struct {
 	reports *lru[reportVariantKey, any]
 	// variants counts resident entries per fingerprint-keyed tuple at

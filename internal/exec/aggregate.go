@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sqlcheck/internal/sqlast"
@@ -468,10 +467,9 @@ func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, grou
 	}
 
 	if len(s.OrderBy) > 0 && !isRandOrder(s.OrderBy) {
-		keys, err := ex.orderKeys(s, res)
-		if err == nil {
-			sort.SliceStable(res.Rows, func(i, j int) bool { return keys.less(i, j) })
-		}
+		// An ORDER BY the sort cannot evaluate leaves the groups in
+		// their grouping order.
+		_ = sortRows(s, res)
 	}
 	if s.Limit != nil {
 		v, err := Eval(s.Limit, env)

@@ -400,13 +400,8 @@ func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *E
 				j := ex.rand.Intn(i + 1)
 				res.Rows[i], res.Rows[j] = res.Rows[j], res.Rows[i]
 			}
-		} else {
-			keys, err := ex.orderKeys(s, res)
-			if err != nil {
-				return err
-			}
-			sort.SliceStable(res.Rows, func(i, j int) bool { return keys.less(i, j) })
-			keys.apply(res)
+		} else if err := sortRows(s, res); err != nil {
+			return err
 		}
 	}
 	if s.Offset != nil {
@@ -436,36 +431,34 @@ func vInt(v storage.Value) int64 {
 	return int64(f)
 }
 
-// orderKeys evaluates ORDER BY expressions against the projected rows
-// (supporting output-column names and ordinal references).
-type sortKeys struct {
-	rows [][]storage.Value
-	desc []bool
-	res  *Result
-	perm []int
-}
-
-func (ex *executor) orderKeys(s *sqlast.SelectStatement, res *Result) (*sortKeys, error) {
-	sk := &sortKeys{res: res, perm: make([]int, len(res.Rows))}
-	for i := range sk.perm {
-		sk.perm[i] = i
+// sortRows orders res.Rows by the statement's ORDER BY expressions,
+// evaluated against the projected rows (output-column names and
+// ordinal references resolve to their columns). Each row moves
+// together with its sort keys, so the comparator always reads the
+// keys of the rows it compares. On an error res.Rows is left as it
+// was.
+func sortRows(s *sqlast.SelectStatement, res *Result) error {
+	type keyedRow struct {
+		keys []storage.Value
+		row  storage.Row
 	}
-	for _, o := range s.OrderBy {
-		sk.desc = append(sk.desc, o.Desc)
-	}
-	sk.rows = make([][]storage.Value, len(res.Rows))
+	rows := make([]keyedRow, len(res.Rows))
 	for i, row := range res.Rows {
-		var keys []storage.Value
-		for _, o := range s.OrderBy {
+		keys := make([]storage.Value, len(s.OrderBy))
+		for k, o := range s.OrderBy {
 			v, err := orderValue(o.Expr, s, res, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			keys = append(keys, v)
+			keys[k] = v
 		}
-		sk.rows[i] = keys
+		rows[i] = keyedRow{keys: keys, row: row}
 	}
-	return sk, nil
+	sort.SliceStable(rows, func(i, j int) bool { return keysLess(rows[i].keys, rows[j].keys, s.OrderBy) })
+	for i := range rows {
+		res.Rows[i] = rows[i].row
+	}
+	return nil
 }
 
 func orderValue(e sqlast.Expr, s *sqlast.SelectStatement, res *Result, row storage.Row) (storage.Value, error) {
@@ -491,36 +484,31 @@ func orderValue(e sqlast.Expr, s *sqlast.SelectStatement, res *Result, row stora
 	}
 }
 
-func (sk *sortKeys) less(i, j int) bool {
-	a, b := sk.rows[i], sk.rows[j]
+// keysLess orders two rows' sort keys: NULL first ascending and last
+// descending, ties broken by the next key.
+func keysLess(a, b []storage.Value, order []sqlast.OrderItem) bool {
 	for k := range a {
-		av, bv := a[k], b[k]
+		av, bv, desc := a[k], b[k], order[k].Desc
 		if av.IsNull() && bv.IsNull() {
 			continue
 		}
 		if av.IsNull() {
-			return !sk.desc[k]
+			return !desc
 		}
 		if bv.IsNull() {
-			return sk.desc[k]
+			return desc
 		}
 		c := storage.Compare(av, bv)
 		if c == 0 {
 			continue
 		}
-		if sk.desc[k] {
+		if desc {
 			return c > 0
 		}
 		return c < 0
 	}
 	return false
 }
-
-// apply re-sorts the key rows alongside the result rows. Because
-// sort.SliceStable already moved res.Rows, the keys are stale; sorting
-// keys jointly would be cleaner, but res.Rows and keys were built in
-// the same order and sorted with the same comparator, so nothing to do.
-func (sk *sortKeys) apply(res *Result) {}
 
 // ---------------------------------------------------------------------------
 // Projection helpers

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,6 +222,47 @@ func TestOrderByLimitOffset(t *testing.T) {
 	res3 := q(t, db, "SELECT User_ID, Score FROM Users ORDER BY 2 DESC LIMIT 1")
 	if res3.Rows[0][1].I != 390 {
 		t.Fatalf("ordinal order = %v", res3.Rows)
+	}
+}
+
+// TestOrderBySortsRowsWithTheirKeys: ORDER BY returns rows in key
+// order on a table whose values arrive shuffled, for plain, grouped,
+// and descending-with-limit queries. Sorting rows by keys indexed by
+// position, without moving the keys, scrambles the order after the
+// first swap.
+func TestOrderBySortsRowsWithTheirKeys(t *testing.T) {
+	db := storage.NewDatabase("order")
+	if _, err := RunSQL(db, "CREATE TABLE t (id INT PRIMARY KEY, v INT, g INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for id, v := range rand.New(rand.NewSource(1)).Perm(26) {
+		if _, err := RunSQL(db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d)", id, v, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asc := make([]int64, 26)
+	for i := range asc {
+		asc[i] = int64(i)
+	}
+	for _, tc := range []struct {
+		name string
+		sql  string
+		want []int64
+	}{
+		{"plain", "SELECT v FROM t ORDER BY v", asc},
+		{"grouped", "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g", asc},
+		{"desc_limit", "SELECT v FROM t ORDER BY v DESC LIMIT 3", []int64{25, 24, 23}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := q(t, db, tc.sql)
+			got := make([]int64, len(res.Rows))
+			for i, row := range res.Rows {
+				got[i] = row[0].I
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s = %v, want %v", tc.sql, got, tc.want)
+			}
+		})
 	}
 }
 

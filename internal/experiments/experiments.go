@@ -20,8 +20,8 @@ import (
 type Measurement struct {
 	Label string
 	// AP and Fixed are the execution times of the anti-pattern and
-	// repaired designs: the mean run, or the median run where the two
-	// are timed interleaved (timePair).
+	// repaired designs: the median run (timeIt, timePair), or the mean
+	// run of a destructive operation timed from fresh state (timeOnce).
 	AP, Fixed time.Duration
 	// PaperAP and PaperFixed record the paper's reported seconds for
 	// reference (0 when the paper gives only a factor).
@@ -55,19 +55,22 @@ func Fprint(w io.Writer, title string, ms []Measurement) {
 	fmt.Fprintln(w)
 }
 
-// timeIt runs f repeatedly and returns the mean duration. It runs one
-// untimed warm-up first, then `runs` timed iterations (the paper
-// reports the average of five runs).
+// timeIt runs f repeatedly and returns the median run. It runs one
+// untimed warm-up first, then `runs` timed iterations. The paper
+// reports the average of five runs, but a mean would let one run
+// preempted on a loaded host decide the result (see timePair).
 func timeIt(runs int, f func()) time.Duration {
 	if runs <= 0 {
 		runs = 5
 	}
 	f() // warm-up
-	start := time.Now()
-	for i := 0; i < runs; i++ {
+	ds := make([]time.Duration, runs)
+	for i := range runs {
+		start := time.Now()
 		f()
+		ds[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(runs)
+	return median(ds)
 }
 
 // timePair measures two alternatives by interleaving their runs so

@@ -77,9 +77,10 @@ func TestFigure8Shapes(t *testing.T) {
 	}
 }
 
-// TestTimePairIgnoresOneStalledRun pins that one stalled run does not
-// decide a pair: a 20 ms stall among ten no-op runs would lift a mean
-// to 2 ms, while each side's median stays at its typical run.
+// TestTimePairIgnoresOneStalledRun pins that one stalled run decides
+// neither a pair nor a single timing: a 20 ms stall among ten no-op
+// runs would lift a mean to 2 ms, while the median stays at the
+// typical run.
 func TestTimePairIgnoresOneStalledRun(t *testing.T) {
 	calls := 0
 	stallOnce := func() {
@@ -90,10 +91,14 @@ func TestTimePairIgnoresOneStalledRun(t *testing.T) {
 	}
 	slow, fast := timePair(10, func() { time.Sleep(2 * time.Millisecond) }, stallOnce)
 	if fast >= time.Millisecond {
-		t.Errorf("no-op side with one 20ms stall = %v, want its typical run (< 1ms)", fast)
+		t.Errorf("timePair: no-op side with one 20ms stall = %v, want its typical run (< 1ms)", fast)
 	}
 	if slow < 2*time.Millisecond {
-		t.Errorf("2ms side = %v, want >= 2ms", slow)
+		t.Errorf("timePair: 2ms side = %v, want >= 2ms", slow)
+	}
+	calls = 0
+	if d := timeIt(10, stallOnce); d >= time.Millisecond {
+		t.Errorf("timeIt: no-op runs with one 20ms stall = %v, want the typical run (< 1ms)", d)
 	}
 }
 

@@ -54,10 +54,8 @@ func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows), TotalRows: t.Len(), opts: opts}
 
 	type colState struct {
-		freq    map[string]int
-		nums    []float64
-		sumLen  int
-		strSeen int
+		freq map[string]int
+		nums []float64
 	}
 	states := make([]*colState, len(t.Cols))
 	for i, cd := range t.Cols {
@@ -81,8 +79,6 @@ func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 				st.nums = append(st.nums, f)
 			}
 			if v.Kind == storage.KindString {
-				st.strSeen++
-				st.sumLen += len(s)
 				switch {
 				case reInt.MatchString(s):
 					cp.IntLike++
@@ -123,18 +119,9 @@ func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 				cp.TopValue, cp.TopFreq = v, n
 			}
 		}
-		if st.strSeen > 0 {
-			cp.AvgLen = float64(st.sumLen) / float64(st.strSeen)
-		}
 		if len(st.nums) > 0 {
 			sort.Float64s(st.nums)
 			cp.Min, cp.Max = st.nums[0], st.nums[len(st.nums)-1]
-			var sum float64
-			for _, f := range st.nums {
-				sum += f
-			}
-			cp.Mean = sum / float64(len(st.nums))
-			cp.Median = st.nums[len(st.nums)/2]
 		}
 	}
 

@@ -21,9 +21,9 @@
 package profile
 
 import (
+	"cmp"
 	"context"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,8 +97,6 @@ type ColumnProfile struct {
 	// Numeric stats (over values that coerce to numbers).
 	NumericCount int
 	Min, Max     float64
-	Mean         float64
-	Median       float64
 
 	// String format counters (over non-null string renderings).
 	IntLike      int
@@ -109,7 +107,6 @@ type ColumnProfile struct {
 	PathLike     int
 	EmailLike    int
 	DelimList    int // looks like a delimiter-separated value list
-	AvgLen       float64
 	PlainTextish int // short, unhashed-looking strings (password rule)
 }
 
@@ -323,15 +320,14 @@ func renderCell(v storage.Value) cell {
 
 // scratch is the reusable per-profile working state: one cell slice
 // per column (indexed by reservoir slot), a frequency map shared by
-// the sequential per-column stats passes, the FD pair map, and the
-// numeric sort buffer. Pooled so that profiling N tables — the
-// engine's per-table fan-out — allocates scratch O(pool) times, not
-// O(tables), and concurrent profiles never contend on shared state.
+// the sequential per-column stats passes, and the FD pair map. Pooled
+// so that profiling N tables — the engine's per-table fan-out —
+// allocates scratch O(pool) times, not O(tables), and concurrent
+// profiles never contend on shared state.
 type scratch struct {
 	cols [][]cell
 	freq map[string]int
 	fd   map[string]string
-	nums []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -452,13 +448,10 @@ func (sc *scratch) fdMap() map[string]string {
 }
 
 // columnStats computes one column's profile from its rendered cells.
-// Cells are visited in reservoir-slot order — the same order the row
-// loop observed them — so float accumulation order (and therefore
-// Mean, bit for bit) matches the reference implementation.
+// Min and Max follow sort.Float64s's order, in which a NaN sorts
+// before every number.
 func (sc *scratch) columnStats(cp *ColumnProfile, cells []cell) {
 	freq := sc.freqMap()
-	nums := sc.nums[:0]
-	sumLen, strSeen := 0, 0
 	for i := range cells {
 		c := &cells[i]
 		cp.Rows++
@@ -479,11 +472,16 @@ func (sc *scratch) columnStats(cp *ColumnProfile, cells []cell) {
 		if c.isNum && (c.kind == storage.KindInt || c.kind == storage.KindFloat ||
 			c.kind == storage.KindString && (isInt || isFloat)) {
 			cp.NumericCount++
-			nums = append(nums, c.f)
+			switch {
+			case cp.NumericCount == 1:
+				cp.Min, cp.Max = c.f, c.f
+			case cmp.Less(c.f, cp.Min):
+				cp.Min = c.f
+			case cmp.Less(cp.Max, c.f):
+				cp.Max = c.f
+			}
 		}
 		if c.kind == storage.KindString {
-			strSeen++
-			sumLen += len(c.s)
 			switch {
 			case isInt:
 				cp.IntLike++
@@ -523,20 +521,6 @@ func (sc *scratch) columnStats(cp *ColumnProfile, cells []cell) {
 			cp.TopValue, cp.TopFreq = v, n
 		}
 	}
-	if strSeen > 0 {
-		cp.AvgLen = float64(sumLen) / float64(strSeen)
-	}
-	if len(nums) > 0 {
-		sort.Float64s(nums)
-		cp.Min, cp.Max = nums[0], nums[len(nums)-1]
-		var sum float64
-		for _, f := range nums {
-			sum += f
-		}
-		cp.Mean = sum / float64(len(nums))
-		cp.Median = nums[len(nums)/2]
-	}
-	sc.nums = nums[:0] // keep grown capacity for the next column
 }
 
 // ProfileDatabase profiles every table.

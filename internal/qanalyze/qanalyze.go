@@ -65,7 +65,6 @@ type Facts struct {
 	OrderByRand     bool
 	PatternMatching bool // LIKE with leading wildcard or REGEXP anywhere
 	ConcatColumns   []ColumnUse
-	SubqueryCount   int
 
 	// INSERT facts.
 	InsertNoColumns bool
@@ -79,7 +78,6 @@ type Facts struct {
 	// AST); Facts only mirrors what needs cross-query aggregation.
 	CreatesTable string
 	CreatesIndex *IndexFact
-	DropsTable   string
 }
 
 // IndexFact summarizes a CREATE INDEX.
@@ -135,10 +133,6 @@ func Analyze(stmt sqlast.Statement) *Facts {
 		f.CreatesIndex = &IndexFact{Name: s.Name, Table: s.Table, Columns: s.Columns, Unique: s.Unique}
 	case *sqlast.AlterTableStatement:
 		f.Tables = append(f.Tables, TableUse{Name: s.Table})
-	case *sqlast.DropStatement:
-		if s.DropKind == sqlast.KindDropTable {
-			f.DropsTable = s.Name
-		}
 	}
 	return f
 }
@@ -162,7 +156,6 @@ func orAlias(t, def string) string {
 func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 	for _, t := range s.From {
 		if t.Sub != nil {
-			f.SubqueryCount++
 			analyzeSelect(f, t.Sub, false)
 			continue
 		}
@@ -205,7 +198,6 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 	f.JoinCount += len(s.Joins)
 	for _, j := range s.Joins {
 		if j.Table.Sub != nil {
-			f.SubqueryCount++
 			analyzeSelect(f, j.Table.Sub, false)
 		} else {
 			f.Tables = append(f.Tables, TableUse{Name: j.Table.Name, Alias: j.Table.Alias})
@@ -268,7 +260,6 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 	}
 	for _, c := range s.With {
 		if c.Select != nil {
-			f.SubqueryCount++
 			analyzeSelect(f, c.Select, false)
 		}
 	}
@@ -276,13 +267,6 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 
 func analyzeWhere(f *Facts, where sqlast.Expr, table, alias string) {
 	for _, conj := range splitAnd(where) {
-		sqlast.WalkExpr(conj, func(e sqlast.Expr) bool {
-			if _, ok := e.(*sqlast.SubQuery); ok {
-				f.SubqueryCount++
-				return false
-			}
-			return true
-		})
 		be, ok := conj.(*sqlast.BinaryExpr)
 		if !ok {
 			continue

@@ -133,23 +133,12 @@ func TestDDLFacts(t *testing.T) {
 	if f.CreatesIndex == nil || !f.CreatesIndex.Unique || len(f.CreatesIndex.Columns) != 2 {
 		t.Errorf("index fact = %+v", f.CreatesIndex)
 	}
-	f = facts(t, "DROP TABLE t")
-	if f.DropsTable != "t" {
-		t.Error("drops table")
-	}
 }
 
 func TestConcatColumns(t *testing.T) {
 	f := facts(t, "SELECT first_name || ' ' || last_name FROM users")
 	if len(f.ConcatColumns) < 2 {
 		t.Errorf("concat columns = %+v", f.ConcatColumns)
-	}
-}
-
-func TestSubqueryCount(t *testing.T) {
-	f := facts(t, "SELECT * FROM (SELECT id FROM a) s WHERE id IN (SELECT x FROM b)")
-	if f.SubqueryCount != 2 {
-		t.Errorf("subqueries = %d", f.SubqueryCount)
 	}
 }
 

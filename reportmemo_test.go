@@ -121,56 +121,34 @@ func TestReportMemoLiteralSoundness(t *testing.T) {
 	}
 }
 
-// TestReportMemoSharedCache: one NewReportCache serves several
-// Checkers with identical configuration, counters and the
-// fingerprint-cardinality gauge are visible on both the cache and
-// engine metrics, and NoReportCache opts a workload out entirely.
-func TestReportMemoSharedCache(t *testing.T) {
-	shared := NewReportCache(1 << 20)
-	a := New(Options{ReportCache: shared})
-	b := New(Options{ReportCache: shared})
+// TestReportMemoOptOutAndResidency: the report cache's residency is
+// visible through Metrics().ReportCache, and NoReportCache opts a
+// workload out entirely — no hit, no miss, no entry — while its
+// report stays byte-identical to the memoized one.
+func TestReportMemoOptOutAndResidency(t *testing.T) {
+	checker := New(Options{ReportCacheBytes: 1 << 20})
 
 	sql := spanStmt1 + ";\n" + spanStmt2
-	repA := checkOne(t, a, Workload{SQL: sql})
-	repB := checkOne(t, b, Workload{SQL: sql})
-	if shared.Stats().Hits == 0 {
-		t.Fatalf("checker b did not hit the cache checker a populated: %+v", shared.Stats())
-	}
-	rawA, _ := json.Marshal(repA)
-	rawB, _ := json.Marshal(repB)
-	if string(rawA) != string(rawB) {
-		t.Fatalf("shared-cache reports differ\na: %s\nb: %s", rawA, rawB)
-	}
-	st := shared.Stats()
+	rep := checkOne(t, checker, Workload{SQL: sql})
+	raw, _ := json.Marshal(rep)
+	st := checker.Metrics().ReportCache
 	if st.Entries == 0 || st.Bytes == 0 || st.Fingerprints == 0 {
 		t.Errorf("cache stats missing residency: %+v", st)
 	}
 	if st.Fingerprints > st.Entries {
 		t.Errorf("fingerprint cardinality %d exceeds entries %d", st.Fingerprints, st.Entries)
 	}
-	if em := a.Metrics().ReportCache; em.Hits != st.Hits || em.Fingerprints != st.Fingerprints {
-		t.Errorf("engine metrics disagree with cache stats: %+v vs %+v", em, st)
-	}
 
 	// Opt-out: a NoReportCache repeat neither hits nor stores.
-	before := shared.Stats()
-	repOpt := checkOne(t, a, Workload{SQL: sql, NoReportCache: true})
-	after := shared.Stats()
+	before := checker.Metrics().ReportCache
+	repOpt := checkOne(t, checker, Workload{SQL: sql, NoReportCache: true})
+	after := checker.Metrics().ReportCache
 	if after.Hits != before.Hits || after.Misses != before.Misses || after.Entries != before.Entries {
 		t.Errorf("NoReportCache workload touched the cache: before %+v after %+v", before, after)
 	}
 	rawOpt, _ := json.Marshal(repOpt)
-	if string(rawOpt) != string(rawA) {
-		t.Fatalf("opt-out report differs from memoized report\nopt: %s\nmemo: %s", rawOpt, rawA)
-	}
-
-	// Checkers with different ranking configuration must not share
-	// reports even on the same cache (scores differ under C2 weights).
-	c := New(Options{ReportCache: shared, Weights: Hybrid})
-	preHits := shared.Stats().Hits
-	checkOne(t, c, Workload{SQL: sql})
-	if shared.Stats().Hits != preHits {
-		t.Error("checker with different ranking weights hit another configuration's report")
+	if string(rawOpt) != string(raw) {
+		t.Fatalf("opt-out report differs from memoized report\nopt: %s\nmemo: %s", rawOpt, raw)
 	}
 }
 

@@ -103,42 +103,29 @@ type Options struct {
 	// slots that are idle at the time. Report-cache hits take no slot.
 	// 0 uses GOMAXPROCS; 1 analyzes one workload at a time.
 	Concurrency int
-	// SharedCache, when non-nil, replaces the Checker's private
-	// parsed-statement cache: point several Checkers (or a daemon and
-	// its batch callers) at one NewCache so repeated statements parse
-	// once per process, not once per Checker.
-	SharedCache *Cache
-	// ProfileCache, when non-nil, replaces the Checker's private
-	// table-profile memoization cache — the data-phase analogue of
-	// SharedCache. Profiles are keyed by (table identity, sampling
-	// options) and tagged with the table version they profiled;
-	// versions bump on every DML statement, so a registered database
-	// whose data has not changed re-checks without re-profiling (the
-	// warm path is a cache hit per table), and after a write the
-	// table's re-profiled version replaces the old one in place. Point
-	// several Checkers at one NewProfileCache to share profiles
-	// process-wide. Reports are identical warm or cold: profiling is
-	// deterministic, so a hit returns exactly what a fresh pass would
-	// compute.
-	ProfileCache *ProfileCache
-	// ReportCache, when non-nil, replaces the Checker's private
-	// finished-report memoization cache — the serving fast path above
-	// both other caches. Reports are keyed by the workload's normalized
-	// script fingerprint (literals, whitespace, and keyword case hashed
-	// away) together with the database identity and state version, the
-	// compiled rule selection, and the analysis configuration; a hit
-	// additionally requires the statement texts to match the memoized
-	// workload byte for byte, because detector messages and several
-	// rules read literal values. A repeated workload against an
-	// unchanged database is then served in microseconds without
-	// parsing, profiling, or rule evaluation — and any DML on the
-	// database moves its version, so a stale report never hits and the
-	// next analysis of the workload replaces it in place. Served
-	// reports are deep copies: mutating one never corrupts the cache.
-	// Point several Checkers at one NewReportCache to share the fast
-	// path process-wide; workloads opt out per request with
-	// Workload.NoReportCache.
-	ReportCache *ReportCache
+	// ParseCacheBytes bounds the Checker's parsed-statement cache by
+	// estimated resident bytes; <= 0 selects the default (32 MiB). A
+	// statement repeated across tenants, requests, and batches parses
+	// once per Checker.
+	ParseCacheBytes int64
+	// ReportCacheBytes bounds the Checker's finished-report memoization
+	// cache — the serving fast path above both other caches — by
+	// estimated resident bytes; <= 0 selects the default (32 MiB).
+	// Reports are keyed by the workload's normalized script fingerprint
+	// (literals, whitespace, and keyword case hashed away) together
+	// with the database identity and state version, the compiled rule
+	// selection, and the analysis configuration; a hit additionally
+	// requires the statement texts to match the memoized workload byte
+	// for byte, because detector messages and several rules read
+	// literal values. A repeated workload against an unchanged database
+	// is then served in microseconds without parsing, profiling, or
+	// rule evaluation — and any DML on the database moves its version,
+	// so a stale report never hits and the next analysis of the
+	// workload replaces it in place. Served reports are deep copies:
+	// mutating one never corrupts the cache. Workloads opt out per
+	// request with Workload.NoReportCache; Metrics().ReportCache
+	// reports the cache's counters.
+	ReportCacheBytes int64
 	// NoCoalesce disables coalescing. By default each distinct cold
 	// workload is analyzed once however many copies arrive: workloads
 	// sharing a report identity (same normalized fingerprint,
@@ -191,66 +178,10 @@ type Options struct {
 	PageCacheBytes int64
 }
 
-// Cache is a process-shareable parsed-statement cache, bounded by
-// estimated resident bytes and evicting least-recently-used entries
-// first (with an admission filter that keeps cyclic over-capacity
-// workloads from flushing it). A Cache is safe for concurrent use by
-// any number of Checkers.
-type Cache struct {
-	inner *core.ParseCache
-}
-
-// NewCache builds a cache bounded by maxBytes of estimated parsed-AST
-// residency; <= 0 selects the default (32 MiB).
-func NewCache(maxBytes int64) *Cache {
-	return &Cache{inner: core.NewParseCache(maxBytes)}
-}
-
-// Stats snapshots the cache's counters.
-func (c *Cache) Stats() CacheStats { return c.inner.Stats() }
-
-// CacheStats is a point-in-time snapshot of a parse cache: lookup
-// counters, eviction count, and estimated resident bytes against the
-// configured bound.
+// CacheStats is a point-in-time snapshot of the parse or profile cache
+// (Metrics().Cache, Metrics().ProfileCache): lookup counters, eviction
+// count, and estimated resident bytes against the configured bound.
 type CacheStats = core.CacheStats
-
-// ProfileCache is a process-shareable table-profile memoization
-// cache, bounded by estimated resident bytes with LRU eviction and an
-// admission filter (so bursts of one-off inline databases cannot
-// flush registered fixtures' profiles). A ProfileCache is safe for
-// concurrent use by any number of Checkers.
-type ProfileCache struct {
-	inner *core.ProfileCache
-}
-
-// NewProfileCache builds a profile cache bounded by maxBytes of
-// estimated profile residency; <= 0 selects the default (16 MiB).
-func NewProfileCache(maxBytes int64) *ProfileCache {
-	return &ProfileCache{inner: core.NewProfileCache(maxBytes)}
-}
-
-// Stats snapshots the profile cache's counters.
-func (c *ProfileCache) Stats() CacheStats { return c.inner.Stats() }
-
-// ReportCache is a process-shareable finished-report memoization
-// cache, bounded by estimated resident bytes with LRU eviction and an
-// admission filter. It is the top of the cache hierarchy: where the
-// parse cache saves re-parsing and the profile cache saves
-// re-profiling, a report-cache hit skips the analysis pipeline
-// entirely and serves the memoized report. A ReportCache is safe for
-// concurrent use by any number of Checkers.
-type ReportCache struct {
-	inner *core.ReportCache
-}
-
-// NewReportCache builds a report cache bounded by maxBytes of
-// estimated report residency; <= 0 selects the default (32 MiB).
-func NewReportCache(maxBytes int64) *ReportCache {
-	return &ReportCache{inner: core.NewReportCache(maxBytes)}
-}
-
-// Stats snapshots the report cache's counters.
-func (c *ReportCache) Stats() ReportCacheStats { return c.inner.Stats() }
 
 // ReportCacheStats is a point-in-time snapshot of a report cache:
 // hit/miss/eviction counters, the variant-miss count (fingerprint
@@ -262,8 +193,15 @@ type ReportCacheStats = core.ReportCacheStats
 
 // Checker runs the detect → rank → fix pipeline. A Checker is safe
 // for concurrent use: all checks share one bounded worker pool and
-// one parsed-AST cache, so a server can hold a single Checker and
-// serve overlapping requests without oversubscribing the host.
+// the Checker's caches, so a server can hold a single Checker and
+// serve overlapping requests without oversubscribing the host. The
+// caches belong to the Checker: parsed statements
+// (Options.ParseCacheBytes), finished reports
+// (Options.ReportCacheBytes), and table profiles in a 16 MiB cache
+// keyed by (table identity, sampling options) and tagged with the
+// table version they profiled, so a registered database whose data
+// has not changed re-checks without re-profiling, and after a write
+// the table's re-profiled version replaces the old one in place.
 type Checker struct {
 	opts Options
 
@@ -826,15 +764,8 @@ func (c *Checker) coreOptions() core.Options {
 		opts.Config.Profile.SampleSize = c.opts.SampleSize
 	}
 	opts.Rules = c.opts.Rules
-	if c.opts.SharedCache != nil {
-		opts.SharedCache = c.opts.SharedCache.inner
-	}
-	if c.opts.ProfileCache != nil {
-		opts.SharedProfileCache = c.opts.ProfileCache.inner
-	}
-	if c.opts.ReportCache != nil {
-		opts.SharedReportCache = c.opts.ReportCache.inner
-	}
+	opts.ParseCacheBytes = c.opts.ParseCacheBytes
+	opts.ReportCacheBytes = c.opts.ReportCacheBytes
 	opts.NoCoalesce = c.opts.NoCoalesce
 	opts.Reporter = newReporter(c.opts)
 	if c.opts.PageCacheBytes > 0 {
@@ -851,7 +782,6 @@ func (c *Checker) coreOptions() core.Options {
 // it.
 type reporter struct {
 	model *rank.Model // read-only once built
-	scope string
 }
 
 func newReporter(o Options) *reporter {
@@ -863,16 +793,8 @@ func newReporter(o Options) *reporter {
 	if o.RankQueriesByCount {
 		model.Mode = rank.ByCount
 	}
-	// The ranking configuration shapes scores and query ordering inside
-	// finished reports but is invisible to the engine, so it rides in
-	// the report-cache key as the scope: Checkers with different
-	// ranking settings sharing one ReportCache never serve each other's
-	// reports.
-	return &reporter{model: model, scope: fmt.Sprintf("w%d,c%t", o.Weights, o.RankQueriesByCount)}
+	return &reporter{model: model}
 }
-
-// Scope is the ranking configuration (see newReporter).
-func (r *reporter) Scope() string { return r.scope }
 
 // Report ranks a detection result and attaches fixes. The report is
 // span-free and may be memoized, so its slices are sized up front, and

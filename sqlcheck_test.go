@@ -711,26 +711,31 @@ func TestCheckWorkloadsEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossCheckers: two Checkers with one injected Cache
-// parse a repeated workload once.
-func TestSharedCacheAcrossCheckers(t *testing.T) {
-	cache := NewCache(1 << 20)
-	sql := `CREATE TABLE t (id INT PRIMARY KEY); SELECT * FROM t ORDER BY RAND();`
-	a := New(Options{SharedCache: cache})
-	if _, err := a.CheckSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	missesAfterA := cache.Stats().Misses
-	b := New(Options{SharedCache: cache})
-	if _, err := b.CheckSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Misses != missesAfterA {
-		t.Errorf("second Checker re-parsed: misses %d -> %d", missesAfterA, st.Misses)
-	}
-	if st.Hits == 0 || st.Entries == 0 || st.Bytes == 0 {
-		t.Errorf("shared cache unused: %+v", st)
+// TestCacheBudgetOptions: ParseCacheBytes and ReportCacheBytes size the
+// Checker's own parse and report caches (<= 0 selects the 32 MiB
+// defaults), and the profile cache keeps its fixed 16 MiB budget.
+func TestCacheBudgetOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		opts          Options
+		parse, report int64
+	}{
+		{"defaults", Options{}, 32 << 20, 32 << 20},
+		{"negative", Options{ParseCacheBytes: -1, ReportCacheBytes: -1}, 32 << 20, 32 << 20},
+		{"set", Options{ParseCacheBytes: 1 << 20, ReportCacheBytes: 2 << 20}, 1 << 20, 2 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(tc.opts).Metrics()
+			if m.Cache.MaxBytes != tc.parse {
+				t.Errorf("parse cache budget = %d, want %d", m.Cache.MaxBytes, tc.parse)
+			}
+			if m.ReportCache.MaxBytes != tc.report {
+				t.Errorf("report cache budget = %d, want %d", m.ReportCache.MaxBytes, tc.report)
+			}
+			if m.ProfileCache.MaxBytes != 16<<20 {
+				t.Errorf("profile cache budget = %d, want %d", m.ProfileCache.MaxBytes, 16<<20)
+			}
+		})
 	}
 }
 

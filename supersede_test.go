@@ -19,8 +19,11 @@ func TestWritesSupersedeCachedVersions(t *testing.T) {
 		db.MustExec(fmt.Sprintf("INSERT INTO users VALUES (%d, 'user%02d', %d)", i, i, 20+i%30))
 		db.MustExec(fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, 'a,b,c')", i, i%7))
 	}
-	reports, profiles := NewReportCache(0), NewProfileCache(0)
-	checker := New(Options{ReportCache: reports, ProfileCache: profiles})
+	checker := New()
+	stats := func() (ReportCacheStats, CacheStats) {
+		m := checker.Metrics()
+		return m.ReportCache, m.ProfileCache
+	}
 	if err := checker.RegisterDatabase("app", db); err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +31,7 @@ func TestWritesSupersedeCachedVersions(t *testing.T) {
 	tables := len(db.Tables())
 
 	checkOne(t, checker, w)
-	first := reports.Stats()
-	firstProfiles := profiles.Stats()
+	first, firstProfiles := stats()
 	if first.Entries != 1 || firstProfiles.Entries != tables {
 		t.Fatalf("after the first check: %d reports and %d profiles, want 1 and %d",
 			first.Entries, firstProfiles.Entries, tables)
@@ -39,7 +41,7 @@ func TestWritesSupersedeCachedVersions(t *testing.T) {
 		// report estimate the same size.
 		db.MustExec(fmt.Sprintf("UPDATE users SET name = 'name%02d' WHERE id = 1", i))
 		checkOne(t, checker, w)
-		rs, ps := reports.Stats(), profiles.Stats()
+		rs, ps := stats()
 		if rs.Entries != 1 || ps.Entries != tables {
 			t.Fatalf("round %d: %d reports and %d profiles resident, want 1 and %d", i, rs.Entries, ps.Entries, tables)
 		}
@@ -48,7 +50,7 @@ func TestWritesSupersedeCachedVersions(t *testing.T) {
 				i, first.Bytes, rs.Bytes, firstProfiles.Bytes, ps.Bytes)
 		}
 	}
-	rs, ps := reports.Stats(), profiles.Stats()
+	rs, ps := stats()
 	if rs.Superseded != rounds || ps.Superseded != rounds || rs.Evictions != 0 || ps.Evictions != 0 {
 		t.Errorf("superseded reports %d, profiles %d, evictions %d and %d; want %d superseded each and no evictions",
 			rs.Superseded, ps.Superseded, rs.Evictions, ps.Evictions, rounds)
