@@ -3,9 +3,17 @@
 // storage engine: point lookups, ordered iteration (for streaming
 // GROUP BY), and range scans. Duplicate keys are supported; each key
 // holds a list of row ids.
+//
+// A leaf stores one row id inline per key, in an ids slice parallel to
+// its keys; only a key holding more than one id gets a posting list of
+// its own. The postings handed to callers (Get, Ascend, AscendRange)
+// are read-only views into the tree, valid until its next mutation.
 package btree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 const (
 	// degree is the maximum number of keys per node; chosen small
@@ -23,9 +31,13 @@ type Tree struct {
 type node struct {
 	leaf     bool
 	keys     []string
-	children []*node   // interior nodes
-	vals     [][]int64 // leaf nodes: posting lists parallel to keys
-	next     *node     // leaf chain for ordered iteration
+	children []*node // interior nodes
+	// Leaf nodes: ids[i] is key i's row id when it has exactly one;
+	// lists, allocated on a leaf's first duplicate key, holds the
+	// posting list of each key with more than one id (nil otherwise).
+	ids   []int64
+	lists [][]int64
+	next  *node // leaf chain for ordered iteration
 }
 
 // New returns an empty tree.
@@ -41,7 +53,7 @@ func (t *Tree) Insert(key string, id int64) {
 	r := t.root
 	if len(r.keys) >= degree {
 		newRoot := &node{children: []*node{r}}
-		newRoot.splitChild(0)
+		newRoot.splitChild(0, key)
 		t.root = newRoot
 	}
 	t.root.insert(key, id)
@@ -56,24 +68,38 @@ func (n *node) descend(key string) int {
 	return sort.Search(len(n.keys), func(j int) bool { return n.keys[j] > key })
 }
 
+// posting returns key i's row ids as a read-only view.
+func (n *node) posting(i int) []int64 {
+	if n.lists != nil && n.lists[i] != nil {
+		return n.lists[i]
+	}
+	return n.ids[i : i+1 : i+1]
+}
+
 func (n *node) insert(key string, id int64) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			n.vals[i] = append(n.vals[i], id)
+			if n.lists == nil {
+				n.lists = make([][]int64, len(n.keys), cap(n.keys))
+			}
+			if n.lists[i] == nil {
+				n.lists[i] = []int64{n.ids[i], id}
+			} else {
+				n.lists[i] = append(n.lists[i], id)
+			}
 			return
 		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = []int64{id}
+		n.keys = slices.Insert(n.keys, i, key)
+		n.ids = slices.Insert(n.ids, i, id)
+		if n.lists != nil {
+			n.lists = slices.Insert(n.lists, i, nil)
+		}
 		return
 	}
 	i := n.descend(key)
 	if len(n.children[i].keys) >= degree {
-		n.splitChild(i)
+		n.splitChild(i, key)
 		if key >= n.keys[i] {
 			i++
 		}
@@ -81,24 +107,40 @@ func (n *node) insert(key string, id int64) {
 	n.children[i].insert(key, id)
 }
 
-// splitChild splits the i-th child, promoting its separator key.
-func (n *node) splitChild(i int) {
+// splitChild splits the full i-th child ahead of inserting key,
+// promoting a separator. A leaf splits in half, except when key sorts
+// after all of its keys: then the leaf stays full and key starts a new
+// empty right sibling, so an ascending load fills its leaves.
+func (n *node) splitChild(i int, key string) {
 	child := n.children[i]
 	mid := len(child.keys) / 2
 	var sep string
-	right := &node{leaf: child.leaf}
+	var right *node
 	if child.leaf {
-		right.keys = append(right.keys, child.keys[mid:]...)
-		right.vals = append(right.vals, child.vals[mid:]...)
-		child.keys = child.keys[:mid]
-		child.vals = child.vals[:mid]
+		if key > child.keys[len(child.keys)-1] {
+			mid = len(child.keys)
+		}
+		right = newLeaf(child, mid)
 		right.next = child.next
 		child.next = right
-		sep = right.keys[0]
+		sep = key
+		if mid < len(child.keys) {
+			sep = child.keys[mid]
+		}
+		clear(child.keys[mid:])
+		child.keys = child.keys[:mid]
+		child.ids = child.ids[:mid]
+		if child.lists != nil {
+			clear(child.lists[mid:])
+			child.lists = child.lists[:mid]
+		}
 	} else {
+		right = &node{}
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid+1:]...)
 		right.children = append(right.children, child.children[mid+1:]...)
+		clear(child.keys[mid:])
+		clear(child.children[mid+1:])
 		child.keys = child.keys[:mid]
 		child.children = child.children[:mid+1]
 	}
@@ -110,15 +152,41 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-// Get returns the posting list for key, or nil.
-func (t *Tree) Get(key string) []int64 {
+// newLeaf returns a leaf holding child's entries from mid on, its
+// slices allocated once at full capacity.
+func newLeaf(child *node, mid int) *node {
+	right := &node{leaf: true, keys: make([]string, 0, degree), ids: make([]int64, 0, degree)}
+	right.keys = append(right.keys, child.keys[mid:]...)
+	right.ids = append(right.ids, child.ids[mid:]...)
+	if child.lists != nil {
+		for _, l := range child.lists[mid:] {
+			if l != nil {
+				right.lists = make([][]int64, len(right.keys), degree)
+				copy(right.lists, child.lists[mid:])
+				break
+			}
+		}
+	}
+	return right
+}
+
+// leafFor returns the leaf that holds key if the tree has it.
+func (t *Tree) leafFor(key string) *node {
 	n := t.root
 	for !n.leaf {
 		n = n.children[n.descend(key)]
 	}
+	return n
+}
+
+// Get returns the posting list for key, or nil. The list is a
+// read-only view, valid until the tree's next mutation: a caller that
+// mutates the tree while using it must copy it first.
+func (t *Tree) Get(key string) []int64 {
+	n := t.leafFor(key)
 	i := sort.SearchStrings(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i]
+		return n.posting(i)
 	}
 	return nil
 }
@@ -128,31 +196,41 @@ func (t *Tree) Get(key string) []int64 {
 // workloads the engine runs — bulk load then read-mostly — rebalancing
 // on delete is not worth its complexity.
 func (t *Tree) Delete(key string, id int64) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.descend(key)]
-	}
+	n := t.leafFor(key)
 	i := sort.SearchStrings(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
 		return false
 	}
-	ids := n.vals[i]
-	for j, v := range ids {
-		if v == id {
-			n.vals[i] = append(ids[:j], ids[j+1:]...)
-			if len(n.vals[i]) == 0 {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.vals = append(n.vals[:i], n.vals[i+1:]...)
+	if n.lists != nil && n.lists[i] != nil {
+		ids := n.lists[i]
+		for j, v := range ids {
+			if v == id {
+				ids = slices.Delete(ids, j, j+1)
+				if len(ids) == 1 {
+					n.ids[i], ids = ids[0], nil
+				}
+				n.lists[i] = ids
+				t.size--
+				return true
 			}
-			t.size--
-			return true
 		}
+		return false
 	}
-	return false
+	if n.ids[i] != id {
+		return false
+	}
+	n.keys = slices.Delete(n.keys, i, i+1)
+	n.ids = slices.Delete(n.ids, i, i+1)
+	if n.lists != nil {
+		n.lists = slices.Delete(n.lists, i, i+1)
+	}
+	t.size--
+	return true
 }
 
 // Ascend calls fn for each (key, ids) pair in ascending key order
-// until fn returns false.
+// until fn returns false. ids is a read-only view, valid until the
+// tree's next mutation; fn must not mutate the tree.
 func (t *Tree) Ascend(fn func(key string, ids []int64) bool) {
 	n := t.root
 	for !n.leaf {
@@ -160,7 +238,7 @@ func (t *Tree) Ascend(fn func(key string, ids []int64) bool) {
 	}
 	for n != nil {
 		for i, k := range n.keys {
-			if !fn(k, n.vals[i]) {
+			if !fn(k, n.posting(i)) {
 				return
 			}
 		}
@@ -170,15 +248,12 @@ func (t *Tree) Ascend(fn func(key string, ids []int64) bool) {
 
 // AscendRange calls fn for keys in [lo, hi] (inclusive bounds; empty
 // string bounds mean unbounded) in ascending order until fn returns
-// false.
+// false. ids is a read-only view, valid until the tree's next
+// mutation; fn must not mutate the tree.
 func (t *Tree) AscendRange(lo, hi string, fn func(key string, ids []int64) bool) {
-	n := t.root
-	for !n.leaf {
-		// Descend toward the leftmost leaf that can contain lo: keys
-		// equal to a separator sit in the right child.
-		i := sort.Search(len(n.keys), func(j int) bool { return n.keys[j] > lo })
-		n = n.children[i]
-	}
+	// Descend toward the leftmost leaf that can contain lo: keys equal
+	// to a separator sit in the right child.
+	n := t.leafFor(lo)
 	for n != nil {
 		for i, k := range n.keys {
 			if k < lo {
@@ -187,7 +262,7 @@ func (t *Tree) AscendRange(lo, hi string, fn func(key string, ids []int64) bool)
 			if hi != "" && k > hi {
 				return
 			}
-			if !fn(k, n.vals[i]) {
+			if !fn(k, n.posting(i)) {
 				return
 			}
 		}

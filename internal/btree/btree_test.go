@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -220,5 +221,43 @@ func TestSeparatorKeysFindable(t *testing.T) {
 		if !tr.Delete(fmt.Sprintf("3U%d", i), int64(i)) {
 			t.Fatalf("Delete(3U%d) failed", i)
 		}
+	}
+}
+
+// bytesPerKey returns the live heap a tree built from keys in the given
+// order holds per key, excluding the key strings themselves (they are
+// allocated before the measurement starts).
+func bytesPerKey(keys []string) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := New()
+	for i, k := range keys {
+		tr.Insert(k, int64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(keys))
+}
+
+// TestBytesPerKey pins the tree's memory per key: one key header and
+// one inline row id per entry, leaves filled by right-edge splits on
+// ascending loads.
+func TestBytesPerKey(t *testing.T) {
+	const n = 200_000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%08d", i)
+	}
+	asc := bytesPerKey(keys)
+	rand.New(rand.NewSource(11)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	shuffled := bytesPerKey(keys)
+	t.Logf("bytes per key: ascending %.1f, shuffled %.1f", asc, shuffled)
+	if asc > 40 {
+		t.Errorf("ascending load holds %.1f B/key, want <= 40", asc)
+	}
+	if shuffled > 56 {
+		t.Errorf("shuffled load holds %.1f B/key, want <= 56", shuffled)
 	}
 }

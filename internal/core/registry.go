@@ -85,6 +85,8 @@ func (r *Registry) Register(name string, db *storage.Database) error {
 	if _, ok := r.dbs[name]; ok {
 		return fmt.Errorf("%w: %q", ErrDatabaseExists, name)
 	}
+	// The name usually comes from a request; a copy lets that go.
+	name = strings.Clone(name)
 	if r.store != nil {
 		// Durable-first: the register record (full encoded state) must
 		// be on disk before the name resolves, or a crash between the

@@ -272,8 +272,8 @@ func (ex *executor) execAggregate(
 		}
 		if eq := equalityForInner(j.on, j.alias, inner); eq != nil {
 			outerVal, err := Eval(eq.outerExpr, env)
-			if err == nil && !outerVal.IsNull() {
-				if ix := inner.IndexOnLeading(eq.innerCol); ix != nil && len(ix.Cols) == 1 {
+			if err == nil {
+				if ix := probeIndex(inner, eq.innerCol, outerVal); ix != nil {
 					for _, id := range ix.Tree().Get(storage.EncodeKey(outerVal)) {
 						row, ferr := inner.Fetch(id)
 						if ferr != nil {
@@ -433,7 +433,7 @@ func compileAggArgs(ap *aggPlan, base *storage.Table, single bool) []int {
 }
 
 // finishAggregate projects group results, applies HAVING, ORDER BY,
-// LIMIT.
+// OFFSET and LIMIT.
 func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, groups map[string]*group, order []string, env *Env) (*Result, error) {
 	res := &Result{Plan: ex.plan}
 	for i, it := range s.Items {
@@ -471,15 +471,7 @@ func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, grou
 		// their grouping order.
 		_ = sortRows(s, res)
 	}
-	if s.Limit != nil {
-		v, err := Eval(s.Limit, env)
-		if err == nil {
-			n := int(vInt(v))
-			if n >= 0 && n < len(res.Rows) {
-				res.Rows = res.Rows[:n]
-			}
-		}
-	}
+	paginate(s, res, env)
 	return res, nil
 }
 

@@ -229,8 +229,8 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 		// Try index nested loop: ON <outer>.<x> = <inner>.<col>.
 		if eq := equalityForInner(j.on, j.alias, inner); eq != nil {
 			outerVal, err := Eval(eq.outerExpr, env)
-			if err == nil && !outerVal.IsNull() {
-				if ix := inner.IndexOnLeading(eq.innerCol); ix != nil && len(ix.Cols) == 1 {
+			if err == nil {
+				if ix := probeIndex(inner, eq.innerCol, outerVal); ix != nil {
 					if level == 0 && len(ex.plan) < 32 {
 						ex.note("IndexJoin(%s.%s)", inner.Name, inner.Cols[eq.innerCol].Name)
 					}
@@ -404,6 +404,14 @@ func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *E
 			return err
 		}
 	}
+	paginate(s, res, env)
+	return nil
+}
+
+// paginate applies OFFSET, then LIMIT, to ordered result rows. A
+// bound that does not evaluate is ignored, a negative OFFSET skips no
+// rows, and a negative LIMIT means no limit.
+func paginate(s *sqlast.SelectStatement, res *Result, env *Env) {
 	if s.Offset != nil {
 		v, err := Eval(s.Offset, env)
 		if err == nil {
@@ -411,7 +419,9 @@ func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *E
 			if n > len(res.Rows) {
 				n = len(res.Rows)
 			}
-			res.Rows = res.Rows[n:]
+			if n > 0 {
+				res.Rows = res.Rows[n:]
+			}
 		}
 	}
 	if s.Limit != nil {
@@ -423,7 +433,6 @@ func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *E
 			}
 		}
 	}
-	return nil
 }
 
 func vInt(v storage.Value) int64 {
@@ -583,18 +592,36 @@ type indexPredicate struct {
 	index *storage.Index
 	key   string
 	// Range scans set isRange with lo/hi key bounds ("" = open); the
-	// originating conjunct stays in the residual filter because the
-	// key-encoding order only approximates value order across types.
+	// originating conjunct stays in the residual filter, which drops
+	// the NULL keys a range with no lower bound walks.
 	isRange bool
 	lo, hi  string
 }
 
+// probeIndex returns the single-column index on t's column col when it
+// answers an equality or range against v exactly as a scan would: v is
+// not NULL and every non-NULL key in the index has v's kind. Keys of
+// another kind sort apart from v's (storage.EncodeKey), while a scan
+// compares across kinds (2 = 2.0, '5' = 5), so such an index would
+// drop rows the scan returns.
+func probeIndex(t *storage.Table, col int, v storage.Value) *storage.Index {
+	if v.IsNull() {
+		return nil
+	}
+	ix := t.IndexOnLeading(col)
+	if ix == nil || len(ix.Cols) != 1 || !ix.OnlyKind(v.Kind) {
+		return nil
+	}
+	return ix
+}
+
 // pickIndexPredicate finds a conjunct of the form col <op> literal
 // where col is the leading column of a single-column index on the base
-// table. Equality yields an exact point access (conjunct consumed);
-// comparisons yield a range access (conjunct retained as a filter).
+// table that probeIndex accepts for the literal. Equality yields an
+// exact point access (conjunct consumed); comparisons yield a range
+// access (conjunct retained as a filter).
 func (ex *executor) pickIndexPredicate(base *storage.Table, alias string, conjuncts []sqlast.Expr) (*indexPredicate, []sqlast.Expr) {
-	indexFor := func(col *sqlast.ColumnRef) *storage.Index {
+	indexFor := func(col *sqlast.ColumnRef, v storage.Value) *storage.Index {
 		if col.Table != "" && !strings.EqualFold(col.Table, alias) && !strings.EqualFold(col.Table, base.Name) {
 			return nil
 		}
@@ -602,11 +629,7 @@ func (ex *executor) pickIndexPredicate(base *storage.Table, alias string, conjun
 		if ord < 0 {
 			return nil
 		}
-		ix := base.IndexOnLeading(ord)
-		if ix == nil || len(ix.Cols) != 1 {
-			return nil
-		}
-		return ix
+		return probeIndex(base, ord, v)
 	}
 	// Equality first: exact and cheapest.
 	for i, c := range conjuncts {
@@ -618,9 +641,10 @@ func (ex *executor) pickIndexPredicate(base *storage.Table, alias string, conjun
 		if col == nil || lit == nil {
 			continue
 		}
-		if ix := indexFor(col); ix != nil {
+		v := literalValue(lit)
+		if ix := indexFor(col, v); ix != nil {
 			rest := append(append([]sqlast.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-			return &indexPredicate{index: ix, key: storage.EncodeKey(literalValue(lit))}, rest
+			return &indexPredicate{index: ix, key: storage.EncodeKey(v)}, rest
 		}
 	}
 	// Range comparisons: the index narrows the access path; the
@@ -639,11 +663,12 @@ func (ex *executor) pickIndexPredicate(base *storage.Table, alias string, conjun
 		if col == nil || lit == nil {
 			continue
 		}
-		ix := indexFor(col)
+		v := literalValue(lit)
+		ix := indexFor(col, v)
 		if ix == nil {
 			continue
 		}
-		key := storage.EncodeKey(literalValue(lit))
+		key := storage.EncodeKey(v)
 		ip := &indexPredicate{index: ix, isRange: true}
 		// Column-on-left orientation; reversed literals flip the op.
 		op := be.Op

@@ -285,8 +285,7 @@ func fig8FKs(n int) []Measurement {
 	updByRef := func(db *storage.Database) {
 		mustExec(db, fmt.Sprintf("UPDATE Orders SET amount = amount + 1 WHERE cust_ref = 'C%d'", r.Intn(users)))
 	}
-	fAP := timeIt(20, func() { updByRef(fkDB) })
-	fFix := timeIt(20, func() { updByRef(fkIdxDB) })
+	fAP, fFix := timePair(20, func() { updByRef(fkDB) }, func() { updByRef(fkIdxDB) })
 
 	return []Measurement{
 		{Label: "fig8d foreign key: update by pk", AP: dAP, Fixed: dFix,

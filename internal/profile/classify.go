@@ -36,6 +36,54 @@ func hasDigit(s string) bool {
 	return false
 }
 
+// mayParseFloat reports whether strconv.ParseFloat might accept s:
+// false only when s lies outside ParseFloat's grammar. A string
+// holding x, X or _ (hexadecimal floats, digit separators), or whose
+// first byte after the sign starts "inf" or "nan", is left to
+// ParseFloat; any other must be a decimal float,
+// [+-] digits [. digits] [(e|E) [+-] digits], with at least one
+// mantissa digit.
+func mayParseFloat(s string) bool {
+	if strings.ContainsAny(s, "xX_") {
+		return true
+	}
+	i, n := 0, len(s)
+	if i < n && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	if i < n {
+		switch s[i] {
+		case 'i', 'I', 'n', 'N':
+			return true
+		}
+	}
+	digits := 0
+	for ; i < n && isDigit(s[i]); i++ {
+		digits++
+	}
+	if i < n && s[i] == '.' {
+		for i++; i < n && isDigit(s[i]); i++ {
+			digits++
+		}
+	}
+	if digits == 0 {
+		return false
+	}
+	if i < n && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < n && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if i == n || !isDigit(s[i]) {
+			return false
+		}
+		for i < n && isDigit(s[i]) {
+			i++
+		}
+	}
+	return i == n
+}
+
 // intLike is reInt: ^\s*-?\d+\s*$
 func intLike(s string) bool {
 	i, n := 0, len(s)

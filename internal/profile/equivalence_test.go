@@ -12,9 +12,11 @@ package profile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -503,4 +505,66 @@ func TestProfileAllocationBudget(t *testing.T) {
 	if allocs > 20000 {
 		t.Errorf("ProfileTable allocated %.0f times; budget is 20000 (reference needs ~60k)", allocs)
 	}
+}
+
+// --- float pre-check ---------------------------------------------------
+
+// parsesFloat reports whether strconv.ParseFloat accepts s, counting
+// an out-of-range value as accepted: it is in the grammar.
+func parsesFloat(s string) bool {
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil || errors.Is(err, strconv.ErrRange)
+}
+
+// TestMayParseFloatEquivalence runs every string of up to five bytes
+// over an alphabet of float-grammar bytes and their near misses.
+// mayParseFloat must never reject a string ParseFloat accepts, and on
+// strings it decides itself (no x, X or _, no leading inf or nan) it
+// must agree with ParseFloat exactly.
+func TestMayParseFloatEquivalence(t *testing.T) {
+	const alphabet = "019+-.eE x_pinI"
+	const maxLen = 5
+	buf := make([]byte, 0, maxLen)
+	var walk func()
+	checked := 0
+	walk = func() {
+		s := string(buf)
+		checked++
+		got, want := mayParseFloat(s), parsesFloat(s)
+		if !got && want {
+			t.Errorf("mayParseFloat(%q) = false, but ParseFloat accepts it", s)
+		}
+		decided := !strings.ContainsAny(s, "xX_") &&
+			!strings.HasPrefix(strings.TrimLeft(s, "+-"), "i") &&
+			!strings.HasPrefix(strings.TrimLeft(s, "+-"), "I") &&
+			!strings.HasPrefix(strings.TrimLeft(s, "+-"), "n")
+		if decided && got != want {
+			t.Errorf("mayParseFloat(%q) = %v, ParseFloat accepts: %v", s, got, want)
+		}
+		if len(buf) == maxLen {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			buf = append(buf, alphabet[i])
+			walk()
+			buf = buf[:len(buf)-1]
+		}
+	}
+	walk()
+	if checked < 800_000 {
+		t.Fatalf("checked %d strings, want every string up to %d bytes", checked, maxLen)
+	}
+}
+
+// FuzzMayParseFloat checks the pre-check's one-sided contract on
+// arbitrary strings: mayParseFloat false implies ParseFloat fails.
+func FuzzMayParseFloat(f *testing.F) {
+	for _, s := range []string{"", "1", "-1.5e+10", ".5", "5.", "1e", "0x1p-2", "1_000", "+Inf", "nan", "12a", "1.2.3", "9e999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if !mayParseFloat(s) && parsesFloat(s) {
+			t.Fatalf("mayParseFloat(%q) = false, but ParseFloat accepts it", s)
+		}
+	})
 }

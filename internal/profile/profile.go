@@ -289,7 +289,10 @@ type cell struct {
 // influence any profiled statistic — strings only count as numeric
 // when they match the int/float formats (which require digits), and
 // the derivation pass's year arithmetic is never satisfied by
-// non-finite values.
+// non-finite values. mayParseFloat screens out, before ParseFloat
+// runs, the strings it would reject: each rejection allocates an
+// error holding a copy of the string, and most text cells that hold a
+// digit are not numbers.
 func renderCell(v storage.Value) cell {
 	c := cell{kind: v.Kind, tz: v.TZKnown}
 	if v.Kind == storage.KindNull {
@@ -310,8 +313,10 @@ func renderCell(v storage.Value) cell {
 		c.f, c.isNum = float64(v.I), true
 	case storage.KindString:
 		if hasDigit(c.s) {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(c.s), 64); err == nil {
-				c.f, c.isNum = f, true
+			if t := strings.TrimSpace(c.s); mayParseFloat(t) {
+				if f, err := strconv.ParseFloat(t, 64); err == nil {
+					c.f, c.isNum = f, true
+				}
 			}
 		}
 	}

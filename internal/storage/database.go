@@ -53,9 +53,10 @@ type Database struct {
 	durableLSN uint64
 }
 
-// NewDatabase creates an empty database.
+// NewDatabase creates an empty database. Like every name storage
+// keeps, the database's name is copied.
 func NewDatabase(name string) *Database {
-	return &Database{Name: name, tables: make(map[string]*Table), id: databaseIDs.Add(1)}
+	return &Database{Name: strings.Clone(name), tables: make(map[string]*Table), id: databaseIDs.Add(1)}
 }
 
 // ID returns the database's origin identity: process-unique per

@@ -80,14 +80,15 @@ func (t *Table) snapshotLocked() *Table {
 func (db *Database) Snapshot() *Database {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := NewDatabase(db.Name)
+	// The source's name is already storage's own copy.
+	out := &Database{Name: db.Name, tables: make(map[string]*Table, len(db.order))}
 	for _, k := range db.order {
 		out.AddTable(db.tables[k].snapshotLocked())
 	}
 	out.frozen = true
 	// The view keeps the source's identity, catalog version, and
-	// durability watermark (NewDatabase/AddTable assigned fresh ones
-	// while building it). Copying durableLSN here, under the same lock
+	// durability watermark (AddTable advanced the version while
+	// building it). Copying durableLSN here, under the same lock
 	// hold that froze the pages, is what makes a snapshot a valid
 	// checkpoint unit: the watermark names exactly the WAL prefix this
 	// state reflects.

@@ -32,11 +32,43 @@ type ColumnDef struct {
 // Index is a secondary index over one or more columns, implemented as
 // a B+tree keyed by the encoded column values.
 type Index struct {
-	Name    string
-	Cols    []int // column ordinals
-	Unique  bool
-	tree    *btree.Tree
+	Name   string
+	Cols   []int // column ordinals
+	Unique bool
+	tree   *btree.Tree
+	// kinds counts the index's postings by the kind of their leading
+	// column's value (see OnlyKind).
+	kinds   [KindTime + 1]int
 	touches int64 // maintenance operation count, for stats
+}
+
+// add inserts row r's posting under its encoded key.
+func (ix *Index) add(key string, r Row, id int64) {
+	ix.tree.Insert(key, id)
+	ix.kinds[r[ix.Cols[0]].Kind]++
+	ix.touches++
+}
+
+// remove deletes row r's posting from under its encoded key.
+func (ix *Index) remove(key string, r Row, id int64) {
+	if ix.tree.Delete(key, id) {
+		ix.kinds[r[ix.Cols[0]].Kind]--
+	}
+	ix.touches++
+}
+
+// OnlyKind reports whether every non-NULL value of the index's leading
+// column has kind k. Keys sort in value order only within one kind
+// (EncodeKey), and a scan compares across kinds (Compare, Equal), so
+// an executor answers a comparison against a literal of kind k from
+// the index only when OnlyKind(k) holds.
+func (ix *Index) OnlyKind(k ValueKind) bool {
+	for kind, n := range ix.kinds {
+		if n > 0 && ValueKind(kind) != k && ValueKind(kind) != KindNull {
+			return false
+		}
+	}
+	return true
 }
 
 // Tree exposes the underlying B+tree for ordered traversal by the
@@ -44,11 +76,19 @@ type Index struct {
 func (ix *Index) Tree() *btree.Tree { return ix.tree }
 
 func (ix *Index) keyFor(r Row) string {
+	if len(ix.Cols) == 1 {
+		return EncodeKey(r[ix.Cols[0]])
+	}
+	return EncodeKey(ix.values(r)...)
+}
+
+// values returns row r's values of the index columns.
+func (ix *Index) values(r Row) []Value {
 	vals := make([]Value, len(ix.Cols))
 	for i, c := range ix.Cols {
 		vals[i] = r[c]
 	}
-	return EncodeKey(vals...)
+	return vals
 }
 
 // ForeignKey enforces that values in Cols exist in RefTable.RefCols.
@@ -229,14 +269,17 @@ func (t *Table) setRow(id int64, r Row) {
 	p.rows.Load()[id%PageRows] = r
 }
 
-// NewTable creates a table with the given columns.
+// NewTable creates a table with the given columns. The table keeps
+// cols and copies every name in it: a name is usually a substring of
+// the statement that created it, and a copy lets that text go.
 func NewTable(name string, cols []ColumnDef) *Table {
 	t := &Table{
-		Name: name, Cols: cols, colIdx: make(map[string]int),
+		Name: strings.Clone(name), Cols: cols, colIdx: make(map[string]int),
 		pool: newBufferPool(0), id: tableIDs.Add(1),
 	}
-	for i, c := range cols {
-		t.colIdx[strings.ToLower(c.Name)] = i
+	for i := range cols {
+		cols[i].Name = strings.Clone(cols[i].Name)
+		t.colIdx[strings.ToLower(cols[i].Name)] = i
 	}
 	return t
 }
@@ -330,7 +373,10 @@ func (t *Table) AddForeignKey(name string, cols []string, refTable string, refCo
 	if t.frozen {
 		return ErrFrozen
 	}
-	fk := ForeignKey{Name: name, RefTable: refTable, RefCols: refCols, OnDelete: strings.ToUpper(onDelete)}
+	fk := ForeignKey{
+		Name: strings.Clone(name), RefTable: strings.Clone(refTable),
+		RefCols: cloneStrings(refCols), OnDelete: strings.Clone(strings.ToUpper(onDelete)),
+	}
 	for _, c := range cols {
 		i := t.ColIndex(c)
 		if i < 0 {
@@ -359,7 +405,7 @@ func (t *Table) AddCheckInList(name, col string, allowed []string) error {
 	}
 	set := make(map[string]bool, len(allowed))
 	for _, a := range allowed {
-		set[a] = true
+		set[strings.Clone(a)] = true
 	}
 	var violation error
 	t.Scan(func(id int64, r Row) bool {
@@ -373,7 +419,7 @@ func (t *Table) AddCheckInList(name, col string, allowed []string) error {
 	if violation != nil {
 		return violation
 	}
-	t.checks = append(t.checks, CheckInList{Name: name, Col: ord, Allowed: set})
+	t.checks = append(t.checks, CheckInList{Name: strings.Clone(name), Col: ord, Allowed: set})
 	return nil
 }
 
@@ -409,15 +455,15 @@ func (t *Table) CreateIndex(name string, unique bool, cols ...string) (*Index, e
 		}
 		ords = append(ords, i)
 	}
-	ix := &Index{Name: name, Cols: ords, Unique: unique, tree: btree.New()}
+	ix := &Index{Name: strings.Clone(name), Cols: ords, Unique: unique, tree: btree.New()}
 	var dup error
 	t.Scan(func(id int64, r Row) bool {
 		k := ix.keyFor(r)
 		if unique && len(ix.tree.Get(k)) > 0 {
-			dup = fmt.Errorf("%w: index %s key %s", ErrDuplicateKey, name, k)
+			dup = fmt.Errorf("%w: index %s key %v", ErrDuplicateKey, name, ix.values(r))
 			return false
 		}
-		ix.tree.Insert(k, id)
+		ix.add(k, r, id)
 		return true
 	})
 	if dup != nil {
@@ -628,12 +674,10 @@ func (t *Table) Insert(r Row) (int64, error) {
 	t.bumpVersion()
 	t.touchRowPage(id)
 	if t.pk != nil {
-		t.pk.tree.Insert(pkKey, id)
-		t.pk.touches++
+		t.pk.add(pkKey, r, id)
 	}
 	for i, ix := range t.indexes {
-		ix.tree.Insert(keys[i], id)
-		ix.touches++
+		ix.add(keys[i], r, id)
 	}
 	return id, nil
 }
@@ -769,17 +813,15 @@ func (t *Table) Update(id int64, newRow Row) error {
 	if t.pk != nil {
 		oldKey, newKey := t.pk.keyFor(old), t.pk.keyFor(newRow)
 		if oldKey != newKey {
-			t.pk.tree.Delete(oldKey, id)
-			t.pk.tree.Insert(newKey, id)
-			t.pk.touches += 2
+			t.pk.remove(oldKey, old, id)
+			t.pk.add(newKey, newRow, id)
 		}
 	}
 	for _, ix := range t.indexes {
 		oldKey, newKey := ix.keyFor(old), ix.keyFor(newRow)
 		if oldKey != newKey {
-			ix.tree.Delete(oldKey, id)
-			ix.tree.Insert(newKey, id)
-			ix.touches += 2
+			ix.remove(oldKey, old, id)
+			ix.add(newKey, newRow, id)
 		}
 	}
 	t.setRow(id, newRow)
@@ -809,12 +851,10 @@ func (t *Table) Delete(id int64) error {
 	}
 	t.touchRowPage(id)
 	if t.pk != nil {
-		t.pk.tree.Delete(t.pk.keyFor(row), id)
-		t.pk.touches++
+		t.pk.remove(t.pk.keyFor(row), row, id)
 	}
 	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.keyFor(row), id)
-		ix.touches++
+		ix.remove(ix.keyFor(row), row, id)
 	}
 	t.setRow(id, nil)
 	t.live--
@@ -833,4 +873,13 @@ func (t *Table) IndexTouches() int64 {
 		n += ix.touches
 	}
 	return n
+}
+
+// cloneStrings returns a copy of ss whose strings own their bytes.
+func cloneStrings(ss []string) []string {
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = strings.Clone(s)
+	}
+	return out
 }

@@ -7,7 +7,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -202,16 +204,55 @@ func cmpBool(a, b bool) int {
 
 // EncodeKey builds a composite index key from the given values. The
 // encoding is injective: distinct value tuples yield distinct keys.
+// Each value is its kind byte followed by its payload, and values are
+// joined by 0x1f. Within one kind, byte order is value order for
+// integers and floats (fixed-width, order-preserving binary, see
+// appendKey), strings (their bytes) and booleans; keys of different
+// kinds sort by kind byte, so a range over an index is a value range
+// only when its keys share the bound's kind.
 func EncodeKey(vals ...Value) string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range vals {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			b = append(b, 0x1f)
 		}
-		b.WriteByte(byte('0' + v.Kind))
-		b.WriteString(v.String())
+		b = appendKey(b, v)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendKey appends one value's key encoding. An integer is 8
+// big-endian bytes of its two's complement with the sign bit flipped,
+// so negative numbers sort before positive ones. A float is its IEEE
+// 754 bits made order-preserving: a negative number has every bit
+// flipped (larger magnitudes sort first), any other has only its sign
+// bit flipped; -0 encodes as +0 and every NaN as one NaN, which sorts
+// after +Inf.
+func appendKey(b []byte, v Value) []byte {
+	b = append(b, byte('0'+v.Kind))
+	switch v.Kind {
+	case KindInt:
+		return binary.BigEndian.AppendUint64(b, uint64(v.I)^1<<63)
+	case KindFloat:
+		bits := math.Float64bits(v.F)
+		switch {
+		case v.F == 0:
+			bits = 0
+		case math.IsNaN(v.F):
+			bits = math.Float64bits(math.NaN())
+		}
+		if bits>>63 == 1 {
+			bits = ^bits
+		} else {
+			bits ^= 1 << 63
+		}
+		return binary.BigEndian.AppendUint64(b, bits)
+	case KindString:
+		return append(b, v.S...)
+	default:
+		return append(b, v.String()...)
+	}
 }
 
 // Row is a tuple of values, positionally matching a table's columns.
