@@ -300,17 +300,18 @@ func dedupe(in []rules.Finding, minConf float64) []rules.Finding {
 	// Second pass: schema/data findings (QueryIndex == -1) subsume
 	// query-level duplicates at the same site — confidence merges up,
 	// the site reports once plus per-query occurrences for fixes.
+	siteKeys := make([]string, len(out))
 	siteBest := map[string]float64{}
-	for _, f := range out {
-		sk := f.SiteKey()
-		if f.Confidence > siteBest[sk] {
-			siteBest[sk] = f.Confidence
+	for i, f := range out {
+		siteKeys[i] = f.SiteKey()
+		if f.Confidence > siteBest[siteKeys[i]] {
+			siteBest[siteKeys[i]] = f.Confidence
 		}
 	}
 	var final []rules.Finding
-	for _, f := range out {
+	for i, f := range out {
 		// A site confirmed by any detector lifts all its findings.
-		if best := siteBest[f.SiteKey()]; best > f.Confidence && f.Table != "" {
+		if best := siteBest[siteKeys[i]]; best > f.Confidence && f.Table != "" {
 			f.Confidence = best
 		}
 		if f.Confidence+1e-9 < minConf {

@@ -41,8 +41,8 @@ type aggState struct {
 	seen     map[string]bool
 }
 
-func newAggState(fn string, distinct bool) *aggState {
-	s := &aggState{fn: fn, distinct: distinct, intOnly: true}
+func newAggState(fn string, distinct bool) aggState {
+	s := aggState{fn: fn, distinct: distinct, intOnly: true}
 	if distinct {
 		s.seen = map[string]bool{}
 	}
@@ -77,8 +77,6 @@ func (a *aggState) add(v storage.Value) {
 	}
 }
 
-func (a *aggState) addCountRow() { a.count++ }
-
 func (a *aggState) result() storage.Value {
 	switch a.fn {
 	case "COUNT":
@@ -108,7 +106,7 @@ func (a *aggState) result() storage.Value {
 // group holds the running aggregates for one GROUP BY key.
 type group struct {
 	keyVals []storage.Value
-	aggs    []*aggState
+	aggs    []aggState
 }
 
 // aggPlan describes the aggregate expressions extracted from the
@@ -116,6 +114,11 @@ type group struct {
 type aggPlan struct {
 	// calls are the distinct aggregate calls, in discovery order.
 	calls []*sqlast.FuncCall
+	// ords holds, per call, the base-table ordinal of an argument
+	// that is a plain column read straight from the row, or -1 when
+	// the general evaluator is needed. The hot per-row path of an
+	// aggregate must not pay tree-walking cost.
+	ords []int
 }
 
 func (ap *aggPlan) indexOf(fc *sqlast.FuncCall) int {
@@ -127,7 +130,10 @@ func (ap *aggPlan) indexOf(fc *sqlast.FuncCall) int {
 	return -1
 }
 
-func collectAggCalls(s *sqlast.SelectStatement) *aggPlan {
+// newAggPlan collects s's aggregate calls. Column arguments resolve
+// to base ordinals only when direct: the base table is the only one
+// bound.
+func newAggPlan(s *sqlast.SelectStatement, base *storage.Table, direct bool) *aggPlan {
 	ap := &aggPlan{}
 	visit := func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
@@ -142,86 +148,88 @@ func collectAggCalls(s *sqlast.SelectStatement) *aggPlan {
 		visit(it.Expr)
 	}
 	visit(s.Having)
+	ap.ords = make([]int, len(ap.calls))
+	for i, fc := range ap.calls {
+		ap.ords[i] = -1
+		if !direct || fc.Star || len(fc.Args) == 0 || fc.Distinct {
+			continue
+		}
+		if cr, ok := fc.Args[0].(*sqlast.ColumnRef); ok {
+			ap.ords[i] = base.ColIndex(cr.Column)
+		}
+	}
 	return ap
 }
 
-// execAggregate evaluates GROUP BY / aggregate queries. When the base
-// table has an ordered index whose leading column is the single GROUP
-// BY column, there are no joins, and no residual predicates, it
-// streams groups off the index (the "fixed" side of the
-// index-underuse grouped-aggregate experiment, Figure 8b); otherwise
-// it hash-aggregates over a scan.
-func (ex *executor) execAggregate(
-	s *sqlast.SelectStatement,
-	base *storage.Table,
-	baseAlias string,
-	joins []joinSpec,
-	env *Env,
-	scanBase func(fn func(id int64, row storage.Row) error) error,
-	joinStep func(level int, bs []binding) error,
-	rest []sqlast.Expr,
-	hasFastFilters bool,
-) (*Result, error) {
-	ap := collectAggCalls(s)
-
-	// Streaming (index) aggregation fast path.
-	if len(joins) == 0 && len(rest) == 0 && !hasFastFilters && len(s.GroupBy) == 1 {
-		if cr, ok := s.GroupBy[0].(*sqlast.ColumnRef); ok {
-			if ord := base.ColIndex(cr.Column); ord >= 0 {
-				if ix := base.IndexOnLeading(ord); ix != nil && len(ix.Cols) == 1 {
-					ex.note("IndexStreamAgg(%s.%s)", base.Name, base.Cols[ord].Name)
-					return ex.streamAggregate(s, base, baseAlias, ix, ord, ap, env)
-				}
-			}
-		}
+// newGroup starts a group with key values keyVals and one empty
+// accumulator per aggregate call.
+func (ap *aggPlan) newGroup(keyVals []storage.Value) *group {
+	g := &group{keyVals: keyVals, aggs: make([]aggState, len(ap.calls))}
+	for i, fc := range ap.calls {
+		g.aggs[i] = newAggState(fc.Name, fc.Distinct)
 	}
+	return g
+}
 
-	ex.note("HashAggregate")
-	groups := map[string]*group{}
-	var order []string
-
-	// When there are no joins, aggregate arguments and group keys that
-	// are plain base-table columns read the row directly — the hot
-	// per-row path of a hash aggregate must not pay tree-walking cost.
-	argOrds := compileAggArgs(ap, base, len(joins) == 0)
-	groupOrds := make([]int, len(s.GroupBy))
-	for i, gexpr := range s.GroupBy {
-		groupOrds[i] = -1
-		if len(joins) == 0 {
-			if cr, ok := gexpr.(*sqlast.ColumnRef); ok {
-				groupOrds[i] = base.ColIndex(cr.Column)
-			}
-		}
-	}
-
-	addTo := func(g *group, env *Env, baseRow storage.Row) error {
-		for i, fc := range ap.calls {
-			st := g.aggs[i]
-			if fc.Star || len(fc.Args) == 0 {
-				st.addCountRow()
-				continue
-			}
-			if argOrds[i] >= 0 {
-				st.add(baseRow[argOrds[i]])
-				continue
-			}
+// add folds one input row into g: COUNT(*) counts it, a column
+// argument reads the base row, and any other argument is evaluated
+// over the rows bound in env.
+func (g *group) add(ap *aggPlan, row storage.Row, env *Env) error {
+	for i, fc := range ap.calls {
+		st := &g.aggs[i]
+		switch {
+		case fc.Star || len(fc.Args) == 0:
+			st.count++
+		case ap.ords[i] >= 0:
+			st.add(row[ap.ords[i]])
+		default:
 			v, err := Eval(fc.Args[0], env)
 			if err != nil {
 				return err
 			}
 			st.add(v)
 		}
-		return nil
+	}
+	return nil
+}
+
+// execAggregate evaluates GROUP BY and aggregate queries. A query with
+// no WHERE and no joins that groups by one column leading a
+// single-column index streams its groups off that index (the "fixed"
+// side of the index-underuse grouped-aggregate experiment, Figure 8b);
+// any other hash-aggregates the rows of the shared walk.
+func (ex *executor) execAggregate(s *sqlast.SelectStatement, base *storage.Table, alias string, joins []joinSpec, env *Env) (*Result, error) {
+	direct := len(joins) == 0
+	ap := newAggPlan(s, base, direct)
+	if s.Where == nil && direct && len(s.GroupBy) == 1 {
+		if cr, ok := s.GroupBy[0].(*sqlast.ColumnRef); ok {
+			if ord := base.ColIndex(cr.Column); ord >= 0 {
+				if ix := base.IndexOnLeading(ord); ix != nil && len(ix.Cols) == 1 {
+					ex.note("IndexStreamAgg(%s.%s)", base.Name, base.Cols[ord].Name)
+					return ex.streamAggregate(s, base, ix, ord, ap, env)
+				}
+			}
+		}
 	}
 
-	collect := func(bs []binding) error {
-		for _, b := range bs {
-			env.SetRow(b.alias, b.row)
+	ex.note("HashAggregate")
+	// Group keys that are plain base columns read the row directly
+	// when the base table is the only one bound.
+	groupOrds := make([]int, len(s.GroupBy))
+	for i, gexpr := range s.GroupBy {
+		groupOrds[i] = -1
+		if cr, ok := gexpr.(*sqlast.ColumnRef); ok && direct {
+			groupOrds[i] = base.ColIndex(cr.Column)
 		}
+	}
+	var groups []*group
+	byKey := map[string]*group{}
+	if err := ex.walk(base, alias, s.Where, joins, env, func(int64) error {
+		row := env.frames[0].row
 		keyVals := make([]storage.Value, len(s.GroupBy))
 		for i, gexpr := range s.GroupBy {
 			if groupOrds[i] >= 0 {
-				keyVals[i] = bs[0].row[groupOrds[i]]
+				keyVals[i] = row[groupOrds[i]]
 				continue
 			}
 			v, err := Eval(gexpr, env)
@@ -231,117 +239,29 @@ func (ex *executor) execAggregate(
 			keyVals[i] = v
 		}
 		key := storage.EncodeKey(keyVals...)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{keyVals: keyVals}
-			for _, fc := range ap.calls {
-				g.aggs = append(g.aggs, newAggState(fc.Name, fc.Distinct))
-			}
-			groups[key] = g
-			order = append(order, key)
+		g := byKey[key]
+		if g == nil {
+			g = ap.newGroup(keyVals)
+			byKey[key] = g
+			groups = append(groups, g)
 		}
-		return addTo(g, env, bs[0].row)
-	}
-
-	// Reuse the join machinery by substituting our collector for the
-	// projection emit: we re-run joinStep but capture rows via a
-	// wrapper joinStep would normally emit to. Simplest correct
-	// approach: scan base, extend joins recursively inline.
-	var walk func(level int, bs []binding) error
-	walk = func(level int, bs []binding) error {
-		if level == len(joins) {
-			// Residual WHERE conjuncts.
-			for _, b := range bs {
-				env.SetRow(b.alias, b.row)
-			}
-			for _, c := range rest {
-				ok, err := evalBool(c, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			return collect(bs)
-		}
-		j := joins[level]
-		inner := j.table
-		for _, b := range bs {
-			env.SetRow(b.alias, b.row)
-		}
-		if eq := equalityForInner(j.on, j.alias, inner); eq != nil {
-			outerVal, err := Eval(eq.outerExpr, env)
-			if err == nil {
-				if ix := probeIndex(inner, eq.innerCol, outerVal); ix != nil {
-					for _, id := range ix.Tree().Get(storage.EncodeKey(outerVal)) {
-						row, ferr := inner.Fetch(id)
-						if ferr != nil {
-							continue
-						}
-						env.SetRow(j.alias, row)
-						ok, err := evalBool(j.on, env)
-						if err != nil {
-							return err
-						}
-						if !ok {
-							continue
-						}
-						if err := walk(level+1, append(bs, binding{j.alias, inner, id, row})); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-			}
-		}
-		var innerErr error
-		inner.Scan(func(id int64, row storage.Row) bool {
-			for _, b := range bs {
-				env.SetRow(b.alias, b.row)
-			}
-			env.SetRow(j.alias, row)
-			ok, err := evalBool(j.on, env)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-			if err := walk(level+1, append(bs, binding{j.alias, inner, id, row})); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		return innerErr
-	}
-
-	if err := scanBase(func(id int64, row storage.Row) error {
-		return walk(0, []binding{{baseAlias, base, id, row}})
+		return g.add(ap, row, env)
 	}); err != nil {
 		return nil, err
 	}
 
 	// Global aggregate with no GROUP BY over zero rows still yields
 	// one row.
-	if len(s.GroupBy) == 0 && len(order) == 0 {
-		g := &group{}
-		for _, fc := range ap.calls {
-			g.aggs = append(g.aggs, newAggState(fc.Name, fc.Distinct))
-		}
-		groups[""] = g
-		order = append(order, "")
+	if len(s.GroupBy) == 0 && len(groups) == 0 {
+		groups = append(groups, ap.newGroup(nil))
 	}
-
-	return ex.finishAggregate(s, ap, groups, order, env)
+	return ex.finishAggregate(s, ap, groups, env)
 }
 
 // streamAggregate computes single-column GROUP BY aggregates by
-// walking the ordered index: grouping is free, and COUNT(*) needs no
-// row fetches at all (an index-only scan).
-func (ex *executor) streamAggregate(s *sqlast.SelectStatement, base *storage.Table, baseAlias string, ix *storage.Index, groupOrd int, ap *aggPlan, env *Env) (*Result, error) {
+// walking the ordered index: grouping is free, and COUNT(*) reads only
+// each group's first row, for its key value (an index-only scan).
+func (ex *executor) streamAggregate(s *sqlast.SelectStatement, base *storage.Table, ix *storage.Index, groupOrd int, ap *aggPlan, env *Env) (*Result, error) {
 	countOnly := true
 	for _, fc := range ap.calls {
 		if !(fc.Name == "COUNT" && (fc.Star || len(fc.Args) == 0)) {
@@ -349,92 +269,38 @@ func (ex *executor) streamAggregate(s *sqlast.SelectStatement, base *storage.Tab
 			break
 		}
 	}
-	streamOrds := compileAggArgs(ap, base, true)
-
-	groups := map[string]*group{}
-	var order []string
-	var outerErr error
-	ix.Tree().Ascend(func(key string, ids []int64) bool {
-		g, ok := groups[key]
-		if !ok {
-			g = &group{}
-			for _, fc := range ap.calls {
-				g.aggs = append(g.aggs, newAggState(fc.Name, fc.Distinct))
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		if countOnly {
-			// Index-only: the key itself provides the group value; we
-			// must still fetch a representative row to produce the
-			// group column output value.
-			if g.keyVals == nil {
-				row, err := base.Fetch(ids[0])
-				if err == nil {
-					g.keyVals = []storage.Value{row[groupOrd]}
-				}
-			}
-			for range ids {
-				g.aggs[0].addCountRow()
-				for i := 1; i < len(g.aggs); i++ {
-					g.aggs[i].addCountRow()
-				}
-			}
-			return true
-		}
+	frame := &env.frames[0]
+	var groups []*group
+	var err error
+	ix.Tree().Ascend(func(_ string, ids []int64) bool {
+		var g *group
 		for _, id := range ids {
-			row, err := base.Fetch(id)
-			if err != nil {
-				continue
-			}
-			if g.keyVals == nil {
-				g.keyVals = []storage.Value{row[groupOrd]}
-			}
-			env.SetRow(baseAlias, row)
-			for i, fc := range ap.calls {
-				if fc.Star || len(fc.Args) == 0 {
-					g.aggs[i].addCountRow()
+			if g == nil || !countOnly {
+				row, ferr := base.Fetch(id)
+				if ferr != nil {
 					continue
 				}
-				if streamOrds[i] >= 0 {
-					g.aggs[i].add(row[streamOrds[i]])
-					continue
-				}
-				v, err := Eval(fc.Args[0], env)
-				if err != nil {
-					outerErr = err
-					return false
-				}
-				g.aggs[i].add(v)
+				frame.row = row
+			}
+			if g == nil {
+				g = ap.newGroup([]storage.Value{frame.row[groupOrd]})
+				groups = append(groups, g)
+			}
+			if err = g.add(ap, frame.row, env); err != nil {
+				return false
 			}
 		}
 		return true
 	})
-	if outerErr != nil {
-		return nil, outerErr
+	if err != nil {
+		return nil, err
 	}
-	return ex.finishAggregate(s, ap, groups, order, env)
-}
-
-// compileAggArgs resolves aggregate arguments that are plain base
-// columns to their ordinals (-1 when the general evaluator is needed).
-func compileAggArgs(ap *aggPlan, base *storage.Table, single bool) []int {
-	ords := make([]int, len(ap.calls))
-	for i, fc := range ap.calls {
-		ords[i] = -1
-		if !single || fc.Star || len(fc.Args) == 0 || fc.Distinct {
-			continue
-		}
-		if cr, ok := fc.Args[0].(*sqlast.ColumnRef); ok {
-			ords[i] = base.ColIndex(cr.Column)
-		}
-	}
-	return ords
+	return ex.finishAggregate(s, ap, groups, env)
 }
 
 // finishAggregate projects group results, applies HAVING, ORDER BY,
 // OFFSET and LIMIT.
-func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, groups map[string]*group, order []string, env *Env) (*Result, error) {
+func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, groups []*group, env *Env) (*Result, error) {
 	res := &Result{Plan: ex.plan}
 	for i, it := range s.Items {
 		res.Cols = append(res.Cols, itemName(it, i))
@@ -444,8 +310,7 @@ func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, grou
 		return evalAggExpr(e, g, ap, s, env)
 	}
 
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range groups {
 		if s.Having != nil {
 			v, err := evalWithAggs(s.Having, g)
 			if err != nil {

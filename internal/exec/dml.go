@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"sqlcheck/internal/parser"
 	"sqlcheck/internal/schema"
@@ -96,84 +98,16 @@ func (ex *executor) execInsert(s *sqlast.InsertStatement) (*Result, error) {
 // UPDATE / DELETE
 // ---------------------------------------------------------------------------
 
-// matchingIDs plans the WHERE clause of an UPDATE/DELETE: index lookup
-// when a conjunct allows it, sequential scan otherwise.
+// matchingIDs returns the ids of the rows of t, bound in env's first
+// frame, that the WHERE clause selects, read through the shared walk.
+// UPDATE and DELETE collect them before changing any row.
 func (ex *executor) matchingIDs(t *storage.Table, alias string, where sqlast.Expr, env *Env) ([]int64, error) {
-	conjuncts := splitAnd(where)
-	eq, rest := ex.pickIndexPredicate(t, alias, conjuncts)
-	fastFilters, rest := compileFilters(rest, t, alias)
 	var ids []int64
-	check := func(id int64, row storage.Row) (bool, error) {
-		for _, ff := range fastFilters {
-			if !ff(row) {
-				return false, nil
-			}
-		}
-		env.SetRow(alias, row)
-		for _, c := range rest {
-			ok, err := evalBool(c, env)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	if eq != nil {
-		if eq.isRange {
-			ex.note("IndexRangeScan(%s.%s)", t.Name, eq.index.Name)
-			var outerErr error
-			eq.index.Tree().AscendRange(eq.lo, eq.hi, func(key string, postings []int64) bool {
-				for _, id := range postings {
-					row, err := t.Fetch(id)
-					if err != nil {
-						continue
-					}
-					ok, err := check(id, row)
-					if err != nil {
-						outerErr = err
-						return false
-					}
-					if ok {
-						ids = append(ids, id)
-					}
-				}
-				return true
-			})
-			return ids, outerErr
-		}
-		ex.note("IndexScan(%s.%s)", t.Name, eq.index.Name)
-		for _, id := range eq.index.Tree().Get(eq.key) {
-			row, err := t.Fetch(id)
-			if err != nil {
-				continue
-			}
-			ok, err := check(id, row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				ids = append(ids, id)
-			}
-		}
-		return ids, nil
-	}
-	ex.note("SeqScan(%s)", t.Name)
-	var outerErr error
-	t.Scan(func(id int64, row storage.Row) bool {
-		ok, err := check(id, row)
-		if err != nil {
-			outerErr = err
-			return false
-		}
-		if ok {
-			ids = append(ids, id)
-		}
-		return true
+	err := ex.walk(t, alias, where, nil, env, func(id int64) error {
+		ids = append(ids, id)
+		return nil
 	})
-	return ids, outerErr
+	return ids, err
 }
 
 func (ex *executor) execUpdate(s *sqlast.UpdateStatement) (*Result, error) {
@@ -207,7 +141,7 @@ func (ex *executor) execUpdate(s *sqlast.UpdateStatement) (*Result, error) {
 		if err != nil {
 			continue
 		}
-		env.SetRow(alias, old)
+		env.frames[0].row = old
 		row := old.Clone()
 		for i, a := range s.Set {
 			v, err := Eval(a.Value, env)
@@ -387,130 +321,15 @@ func checkInListOf(e sqlast.Expr) (string, []string) {
 	return cr.Column, vals
 }
 
-// dropColumn rebuilds the table without the named column — a full
-// rewrite, like a DBMS table rewrite (part of the cost of applying an
-// MVA fix).
+// dropColumn rebuilds the table without the named column.
 func (ex *executor) dropColumn(t *storage.Table, col string) error {
 	ord := t.ColIndex(col)
 	if ord < 0 {
 		return fmt.Errorf("exec: unknown column %q", col)
 	}
-	newCols := make([]storage.ColumnDef, 0, len(t.Cols)-1)
-	for i, c := range t.Cols {
-		if i != ord {
-			newCols = append(newCols, c)
-		}
-	}
-	// Snapshot existing rows.
-	var rows []storage.Row
-	t.Scan(func(id int64, r storage.Row) bool {
-		nr := make(storage.Row, 0, len(r)-1)
-		for i, v := range r {
-			if i != ord {
-				nr = append(nr, v)
-			}
-		}
-		rows = append(rows, nr)
-		return true
+	return ex.rebuild(t, slices.Concat(t.Cols[:ord], t.Cols[ord+1:]), func(r storage.Row) storage.Row {
+		return slices.Concat(r[:ord], r[ord+1:])
 	})
-	// Preserve constraints that do not involve the dropped column.
-	name := t.Name
-	var pk []string
-	for _, o := range t.PrimaryKey() {
-		if o == ord {
-			pk = nil
-			break
-		}
-		pk = append(pk, t.Cols[o].Name)
-	}
-	type savedIx struct {
-		name   string
-		unique bool
-		cols   []string
-	}
-	var savedIxs []savedIx
-	for _, ix := range t.Indexes() {
-		keep := true
-		var cols []string
-		for _, o := range ix.Cols {
-			if o == ord {
-				keep = false
-				break
-			}
-			cols = append(cols, t.Cols[o].Name)
-		}
-		if keep {
-			savedIxs = append(savedIxs, savedIx{ix.Name, ix.Unique, cols})
-		}
-	}
-	var savedFKs []storage.ForeignKey
-	for _, fk := range t.ForeignKeys() {
-		keep := true
-		for _, o := range fk.Cols {
-			if o == ord {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			savedFKs = append(savedFKs, fk)
-		}
-	}
-	var savedChecks []struct {
-		name    string
-		col     string
-		allowed []string
-	}
-	for _, ck := range t.Checks() {
-		if ck.Col == ord {
-			continue
-		}
-		var vals []string
-		for v := range ck.Allowed {
-			vals = append(vals, v)
-		}
-		savedChecks = append(savedChecks, struct {
-			name    string
-			col     string
-			allowed []string
-		}{ck.Name, t.Cols[ck.Col].Name, vals})
-	}
-
-	ex.db.DropTable(name)
-	nt := ex.db.CreateTable(name, newCols)
-	if len(pk) > 0 {
-		if err := nt.SetPrimaryKey(pk...); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if _, err := nt.Insert(r); err != nil {
-			return err
-		}
-	}
-	for _, ix := range savedIxs {
-		if _, err := nt.CreateIndex(ix.name, ix.unique, ix.cols...); err != nil {
-			return err
-		}
-	}
-	for _, fk := range savedFKs {
-		var cols []string
-		for _, o := range fk.Cols {
-			// Ordinals shifted after the drop; recover names from the
-			// old table layout.
-			nm := t.Cols[o].Name
-			cols = append(cols, nm)
-		}
-		if err := nt.AddForeignKey(fk.Name, cols, fk.RefTable, fk.RefCols, fk.OnDelete); err != nil {
-			return err
-		}
-	}
-	for _, ck := range savedChecks {
-		if err := nt.AddCheckInList(ck.name, ck.col, ck.allowed); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // addColumn rebuilds the table with a new trailing column filled with
@@ -519,47 +338,48 @@ func (ex *executor) addColumn(t *storage.Table, cd sqlast.ColumnDef) error {
 	if t.ColIndex(cd.Name) >= 0 {
 		return fmt.Errorf("exec: column %q already exists", cd.Name)
 	}
-	var fill storage.Value
+	fill := storage.Null()
 	if lit, ok := cd.Default.(*sqlast.Literal); ok {
 		fill = literalValue(lit)
-	} else {
-		fill = storage.Null()
 	}
 	if cd.NotNull && fill.IsNull() && t.Len() > 0 {
 		return fmt.Errorf("%w: ADD COLUMN NOT NULL without default on non-empty table", storage.ErrNotNull)
 	}
-	newCols := append(append([]storage.ColumnDef{}, t.Cols...), storage.ColumnDef{
+	cols := append(slices.Clone(t.Cols), storage.ColumnDef{
 		Name:    cd.Name,
 		Class:   schema.ClassifyType(cd.Type),
 		NotNull: cd.NotNull,
 	})
+	return ex.rebuild(t, cols, func(r storage.Row) storage.Row {
+		return append(r.Clone(), fill)
+	})
+}
+
+// rebuild replaces t with a table of columns cols holding convert(r)
+// for each of t's rows — a full rewrite, like a DBMS table rewrite
+// (part of the cost of applying an MVA fix). The primary key, indexes,
+// foreign keys and CHECKs whose columns all survive by name carry
+// over; those on a dropped column go.
+func (ex *executor) rebuild(t *storage.Table, cols []storage.ColumnDef, convert func(storage.Row) storage.Row) error {
 	var rows []storage.Row
-	t.Scan(func(id int64, r storage.Row) bool {
-		rows = append(rows, append(r.Clone(), fill))
+	t.Scan(func(_ int64, r storage.Row) bool {
+		rows = append(rows, convert(r))
 		return true
 	})
-	var pk []string
-	for _, o := range t.PrimaryKey() {
-		pk = append(pk, t.Cols[o].Name)
-	}
-	name := t.Name
-	oldCols := t.Cols
-	type savedIx struct {
-		name   string
-		unique bool
-		cols   []string
-	}
-	var savedIxs []savedIx
-	for _, ix := range t.Indexes() {
-		var cols []string
-		for _, o := range ix.Cols {
-			cols = append(cols, oldCols[o].Name)
+	ex.db.DropTable(t.Name)
+	nt := ex.db.CreateTable(t.Name, cols)
+	// surviving names t's columns ords, or reports that one is gone.
+	surviving := func(ords ...int) ([]string, bool) {
+		names := make([]string, len(ords))
+		for i, o := range ords {
+			names[i] = t.Cols[o].Name
+			if nt.ColIndex(names[i]) < 0 {
+				return nil, false
+			}
 		}
-		savedIxs = append(savedIxs, savedIx{ix.Name, ix.Unique, cols})
+		return names, true
 	}
-	ex.db.DropTable(name)
-	nt := ex.db.CreateTable(name, newCols)
-	if len(pk) > 0 {
+	if pk, ok := surviving(t.PrimaryKey()...); ok && len(pk) > 0 {
 		if err := nt.SetPrimaryKey(pk...); err != nil {
 			return err
 		}
@@ -569,9 +389,25 @@ func (ex *executor) addColumn(t *storage.Table, cd sqlast.ColumnDef) error {
 			return err
 		}
 	}
-	for _, ix := range savedIxs {
-		if _, err := nt.CreateIndex(ix.name, ix.unique, ix.cols...); err != nil {
-			return err
+	for _, ix := range t.Indexes() {
+		if names, ok := surviving(ix.Cols...); ok {
+			if _, err := nt.CreateIndex(ix.Name, ix.Unique, names...); err != nil {
+				return err
+			}
+		}
+	}
+	for _, fk := range t.ForeignKeys() {
+		if names, ok := surviving(fk.Cols...); ok {
+			if err := nt.AddForeignKey(fk.Name, names, fk.RefTable, fk.RefCols, fk.OnDelete); err != nil {
+				return err
+			}
+		}
+	}
+	for _, ck := range t.Checks() {
+		if names, ok := surviving(ck.Col); ok {
+			if err := nt.AddCheckInList(ck.Name, names[0], slices.Collect(maps.Keys(ck.Allowed))); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -3,7 +3,9 @@
 // experiments: a small planner chooses between sequential scans, index
 // lookups, index nested-loop joins, and hash vs index-streaming
 // aggregation, so that anti-pattern and fixed designs differ in cost
-// the same way they do on PostgreSQL (Figures 3 and 8).
+// the same way they do on PostgreSQL (Figures 3 and 8). It runs INNER
+// and CROSS joins, with ON or USING; outer joins, comma joins and
+// subqueries in FROM return ErrUnsupported.
 package exec
 
 import (
@@ -43,18 +45,6 @@ func (e *Env) Push(alias string, t *storage.Table, row storage.Row) {
 
 // Pop removes the most recent frame.
 func (e *Env) Pop() { e.frames = e.frames[:len(e.frames)-1] }
-
-// SetRow replaces the row of the most recently pushed frame matching
-// the alias.
-func (e *Env) SetRow(alias string, row storage.Row) {
-	a := strings.ToLower(alias)
-	for i := len(e.frames) - 1; i >= 0; i-- {
-		if e.frames[i].alias == a {
-			e.frames[i].row = row
-			return
-		}
-	}
-}
 
 // Resolve finds the value of a column reference.
 func (e *Env) Resolve(ref *sqlast.ColumnRef) (storage.Value, error) {

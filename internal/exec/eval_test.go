@@ -223,6 +223,24 @@ func TestUnsupportedConstructsError(t *testing.T) {
 	if _, err := RunSQL(db, "SELECT (SELECT 1)"); err == nil {
 		t.Error("scalar subquery accepted")
 	}
+	// Outer joins would run as inner joins: a's unmatched row 2 must
+	// not silently vanish.
+	for _, sql := range []string{"CREATE TABLE a (id INT PRIMARY KEY)", "CREATE TABLE b (id INT PRIMARY KEY, a_id INT)",
+		"INSERT INTO a VALUES (1), (2)", "INSERT INTO b VALUES (10, 1)"} {
+		if _, err := RunSQL(db, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, kind := range []string{"LEFT", "RIGHT", "FULL"} {
+		for _, sql := range []string{
+			"SELECT a.id, b.id FROM a " + kind + " JOIN b ON b.a_id = a.id",
+			"SELECT a.id, COUNT(b.id) FROM a " + kind + " JOIN b ON b.a_id = a.id GROUP BY a.id",
+		} {
+			if _, err := RunSQL(db, sql); !errors.Is(err, ErrUnsupported) {
+				t.Errorf("%s: err = %v, want %v", sql, err, ErrUnsupported)
+			}
+		}
+	}
 }
 
 func TestIndexRangeScanSelect(t *testing.T) {

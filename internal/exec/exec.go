@@ -105,14 +105,6 @@ func (ex *executor) exec(stmt sqlast.Statement) (*Result, error) {
 // SELECT
 // ---------------------------------------------------------------------------
 
-// binding is one (alias, table, row-id, row) produced while scanning.
-type binding struct {
-	alias string
-	table *storage.Table
-	id    int64
-	row   storage.Row
-}
-
 func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 	if len(s.From) == 0 {
 		// SELECT of pure expressions.
@@ -144,10 +136,16 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 	if baseAlias == "" {
 		baseAlias = base.Name
 	}
+	env := &Env{Rand: ex.rand}
+	env.Push(baseAlias, base, nil)
 
-	// Collect join inner tables up front for predicate routing.
+	// Resolve the joins, one env frame each after the base table's.
 	var joins []joinSpec
 	for _, j := range s.Joins {
+		switch j.Kind {
+		case "LEFT", "RIGHT", "FULL":
+			return nil, fmt.Errorf("%w: %s JOIN", ErrUnsupported, j.Kind)
+		}
 		if j.Table.Sub != nil {
 			return nil, fmt.Errorf("%w: JOIN subquery", ErrUnsupported)
 		}
@@ -160,7 +158,7 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 			alias = t.Name
 		}
 		on := j.On
-		if on == nil && len(j.Using) > 0 {
+		if on == nil {
 			for _, c := range j.Using {
 				eq := &sqlast.BinaryExpr{Op: "=",
 					Left:  &sqlast.ColumnRef{Table: baseAlias, Column: c},
@@ -172,205 +170,35 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 				}
 			}
 		}
-		joins = append(joins, joinSpec{alias: alias, table: t, on: on, kind: j.Kind})
+		joins = append(joins, joinSpec{alias: alias, table: t, on: on, eq: equalityForInner(on, alias, t)})
+		env.Push(alias, t, nil)
 	}
 
-	// Split WHERE into conjuncts; route base-only equality conjuncts
-	// to an index if possible.
-	conjuncts := splitAnd(s.Where)
-	baseEq, rest := ex.pickIndexPredicate(base, baseAlias, conjuncts)
-
-	env := &Env{Rand: ex.rand}
-	env.Push(baseAlias, base, nil)
-	for _, j := range joins {
-		env.Push(j.alias, j.table, nil)
-	}
-
-	// Compile simple base-table conjuncts (col <op> literal) into
-	// direct row predicates; a DBMS evaluates hot filters at a few ns
-	// per row, and the general tree-walking evaluator would distort
-	// scan-vs-index comparisons.
-	fastFilters, rest := compileFilters(rest, base, baseAlias)
-
-	var results [][]binding
-	emit := func(bs []binding) error {
-		// Evaluate remaining WHERE conjuncts.
-		for _, b := range bs {
-			env.SetRow(b.alias, b.row)
-		}
-		for _, c := range rest {
-			v, err := Eval(c, env)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() || !truthy(v) {
-				return nil
-			}
-		}
-		cp := make([]binding, len(bs))
-		copy(cp, bs)
-		results = append(results, cp)
-		return nil
-	}
-
-	// Recursive join evaluation: for each base row, extend through
-	// each join (index nested-loop when the ON clause is an equality
-	// against an indexed inner column, plain nested loop otherwise).
-	var joinStep func(level int, bs []binding) error
-	joinStep = func(level int, bs []binding) error {
-		if level == len(joins) {
-			return emit(bs)
-		}
-		j := joins[level]
-		inner := j.table
-		for _, b := range bs {
-			env.SetRow(b.alias, b.row)
-		}
-		// Try index nested loop: ON <outer>.<x> = <inner>.<col>.
-		if eq := equalityForInner(j.on, j.alias, inner); eq != nil {
-			outerVal, err := Eval(eq.outerExpr, env)
-			if err == nil {
-				if ix := probeIndex(inner, eq.innerCol, outerVal); ix != nil {
-					if level == 0 && len(ex.plan) < 32 {
-						ex.note("IndexJoin(%s.%s)", inner.Name, inner.Cols[eq.innerCol].Name)
-					}
-					for _, id := range ix.Tree().Get(storage.EncodeKey(outerVal)) {
-						row, err := inner.Fetch(id)
-						if err != nil {
-							continue
-						}
-						env.SetRow(j.alias, row)
-						// Re-verify full ON (there may be residual terms).
-						ok, err := evalBool(j.on, env)
-						if err != nil {
-							return err
-						}
-						if !ok {
-							continue
-						}
-						if err := joinStep(level+1, append(bs, binding{j.alias, inner, id, row})); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-			}
-		}
-		// Fallback: nested loop scan with ON evaluation.
-		if level == 0 && len(ex.plan) < 32 {
-			ex.note("NestedLoopJoin(%s)", inner.Name)
-		}
-		var innerErr error
-		inner.Scan(func(id int64, row storage.Row) bool {
-			for _, b := range bs {
-				env.SetRow(b.alias, b.row)
-			}
-			env.SetRow(j.alias, row)
-			ok, err := evalBool(j.on, env)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-			if err := joinStep(level+1, append(bs, binding{j.alias, inner, id, row})); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		return innerErr
-	}
-
-	scanBase := func(fn func(id int64, row storage.Row) error) error {
-		passes := func(row storage.Row) bool {
-			for _, ff := range fastFilters {
-				if !ff(row) {
-					return false
-				}
-			}
-			return true
-		}
-		if baseEq != nil {
-			ix := baseEq.index
-			if baseEq.isRange {
-				ex.note("IndexRangeScan(%s.%s)", base.Name, ix.Name)
-				var err error
-				ix.Tree().AscendRange(baseEq.lo, baseEq.hi, func(key string, ids []int64) bool {
-					for _, id := range ids {
-						row, ferr := base.Fetch(id)
-						if ferr != nil || !passes(row) {
-							continue
-						}
-						if err = fn(id, row); err != nil {
-							return false
-						}
-					}
-					return true
-				})
-				return err
-			}
-			ex.note("IndexScan(%s.%s)", base.Name, ix.Name)
-			var err error
-			for _, id := range ix.Tree().Get(baseEq.key) {
-				row, ferr := base.Fetch(id)
-				if ferr != nil || !passes(row) {
-					continue
-				}
-				if err = fn(id, row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		ex.note("SeqScan(%s)", base.Name)
-		var err error
-		base.Scan(func(id int64, row storage.Row) bool {
-			if !passes(row) {
-				return true
-			}
-			err = fn(id, row)
-			return err == nil
-		})
-		return err
-	}
-
-	// Aggregate path?
 	if len(s.GroupBy) > 0 || hasAggregate(s.Items) {
-		return ex.execAggregate(s, base, baseAlias, joins, env, scanBase, joinStep, rest, len(fastFilters) > 0)
+		return ex.execAggregate(s, base, baseAlias, joins, env)
 	}
 
-	if err := scanBase(func(id int64, row storage.Row) error {
-		return joinStep(0, []binding{{baseAlias, base, id, row}})
-	}); err != nil {
-		return nil, err
+	res := &Result{Cols: projectionCols(s, env)}
+	var seen map[string]bool
+	if s.Distinct {
+		seen = map[string]bool{}
 	}
-
-	// Project.
-	res := &Result{Plan: ex.plan}
-	var joinedTables []*storage.Table
-	for _, j := range joins {
-		joinedTables = append(joinedTables, j.table)
-	}
-	res.Cols = projectionCols(s, base, joinedTables)
-	seen := map[string]bool{}
-	for _, bs := range results {
-		for _, b := range bs {
-			env.SetRow(b.alias, b.row)
-		}
-		row, err := projectRow(s, env, bs)
+	if err := ex.walk(base, baseAlias, s.Where, joins, env, func(int64) error {
+		row, err := projectRow(s, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if s.Distinct {
+		if seen != nil {
 			k := storage.EncodeKey(row...)
 			if seen[k] {
-				continue
+				return nil
 			}
 			seen[k] = true
 		}
 		res.Rows = append(res.Rows, row)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	if err := ex.orderAndLimit(s, res, env); err != nil {
@@ -380,12 +208,95 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 	return res, nil
 }
 
-// joinSpec is a resolved JOIN clause: inner table, alias, ON clause.
+// joinSpec is a resolved JOIN clause: inner table, alias, ON clause
+// (USING expanded), and the ON equality an index nested loop can
+// probe, if any.
 type joinSpec struct {
 	alias string
 	table *storage.Table
 	on    sqlast.Expr
-	kind  sqlast.JoinKind
+	eq    *innerEquality
+}
+
+// walk is the one access and join walk of SELECT, UPDATE and DELETE.
+// It plans the base table's access (planScan), reads it (scanTable),
+// and extends each row read through the joins: an index nested loop
+// when probeIndex accepts the ON equality's outer value, a
+// nested-loop scan otherwise. Each table's current row is bound in
+// env, whose frames are the base table's and then the joins', in
+// order. Every combination that passes the WHERE conjuncts the access
+// path left over goes to leaf, with the base row's id.
+func (ex *executor) walk(base *storage.Table, alias string, where sqlast.Expr, joins []joinSpec, env *Env, leaf func(id int64) error) error {
+	plan, rest := planScan(base, alias, where)
+	w := walker{ex: ex, env: env, joins: joins, rest: rest}
+	return ex.scanTable(plan, func(id int64, row storage.Row) error {
+		env.frames[0].row = row
+		return w.join(0, id, leaf)
+	})
+}
+
+// walker carries one walk's state down its joins. The leaf travels as
+// a parameter: held in the struct it would escape with env, moving
+// every variable it captures to the heap.
+type walker struct {
+	ex    *executor
+	env   *Env
+	joins []joinSpec
+	rest  []sqlast.Expr
+}
+
+// join binds each row of joins[level] that matches the rows bound so
+// far, then walks the next level; past the last join it applies the
+// residual WHERE conjuncts and calls the leaf.
+func (w *walker) join(level int, id int64, leaf func(id int64) error) error {
+	if level == len(w.joins) {
+		for _, c := range w.rest {
+			if ok, err := evalBool(c, w.env); err != nil || !ok {
+				return err
+			}
+		}
+		return leaf(id)
+	}
+	j := &w.joins[level]
+	frame := &w.env.frames[level+1]
+	next := func(row storage.Row) error {
+		frame.row = row
+		if ok, err := evalBool(j.on, w.env); err != nil || !ok {
+			return err
+		}
+		return w.join(level+1, id, leaf)
+	}
+	// The first join's choice is noted per probe, up to a bound.
+	noting := level == 0 && len(w.ex.plan) < 32
+	if j.eq != nil {
+		if v, err := Eval(j.eq.outerExpr, w.env); err == nil {
+			if ix := probeIndex(j.table, j.eq.innerCol, v); ix != nil {
+				if noting {
+					w.ex.note("IndexJoin(%s.%s)", j.table.Name, j.table.Cols[j.eq.innerCol].Name)
+				}
+				for _, innerID := range ix.Tree().Get(storage.EncodeKey(v)) {
+					row, err := j.table.Fetch(innerID)
+					if err != nil {
+						continue
+					}
+					// Re-verify the full ON: it may hold residual terms.
+					if err := next(row); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+	}
+	if noting {
+		w.ex.note("NestedLoopJoin(%s)", j.table.Name)
+	}
+	var err error
+	j.table.Scan(func(_ int64, row storage.Row) bool {
+		err = next(row)
+		return err == nil
+	})
+	return err
 }
 
 // orderAndLimit applies ORDER BY (including ORDER BY RAND()), OFFSET,
@@ -523,17 +434,17 @@ func keysLess(a, b []storage.Value, order []sqlast.OrderItem) bool {
 // Projection helpers
 // ---------------------------------------------------------------------------
 
-func projectionCols(s *sqlast.SelectStatement, base *storage.Table, joined []*storage.Table) []string {
+// projectionCols names the output columns; a star expands to the
+// columns of the tables bound in env that it selects.
+func projectionCols(s *sqlast.SelectStatement, env *Env) []string {
 	var cols []string
 	for i, it := range s.Items {
 		if it.Star {
-			tables := append([]*storage.Table{base}, joined...)
-			for _, t := range tables {
-				if it.StarTable != "" && !strings.EqualFold(t.Name, it.StarTable) {
-					continue
-				}
-				for _, c := range t.Cols {
-					cols = append(cols, c.Name)
+			for _, f := range env.frames {
+				if starSelects(it, f) {
+					for _, c := range f.table.Cols {
+						cols = append(cols, c.Name)
+					}
 				}
 			}
 			continue
@@ -541,6 +452,12 @@ func projectionCols(s *sqlast.SelectStatement, base *storage.Table, joined []*st
 		cols = append(cols, itemName(it, i))
 	}
 	return cols
+}
+
+// starSelects reports whether the star item it covers frame f's table:
+// a bare star covers every table, t.* the table named or aliased t.
+func starSelects(it sqlast.SelectItem, f frame) bool {
+	return it.StarTable == "" || strings.EqualFold(f.alias, it.StarTable) || strings.EqualFold(f.table.Name, it.StarTable)
 }
 
 func itemName(it sqlast.SelectItem, i int) string {
@@ -553,15 +470,15 @@ func itemName(it sqlast.SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-func projectRow(s *sqlast.SelectStatement, env *Env, bs []binding) (storage.Row, error) {
+// projectRow evaluates the select list over the rows bound in env.
+func projectRow(s *sqlast.SelectStatement, env *Env) (storage.Row, error) {
 	var row storage.Row
 	for _, it := range s.Items {
 		if it.Star {
-			for _, b := range bs {
-				if it.StarTable != "" && !strings.EqualFold(b.alias, it.StarTable) && !strings.EqualFold(b.table.Name, it.StarTable) {
-					continue
+			for _, f := range env.frames {
+				if starSelects(it, f) {
+					row = append(row, f.row...)
 				}
-				row = append(row, b.row...)
 			}
 			continue
 		}
@@ -575,7 +492,7 @@ func projectRow(s *sqlast.SelectStatement, env *Env, bs []binding) (storage.Row,
 }
 
 // ---------------------------------------------------------------------------
-// Predicate planning
+// Access planning
 // ---------------------------------------------------------------------------
 
 func splitAnd(e sqlast.Expr) []sqlast.Expr {
@@ -588,14 +505,65 @@ func splitAnd(e sqlast.Expr) []sqlast.Expr {
 	return []sqlast.Expr{e}
 }
 
-type indexPredicate struct {
-	index *storage.Index
-	key   string
-	// Range scans set isRange with lo/hi key bounds ("" = open); the
-	// originating conjunct stays in the residual filter, which drops
-	// the NULL keys a range with no lower bound walks.
+// scanPlan is a statement's access to its base table: a point access
+// at key, or a range access from lo to hi ("" = open) when isRange, of
+// index, or a sequential scan when index is nil; filters are the
+// simple conjuncts compiled to row predicates. A range access keeps
+// its conjunct as a filter, which drops the NULL keys a range with no
+// lower bound walks.
+type scanPlan struct {
+	table   *storage.Table
+	index   *storage.Index
+	key     string
 	isRange bool
 	lo, hi  string
+	filters []rowPredicate
+}
+
+// planScan splits where into conjuncts, picks t's access path from
+// them and compiles those it can; it returns the plan and the
+// conjuncts left for the general evaluator.
+func planScan(t *storage.Table, alias string, where sqlast.Expr) (scanPlan, []sqlast.Expr) {
+	p, rest := pickIndexPredicate(t, alias, splitAnd(where))
+	p.filters, rest = compileFilters(rest, t, alias)
+	return p, rest
+}
+
+// scanTable notes the plan's access path and calls fn for every row it
+// reads that passes the plan's filters, stopping at fn's first error.
+func (ex *executor) scanTable(p scanPlan, fn func(id int64, row storage.Row) error) error {
+	t := p.table
+	var err error
+	visit := func(id int64, row storage.Row) bool {
+		for _, f := range p.filters {
+			if !f(row) {
+				return true
+			}
+		}
+		err = fn(id, row)
+		return err == nil
+	}
+	fetch := func(ids []int64) bool {
+		for _, id := range ids {
+			row, ferr := t.Fetch(id)
+			if ferr == nil && !visit(id, row) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case p.index == nil:
+		ex.note("SeqScan(%s)", t.Name)
+		t.Scan(visit)
+	case p.isRange:
+		ex.note("IndexRangeScan(%s.%s)", t.Name, p.index.Name)
+		p.index.Tree().AscendRange(p.lo, p.hi, func(_ string, ids []int64) bool { return fetch(ids) })
+	default:
+		ex.note("IndexScan(%s.%s)", t.Name, p.index.Name)
+		fetch(p.index.Tree().Get(p.key))
+	}
+	return err
 }
 
 // probeIndex returns the single-column index on t's column col when it
@@ -615,126 +583,56 @@ func probeIndex(t *storage.Table, col int, v storage.Value) *storage.Index {
 	return ix
 }
 
-// pickIndexPredicate finds a conjunct of the form col <op> literal
-// where col is the leading column of a single-column index on the base
-// table that probeIndex accepts for the literal. Equality yields an
-// exact point access (conjunct consumed); comparisons yield a range
-// access (conjunct retained as a filter).
-func (ex *executor) pickIndexPredicate(base *storage.Table, alias string, conjuncts []sqlast.Expr) (*indexPredicate, []sqlast.Expr) {
-	indexFor := func(col *sqlast.ColumnRef, v storage.Value) *storage.Index {
-		if col.Table != "" && !strings.EqualFold(col.Table, alias) && !strings.EqualFold(col.Table, base.Name) {
-			return nil
-		}
-		ord := base.ColIndex(col.Column)
-		if ord < 0 {
-			return nil
-		}
-		return probeIndex(base, ord, v)
-	}
-	// Equality first: exact and cheapest.
+// pickIndexPredicate plans t's access from a conjunct col <op> literal
+// on a column of t whose index probeIndex accepts for the literal.
+// Equality, preferred, yields a point access and consumes the
+// conjunct; the first comparison otherwise yields a range access. With
+// neither the plan is a sequential scan.
+func pickIndexPredicate(t *storage.Table, alias string, conjuncts []sqlast.Expr) (scanPlan, []sqlast.Expr) {
+	p := scanPlan{table: t}
 	for i, c := range conjuncts {
-		be, ok := c.(*sqlast.BinaryExpr)
-		if !ok || (be.Op != "=" && be.Op != "==") || be.Not {
+		ord, op, v, ok := columnOp(c, t, alias)
+		if !ok {
 			continue
 		}
-		col, lit := refAndLiteral(be)
-		if col == nil || lit == nil {
-			continue
-		}
-		v := literalValue(lit)
-		if ix := indexFor(col, v); ix != nil {
-			rest := append(append([]sqlast.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-			return &indexPredicate{index: ix, key: storage.EncodeKey(v)}, rest
-		}
-	}
-	// Range comparisons: the index narrows the access path; the
-	// conjunct remains a residual filter.
-	for _, c := range conjuncts {
-		be, ok := c.(*sqlast.BinaryExpr)
-		if !ok || be.Not {
-			continue
-		}
-		switch be.Op {
-		case "<", "<=", ">", ">=":
-		default:
-			continue
-		}
-		col, lit := refAndLiteral(be)
-		if col == nil || lit == nil {
-			continue
-		}
-		v := literalValue(lit)
-		ix := indexFor(col, v)
+		ix := probeIndex(t, ord, v)
 		if ix == nil {
 			continue
 		}
-		key := storage.EncodeKey(v)
-		ip := &indexPredicate{index: ix, isRange: true}
-		// Column-on-left orientation; reversed literals flip the op.
-		op := be.Op
-		if _, leftIsLit := be.Left.(*sqlast.Literal); leftIsLit {
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
+		switch op {
+		case "=", "==":
+			rest := append(append([]sqlast.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+			return scanPlan{table: t, index: ix, key: storage.EncodeKey(v)}, rest
+		case "<", "<=", ">", ">=":
+			if p.index == nil {
+				p.index, p.isRange = ix, true
+				if op[0] == '<' {
+					p.hi = storage.EncodeKey(v)
+				} else {
+					p.lo = storage.EncodeKey(v)
+				}
 			}
 		}
-		switch op {
-		case "<", "<=":
-			ip.hi = key
-		case ">", ">=":
-			ip.lo = key
-		}
-		return ip, conjuncts
 	}
-	return nil, conjuncts
+	return p, conjuncts
 }
 
 // rowPredicate is a compiled filter over a base-table row.
 type rowPredicate func(row storage.Row) bool
 
-// compileFilters extracts conjuncts of the form <baseCol> <op>
-// <literal> into direct row predicates, returning the compiled
-// predicates and the conjuncts that still need the general evaluator.
-func compileFilters(conjuncts []sqlast.Expr, base *storage.Table, alias string) ([]rowPredicate, []sqlast.Expr) {
+// compileFilters compiles conjuncts of the form <column> <op>
+// <literal> into direct row predicates, returning them and the
+// conjuncts that still need the general evaluator. A DBMS evaluates
+// hot filters at a few ns per row, and the tree-walking evaluator
+// would distort scan-versus-index comparisons.
+func compileFilters(conjuncts []sqlast.Expr, t *storage.Table, alias string) ([]rowPredicate, []sqlast.Expr) {
 	var fast []rowPredicate
 	var slow []sqlast.Expr
 	for _, c := range conjuncts {
-		be, ok := c.(*sqlast.BinaryExpr)
-		if !ok || be.Not {
+		ord, op, val, ok := columnOp(c, t, alias)
+		if !ok {
 			slow = append(slow, c)
 			continue
-		}
-		cr, lit := refAndLiteral(be)
-		if cr == nil || lit == nil ||
-			(cr.Table != "" && !strings.EqualFold(cr.Table, alias) && !strings.EqualFold(cr.Table, base.Name)) {
-			slow = append(slow, c)
-			continue
-		}
-		ord := base.ColIndex(cr.Column)
-		if ord < 0 {
-			slow = append(slow, c)
-			continue
-		}
-		val := literalValue(lit)
-		// Normalize to column-on-left orientation: "5 > x" is "x < 5".
-		op := be.Op
-		if _, leftIsLit := be.Left.(*sqlast.Literal); leftIsLit {
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
 		}
 		switch op {
 		case "=", "==":
@@ -766,18 +664,42 @@ func compileFilters(conjuncts []sqlast.Expr, base *storage.Table, alias string) 
 	return fast, slow
 }
 
-func refAndLiteral(be *sqlast.BinaryExpr) (*sqlast.ColumnRef, *sqlast.Literal) {
-	if c, ok := be.Left.(*sqlast.ColumnRef); ok {
-		if l, ok := be.Right.(*sqlast.Literal); ok {
-			return c, l
+// columnOp matches c against <column of t> <op> <literal>, either way
+// round, and returns the column's ordinal, the operator as read with
+// the column on the left ("5 > x" is "x < 5") and the literal's value.
+func columnOp(c sqlast.Expr, t *storage.Table, alias string) (int, string, storage.Value, bool) {
+	be, ok := c.(*sqlast.BinaryExpr)
+	if !ok || be.Not {
+		return -1, "", storage.Value{}, false
+	}
+	op := be.Op
+	cr, lcol := be.Left.(*sqlast.ColumnRef)
+	lit, rlit := be.Right.(*sqlast.Literal)
+	if !lcol || !rlit {
+		cr, _ = be.Right.(*sqlast.ColumnRef)
+		lit, _ = be.Left.(*sqlast.Literal)
+		if cr == nil || lit == nil {
+			return -1, "", storage.Value{}, false
+		}
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
 		}
 	}
-	if c, ok := be.Right.(*sqlast.ColumnRef); ok {
-		if l, ok := be.Left.(*sqlast.Literal); ok {
-			return c, l
-		}
+	if !refersTo(cr, alias, t) {
+		return -1, "", storage.Value{}, false
 	}
-	return nil, nil
+	ord := t.ColIndex(cr.Column)
+	if ord < 0 {
+		return -1, "", storage.Value{}, false
+	}
+	return ord, op, literalValue(lit), true
 }
 
 // innerEquality describes ON <outer expr> = <inner col>.

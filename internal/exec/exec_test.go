@@ -78,6 +78,11 @@ func TestSelectStarProjection(t *testing.T) {
 	if len(res.Cols) != 4 || res.Cols[0] != "User_ID" {
 		t.Fatalf("cols = %v", res.Cols)
 	}
+	// An aliased star names the columns whose values it selects.
+	res = q(t, db, "SELECT u.* FROM Hosting h JOIN Users u ON u.User_ID = h.User_ID WHERE h.Tenant_ID = 'T1'")
+	if len(res.Cols) != 4 || res.Cols[0] != "User_ID" || len(res.Rows) != 3 || len(res.Rows[0]) != 4 {
+		t.Fatalf("u.*: cols = %v, rows = %v", res.Cols, res.Rows)
+	}
 }
 
 func TestSelectExpressionsOnly(t *testing.T) {
@@ -125,6 +130,14 @@ func TestIndexJoinVsNestedLoop(t *testing.T) {
 	}
 	if !hasPlan(res2, "NestedLoopJoin") {
 		t.Errorf("plan = %v, want NestedLoopJoin", res2.Plan)
+	}
+	// A grouped query walks the same indexed join.
+	res3 := q(t, db, `SELECT h.Tenant_ID, COUNT(*) FROM Hosting h JOIN Users u ON u.User_ID = h.User_ID WHERE h.Tenant_ID = 'T3' GROUP BY h.Tenant_ID`)
+	if len(res3.Rows) != 1 || res3.Rows[0][1].I != 3 {
+		t.Fatalf("grouped join rows = %v, want [[T3 3]]", res3.Rows)
+	}
+	if !hasPlan(res3, "IndexJoin") {
+		t.Errorf("grouped join plan = %v, want IndexJoin", res3.Plan)
 	}
 }
 
@@ -363,10 +376,38 @@ func TestAlterDropColumn(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
+	// Constraints on a dropped column go; all others stay.
+	q(t, db, "CREATE TABLE Seats (Seat_ID INT PRIMARY KEY, User_ID VARCHAR(10) REFERENCES Users(User_ID), Tenant_ID VARCHAR(10) REFERENCES Tenants(Tenant_ID), Tier VARCHAR(2), Zone VARCHAR(2))")
+	q(t, db, "CREATE INDEX idx_seat_user ON Seats (User_ID)")
+	q(t, db, "CREATE INDEX idx_seat_tenant ON Seats (Tenant_ID)")
+	q(t, db, "ALTER TABLE Seats ADD CONSTRAINT seat_tier CHECK (Tier IN ('A','B'))")
+	q(t, db, "ALTER TABLE Seats ADD CONSTRAINT seat_zone CHECK (Zone IN ('Z0'))")
+	q(t, db, "INSERT INTO Seats VALUES (1, 'U1', 'T1', 'A', 'Z0')")
+	q(t, db, "ALTER TABLE Seats DROP COLUMN Tenant_ID")
+	q(t, db, "ALTER TABLE Seats DROP COLUMN Zone")
+	seats := db.Table("Seats")
+	if len(seats.PrimaryKey()) != 1 || len(seats.Indexes()) != 1 || len(seats.ForeignKeys()) != 1 || len(seats.Checks()) != 1 {
+		t.Errorf("after the drops Seats has pk %v, %d indexes, %d FKs, %d CHECKs; want the pk and one of each",
+			seats.PrimaryKey(), len(seats.Indexes()), len(seats.ForeignKeys()), len(seats.Checks()))
+	}
+	for _, tc := range []struct {
+		sql  string
+		want error
+	}{
+		{"INSERT INTO Seats VALUES (1, 'U2', 'B')", storage.ErrDuplicateKey},
+		{"INSERT INTO Seats VALUES (2, 'UNOSUCH', 'B')", storage.ErrForeignKey},
+		{"INSERT INTO Seats VALUES (2, 'U2', 'C')", storage.ErrCheck},
+	} {
+		if _, err := RunSQL(db, tc.sql); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.sql, err, tc.want)
+		}
+	}
+	q(t, db, "INSERT INTO Seats VALUES (2, 'U2', 'B')")
 }
 
 func TestAlterAddColumn(t *testing.T) {
 	db := newAppDB(t)
+	q(t, db, "ALTER TABLE Users ADD CONSTRAINT role_check CHECK (Role IN ('R1','R2','R3'))")
 	q(t, db, "ALTER TABLE Users ADD COLUMN Bio TEXT DEFAULT 'n/a'")
 	res := q(t, db, "SELECT Bio FROM Users WHERE User_ID = 'U1'")
 	if res.Rows[0][0].S != "n/a" {
@@ -375,6 +416,14 @@ func TestAlterAddColumn(t *testing.T) {
 	_, err := RunSQL(db, "ALTER TABLE Users ADD COLUMN Bio TEXT")
 	if err == nil {
 		t.Fatal("duplicate column accepted")
+	}
+	// The rebuilt tables keep their foreign keys and CHECKs.
+	q(t, db, "ALTER TABLE Hosting ADD COLUMN Note TEXT")
+	if _, err := RunSQL(db, "INSERT INTO Hosting VALUES ('UNOSUCH', 'T1', NULL)"); !errors.Is(err, storage.ErrForeignKey) {
+		t.Errorf("dangling parent after ADD COLUMN: err = %v, want %v", err, storage.ErrForeignKey)
+	}
+	if _, err := RunSQL(db, "INSERT INTO Users (User_ID, Name, Role, Score) VALUES ('UX', 'x', 'R9', 1)"); !errors.Is(err, storage.ErrCheck) {
+		t.Errorf("role outside the CHECK after ADD COLUMN: err = %v, want %v", err, storage.ErrCheck)
 	}
 }
 

@@ -96,8 +96,17 @@ func rendered(res *Result) []string {
 	return out
 }
 
-func TestIndexAccessMatchesScan(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
+func TestIndexAccessMatchesScan(t *testing.T) { indexAccessMatchesScan(t, 41) }
+
+func FuzzIndexAccessMatchesScan(f *testing.F) {
+	f.Add(int64(41))
+	f.Fuzz(indexAccessMatchesScan)
+}
+
+// indexAccessMatchesScan runs the differential over the statement
+// stream seed draws.
+func indexAccessMatchesScan(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
 	indexed, plain := storage.NewDatabase("indexed"), storage.NewDatabase("plain")
 	run := func(db *storage.Database, sql string) *Result {
 		t.Helper()
@@ -143,10 +152,10 @@ func TestIndexAccessMatchesScan(t *testing.T) {
 			t.Fatalf("after %q the indexed table holds\n%v\nthe unindexed copy\n%v", after, rendered(a), rendered(b))
 		}
 	}
-	var usedIndex bool
+	var usedIndex, streamed bool
 	for range 600 {
 		var sql string
-		switch n := r.Intn(10); {
+		switch n := r.Intn(11); {
 		case n < 5:
 			sql = "SELECT id, i, f, s, m FROM t WHERE " + diffPredicate(r)
 		case n < 7:
@@ -157,13 +166,22 @@ func TestIndexAccessMatchesScan(t *testing.T) {
 		case n < 9:
 			col := diffCols[r.Intn(len(diffCols))]
 			sql = fmt.Sprintf("SELECT t.id AS tid, u.uid AS uid FROM t JOIN u ON u.k = t.%s", col)
-		default:
+		case n < 10:
 			col := diffCols[r.Intn(len(diffCols))]
 			sql = fmt.Sprintf("SELECT COUNT(*) FROM t JOIN u ON t.%s = u.k WHERE %s", col, diffPredicate(r))
+		default:
+			// Without a WHERE the indexed side streams its groups off
+			// the column's index; the unindexed copy hash-aggregates.
+			col, where := diffCols[r.Intn(len(diffCols))], ""
+			if r.Intn(2) == 0 {
+				where = " WHERE " + diffPredicate(r)
+			}
+			sql = fmt.Sprintf("SELECT %s, COUNT(*) FROM t%s GROUP BY %s", col, where, col)
 		}
 		a, b := both(sql)
 		for _, p := range a.Plan {
 			usedIndex = usedIndex || strings.HasPrefix(p, "Index")
+			streamed = streamed || strings.HasPrefix(p, "IndexStreamAgg")
 		}
 		if a.Affected != b.Affected || !slices.Equal(rendered(a), rendered(b)) {
 			t.Fatalf("%q (plan %v):\nindexed  %d affected, rows %v\nunindexed %d affected, rows %v",
@@ -178,6 +196,9 @@ func TestIndexAccessMatchesScan(t *testing.T) {
 	}
 	if !usedIndex {
 		t.Fatal("no statement used an index: the differential compared scans with scans")
+	}
+	if !streamed {
+		t.Fatal("no grouped statement streamed off an index")
 	}
 }
 

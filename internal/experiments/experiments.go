@@ -20,8 +20,9 @@ import (
 type Measurement struct {
 	Label string
 	// AP and Fixed are the execution times of the anti-pattern and
-	// repaired designs: the median run (timeIt, timePair), or the mean
-	// run of a destructive operation timed from fresh state (timeOnce).
+	// repaired designs: the median run (timeIt, timePair), or the
+	// median run of a destructive operation timed from fresh state
+	// (timeOncePair).
 	AP, Fixed time.Duration
 	// PaperAP and PaperFixed record the paper's reported seconds for
 	// reference (0 when the paper gives only a factor).
@@ -106,21 +107,29 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// timeOnce measures a single destructive operation (setup must provide
-// a fresh state per call): it runs setup+op `runs` times, timing only
-// op.
-func timeOnce(runs int, setup func() func()) time.Duration {
+// timeOncePair measures two destructive operations, each of which its
+// setup must give a fresh state per call: it alternates a setup and a
+// timed op for each side `runs` times, timing only the op, and
+// returns each side's median run. As in timePair, the interleaving
+// lets a slow stretch of the host hit both sides, not the one that
+// happens to run during it.
+func timeOncePair(runs int, setupA, setupB func() func()) (da, db time.Duration) {
 	if runs <= 0 {
 		runs = 3
 	}
-	var total time.Duration
-	for i := 0; i < runs; i++ {
+	once := func(setup func() func()) time.Duration {
 		op := setup()
 		start := time.Now()
 		op()
-		total += time.Since(start)
+		return time.Since(start)
 	}
-	return total / time.Duration(runs)
+	as := make([]time.Duration, runs)
+	bs := make([]time.Duration, runs)
+	for i := range runs {
+		as[i] = once(setupA)
+		bs[i] = once(setupB)
+	}
+	return median(as), median(bs)
 }
 
 // Scale selects experiment sizes: benchmarks default to Small so the

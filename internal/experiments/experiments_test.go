@@ -78,9 +78,9 @@ func TestFigure8Shapes(t *testing.T) {
 }
 
 // TestTimePairIgnoresOneStalledRun pins that one stalled run decides
-// neither a pair nor a single timing: a 20 ms stall among ten no-op
-// runs would lift a mean to 2 ms, while the median stays at the
-// typical run.
+// neither a pair, a single timing nor a pair of fresh-state timings: a
+// 20 ms stall among ten no-op runs would lift a mean to 2 ms, while
+// the median stays at the typical run.
 func TestTimePairIgnoresOneStalledRun(t *testing.T) {
 	calls := 0
 	stallOnce := func() {
@@ -99,6 +99,12 @@ func TestTimePairIgnoresOneStalledRun(t *testing.T) {
 	calls = 0
 	if d := timeIt(10, stallOnce); d >= time.Millisecond {
 		t.Errorf("timeIt: no-op runs with one 20ms stall = %v, want the typical run (< 1ms)", d)
+	}
+	calls = 1 // no warm-up here: the stall still lands on the fourth run
+	slow, fast = timeOncePair(10, func() func() { return func() { time.Sleep(2 * time.Millisecond) } },
+		func() func() { return stallOnce })
+	if fast >= time.Millisecond || slow < 2*time.Millisecond {
+		t.Errorf("timeOncePair: 2ms side = %v (want >= 2ms), no-op side with one 20ms stall = %v (want < 1ms)", slow, fast)
 	}
 }
 

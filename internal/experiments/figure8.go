@@ -152,8 +152,7 @@ func fig8bGroupedAggregate(n int) Measurement {
 	apDB := build(false)
 	fixDB := build(true)
 	q := "SELECT grp, SUM(amount) FROM Events GROUP BY grp"
-	ap := timeIt(5, func() { mustExec(apDB, q) })
-	fixed := timeIt(5, func() { mustExec(fixDB, q) })
+	ap, fixed := timePair(5, func() { mustExec(apDB, q) }, func() { mustExec(fixDB, q) })
 	return Measurement{Label: "fig8b index underuse: grouped agg", AP: ap, Fixed: fixed,
 		PaperAP: 0.331, PaperFixed: 0.249, Note: "paper ~1.3x"}
 }
@@ -362,15 +361,14 @@ func fig8Enum(n int) []Measurement {
 
 	// (g) Rename role R2 -> R5: constraint surgery + mass update vs a
 	// one-row lookup-table update (paper: 1314.53s vs 0.003s).
-	gAP := timeOnce(3, func() func() {
+	gAP, gFix := timeOncePair(3, func() func() {
 		db := buildAP()
 		return func() {
 			mustExec(db, "ALTER TABLE Staff DROP CONSTRAINT IF EXISTS staff_role_check")
 			mustExec(db, "UPDATE Staff SET role = 'R5' WHERE role = 'R2'")
 			mustExec(db, "ALTER TABLE Staff ADD CONSTRAINT staff_role_check CHECK (role IN ('R1','R5','R3'))")
 		}
-	})
-	gFix := timeOnce(3, func() func() {
+	}, func() func() {
 		db := buildFixed()
 		return func() {
 			mustExec(db, "UPDATE Roles SET role_name = 'R5' WHERE role_name = 'R2'")
@@ -380,14 +378,13 @@ func fig8Enum(n int) []Measurement {
 	// (h) Admit a new permitted value R4: re-validate the CHECK over
 	// the whole table vs inserting one lookup row (paper: 2.249s vs
 	// 0.001s).
-	hAP := timeOnce(3, func() func() {
+	hAP, hFix := timeOncePair(3, func() func() {
 		db := buildAP()
 		return func() {
 			mustExec(db, "ALTER TABLE Staff DROP CONSTRAINT IF EXISTS staff_role_check")
 			mustExec(db, "ALTER TABLE Staff ADD CONSTRAINT staff_role_check CHECK (role IN ('R1','R2','R3','R4'))")
 		}
-	})
-	hFix := timeOnce(3, func() func() {
+	}, func() func() {
 		db := buildFixed()
 		return func() {
 			mustExec(db, "INSERT INTO Roles (role_id, role_name) VALUES (4, 'R4')")

@@ -13,6 +13,7 @@ package rules
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,15 +81,14 @@ type Finding struct {
 
 // Key returns a deduplication key: one finding per (rule, site).
 func (f Finding) Key() string {
-	return fmt.Sprintf("%s|%d|%s|%s", f.RuleID, f.QueryIndex,
-		strings.ToLower(f.Table), strings.ToLower(f.Column))
+	return f.RuleID + "|" + strconv.Itoa(f.QueryIndex) + "|" +
+		strings.ToLower(f.Table) + "|" + strings.ToLower(f.Column)
 }
 
 // SiteKey ignores the query index: one finding per (rule, table,
 // column), used to merge schema- and data-level duplicates.
 func (f Finding) SiteKey() string {
-	return fmt.Sprintf("%s|%s|%s", f.RuleID,
-		strings.ToLower(f.Table), strings.ToLower(f.Column))
+	return f.RuleID + "|" + strings.ToLower(f.Table) + "|" + strings.ToLower(f.Column)
 }
 
 // Need is a bitmask of analysis resources a rule's detectors consume
