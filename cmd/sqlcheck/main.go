@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"sqlcheck"
+	"sqlcheck/internal/sqltoken"
 )
 
 func main() {
@@ -199,8 +200,9 @@ func printText(w io.Writer, report *sqlcheck.Report) {
 	}
 }
 
-// runShell reads statements interactively, analyzing each semicolon-
-// terminated statement as it completes.
+// runShell reads statements interactively and analyzes the pending
+// text once a top-level semicolon ends its last statement; a
+// semicolon inside a string, a comment or parentheses keeps reading.
 func runShell(checker *sqlcheck.Checker, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "sqlcheck shell — terminate statements with ';', exit with \\q")
 	scanner := bufio.NewScanner(stdin)
@@ -215,7 +217,9 @@ func runShell(checker *sqlcheck.Checker, stdin io.Reader, stdout, stderr io.Writ
 		}
 		pending.WriteString(line)
 		pending.WriteString("\n")
-		if !strings.Contains(line, ";") {
+		// Appending text never turns an earlier semicolon into a
+		// top-level one, so only a line holding one can end the input.
+		if !strings.Contains(line, ";") || !terminated(pending.String()) {
 			prompt()
 			continue
 		}
@@ -229,4 +233,15 @@ func runShell(checker *sqlcheck.Checker, stdin io.Reader, stdout, stderr io.Writ
 		prompt()
 	}
 	return 0
+}
+
+// terminated reports whether a top-level semicolon follows the last
+// statement of sql, as sqltoken.Statements splits it. Past that
+// statement there are only whitespace, comments and semicolons.
+func terminated(sql string) bool {
+	end := -1
+	for st := range sqltoken.Statements(sql) {
+		end = st.End
+	}
+	return end >= 0 && len(sqltoken.LexSignificant(sql[end:])) > 1
 }

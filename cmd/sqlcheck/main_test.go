@@ -112,6 +112,12 @@ func TestInteractiveShell(t *testing.T) {
 	if !strings.Contains(out, "Wildcard") {
 		t.Errorf("shell output = %q", out)
 	}
+	// A semicolon inside a string literal that spans lines does not
+	// end the statement: the two lines are one analysis.
+	_, out, _ = runCLI(t, []string{"-i"}, "INSERT INTO t (a) VALUES ('x;\ny');\n\\q\n")
+	if n := strings.Count(out, "no anti-patterns found") + strings.Count(out, "anti-pattern(s) in"); n != 1 {
+		t.Errorf("shell ran %d analyses of one statement; output = %q", n, out)
+	}
 }
 
 func TestIntraModeFlag(t *testing.T) {

@@ -476,9 +476,9 @@ func (e *Engine) openFlights() int {
 type plannedWorkload struct {
 	Workload
 	rs *rules.RuleSet
-	// script is the workload SQL's fingerprint plus statement texts
-	// and literal/offset metadata — computed once at admission and
-	// reused by the parse stage in place of a second split.
+	// script is the workload SQL's fingerprint plus its statements'
+	// texts and spans — computed once at admission and reused by the
+	// parse stage in place of a second split.
 	script *sqltoken.ScriptPrint
 	// memo, when non-nil, is the cache hit: the memoized payload to
 	// return without running any pipeline phase.
@@ -577,11 +577,9 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 		}
 		if !w.NoMemo {
 			key := reportKey{
-				fp:        pw.script.Fingerprint,
-				rules:     rs.Key(),
-				cfg:       e.memoConfig(w.Profile),
-				minConf:   e.opts.MinConfidence,
-				noPrefilt: e.opts.NoPrefilter,
+				fp:      pw.script.Fingerprint,
+				rules:   rs.Key(),
+				profile: e.memoProfile(w.Profile),
 			}
 			if useDB {
 				// The live database's state version, read under the
@@ -619,18 +617,18 @@ func (e *Engine) resolveWorkloads(ws []Workload) ([]plannedWorkload, error) {
 	return out, nil
 }
 
-// memoConfig returns the effective analysis configuration for a
-// workload as it enters the report-cache key: the engine config with
-// any per-workload profile override applied and the profile options
-// normalized (so zero-valued and explicitly-default options share
-// entries).
-func (e *Engine) memoConfig(override *profile.Options) appctx.Config {
-	cfg := e.opts.Config
+// memoProfile returns a workload's effective profile options as they
+// enter the report-cache key: the override when the workload has one,
+// else the engine's, normalized so that zero-valued and
+// explicitly-default options share entries. The rest of the engine's
+// configuration is the same for every workload and stays out of the
+// key.
+func (e *Engine) memoProfile(override *profile.Options) profile.Options {
+	opts := e.opts.Config.Profile
 	if override != nil {
-		cfg.Profile = *override
+		opts = *override
 	}
-	cfg.Profile = cfg.Profile.Normalized()
-	return cfg
+	return opts.Normalized()
 }
 
 // runWorkload runs the staged pipeline over one admitted workload, on

@@ -8,11 +8,13 @@ package core
 // This cache memoizes the finished per-workload report keyed by
 //
 //	(script fingerprint, db origin ID + version, normalized ruleset,
-//	 engine configuration, statement texts)
+//	 normalized profile options, statement texts)
 //
-// Each Engine owns its cache and has one Reporter, so the owner's
-// report configuration (the Checker's ranking weights) is the same for
-// every entry and stays out of the key.
+// Each Engine owns its cache, so what is constant for an engine — its
+// analysis configuration apart from the profile options a workload may
+// override, its confidence floor, its prefilter switch, and its
+// Reporter's configuration (the Checker's ranking weights) — is the
+// same for every entry and stays out of the key.
 //
 // The fingerprint (sqltoken.FingerprintScript) collapses literal,
 // whitespace, and case variants onto one value and is the cache's
@@ -49,7 +51,7 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"sqlcheck/internal/appctx"
+	"sqlcheck/internal/profile"
 	"sqlcheck/internal/sqltoken"
 )
 
@@ -72,19 +74,16 @@ const (
 )
 
 // reportKey identifies everything besides the statement texts that a
-// memoized report depends on. All fields are comparable scalars or
-// strings; profile options inside cfg enter normalized. The cache
-// stores an entry under the key with dbVersion cleared and passes
-// dbVersion as the entry's version (see identity); flights key on the
-// whole tuple.
+// memoized report depends on and that can vary within one engine. All
+// fields are comparable scalars or strings. The cache stores an entry
+// under the key with dbVersion cleared and passes dbVersion as the
+// entry's version (see identity); flights key on the whole tuple.
 type reportKey struct {
 	fp        sqltoken.Fingerprint
 	dbID      uint64
 	dbVersion uint64
-	rules     string // rules.RuleSet.Key(): the normalized ruleset
-	cfg       appctx.Config
-	minConf   float64
-	noPrefilt bool
+	rules     string          // rules.RuleSet.Key(): the normalized ruleset
+	profile   profile.Options // the workload's, normalized (Engine.memoProfile)
 }
 
 // reportVariantKey is the exact-lookup key: the fingerprint-keyed

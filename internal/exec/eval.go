@@ -407,25 +407,62 @@ func evalIn(x *sqlast.BinaryExpr, env *Env) (storage.Value, error) {
 	return storage.Bool(x.Not), nil
 }
 
-// likeCache memoizes compiled LIKE/regexp patterns; pattern matching
-// cost per row is part of what the pattern-matching anti-pattern
-// measures, but recompilation per row would not be faithful to a DBMS.
-var likeCache sync.Map // string -> *regexp.Regexp
+// patternKey identifies one compiled pattern: its text and the
+// operator whose rules translate it, LIKE, ILIKE, GLOB or REGEXP.
+type patternKey struct{ pattern, op string }
 
-// LikeRegexp compiles a SQL LIKE pattern (or GLOB when glob is true)
-// into a Go regexp.
-func LikeRegexp(pattern string, caseInsensitive, glob bool) (*regexp.Regexp, error) {
-	cacheKey := fmt.Sprintf("%v|%v|%s", caseInsensitive, glob, pattern)
-	if re, ok := likeCache.Load(cacheKey); ok {
-		return re.(*regexp.Regexp), nil
+// patternCacheMax bounds the compiled-pattern cache: when it holds
+// this many patterns it is cleared, as the cache core's admission
+// doorkeeper is, so a stream of ever-new patterns cannot grow it
+// without bound.
+const patternCacheMax = 1 << 10
+
+// patterns memoizes compiled patterns; pattern matching cost per row
+// is part of what the pattern-matching anti-pattern measures, but
+// recompilation per row would not be faithful to a DBMS.
+var patterns = struct {
+	sync.Mutex
+	m map[patternKey]*regexp.Regexp
+}{m: make(map[patternKey]*regexp.Regexp)}
+
+// compilePattern compiles a SQL LIKE, ILIKE, GLOB or REGEXP pattern
+// into a Go regexp, memoized.
+func compilePattern(pattern, op string) (*regexp.Regexp, error) {
+	key := patternKey{pattern, op}
+	patterns.Lock()
+	re, ok := patterns.m[key]
+	patterns.Unlock()
+	if ok {
+		return re, nil
+	}
+	re, err := regexp.Compile(patternSource(pattern, op))
+	if err != nil {
+		return nil, err
+	}
+	patterns.Lock()
+	if len(patterns.m) >= patternCacheMax {
+		clear(patterns.m)
+	}
+	patterns.m[key] = re
+	patterns.Unlock()
+	return re, nil
+}
+
+// patternSource translates a pattern into regexp syntax. A REGEXP
+// pattern only has its POSIX word-boundary classes translated; LIKE
+// and ILIKE wildcards are % and _, GLOB's are * and ?.
+func patternSource(pattern, op string) string {
+	if op == "REGEXP" {
+		return posixWordBoundary(pattern)
 	}
 	var b strings.Builder
-	if caseInsensitive {
+	if op == "ILIKE" {
 		b.WriteString("(?is)")
 	} else {
 		b.WriteString("(?s)")
 	}
 	b.WriteString("^")
+	glob := op == "GLOB"
 	for _, r := range pattern {
 		switch {
 		case !glob && r == '%':
@@ -441,12 +478,7 @@ func LikeRegexp(pattern string, caseInsensitive, glob bool) (*regexp.Regexp, err
 		}
 	}
 	b.WriteString("$")
-	re, err := regexp.Compile(b.String())
-	if err != nil {
-		return nil, err
-	}
-	likeCache.Store(cacheKey, re)
-	return re, nil
+	return b.String()
 }
 
 // posixWordBoundary translates the MySQL/PostgreSQL word-boundary
@@ -456,21 +488,6 @@ func posixWordBoundary(pattern string) string {
 	pattern = strings.ReplaceAll(pattern, "[[:<:]]", `\b`)
 	pattern = strings.ReplaceAll(pattern, "[[:>:]]", `\b`)
 	return pattern
-}
-
-// CompileRegexp compiles a SQL REGEXP pattern with POSIX word-boundary
-// translation, memoized.
-func CompileRegexp(pattern string) (*regexp.Regexp, error) {
-	cacheKey := "re|" + pattern
-	if re, ok := likeCache.Load(cacheKey); ok {
-		return re.(*regexp.Regexp), nil
-	}
-	re, err := regexp.Compile(posixWordBoundary(pattern))
-	if err != nil {
-		return nil, err
-	}
-	likeCache.Store(cacheKey, re)
-	return re, nil
 }
 
 func evalLike(x *sqlast.BinaryExpr, env *Env) (storage.Value, error) {
@@ -488,18 +505,11 @@ func evalLike(x *sqlast.BinaryExpr, env *Env) (storage.Value, error) {
 	pat := r.String()
 	// The paper's MVA queries embed word-boundary classes inside LIKE
 	// patterns; treat those as regex matches like MySQL does.
+	op := x.Op
 	if strings.Contains(pat, "[[:") {
-		re, err := CompileRegexp(posixWordBoundary(pat))
-		if err != nil {
-			return storage.Null(), err
-		}
-		m := re.MatchString(l.String())
-		if x.Not {
-			m = !m
-		}
-		return storage.Bool(m), nil
+		op = "REGEXP"
 	}
-	re, err := LikeRegexp(pat, x.Op == "ILIKE", x.Op == "GLOB")
+	re, err := compilePattern(pat, op)
 	if err != nil {
 		return storage.Null(), err
 	}
@@ -522,7 +532,7 @@ func evalRegexp(x *sqlast.BinaryExpr, env *Env) (storage.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return storage.Null(), nil
 	}
-	re, err := CompileRegexp(r.String())
+	re, err := compilePattern(r.String(), "REGEXP")
 	if err != nil {
 		return storage.Null(), err
 	}

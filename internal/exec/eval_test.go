@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +115,44 @@ func TestLikeRegexpCompileErrors(t *testing.T) {
 	_, err := Eval(parser.ParseExpr(`'x' REGEXP '['`), &Env{})
 	if err == nil {
 		t.Error("invalid regexp accepted")
+	}
+}
+
+// TestPatternCacheBounded: a stream of ever-new patterns, from
+// several goroutines at once, holds at most patternCacheMax compiled
+// regexps, and a repeated pattern is compiled once.
+func TestPatternCacheBounded(t *testing.T) {
+	const workers, each = 4, patternCacheMax / 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				expr := fmt.Sprintf(`'abc' LIKE '%%x%d-%d%%'`, w, i)
+				if v, err := Eval(parser.ParseExpr(expr), &Env{}); err != nil || v.String() != "false" {
+					t.Errorf("%s = %v, %v; want false", expr, v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	patterns.Lock()
+	n := len(patterns.m)
+	patterns.Unlock()
+	if n > patternCacheMax {
+		t.Errorf("pattern cache holds %d regexps after %d distinct patterns, want at most %d", n, workers*each, patternCacheMax)
+	}
+	first, err := compilePattern("%repeated%", "LIKE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := compilePattern("%repeated%", "LIKE"); again != first {
+		t.Error("a repeated pattern was compiled again")
+	}
+	if other, _ := compilePattern("%repeated%", "ILIKE"); other == first {
+		t.Error("ILIKE shares LIKE's compiled pattern")
 	}
 }
 

@@ -210,12 +210,15 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 
 // joinSpec is a resolved JOIN clause: inner table, alias, ON clause
 // (USING expanded), and the ON equality an index nested loop can
-// probe, if any.
+// probe, if any. indexNoted and loopNoted record which accesses the
+// plan already names, so each is noted once per statement, on the
+// first probe that takes it.
 type joinSpec struct {
-	alias string
-	table *storage.Table
-	on    sqlast.Expr
-	eq    *innerEquality
+	alias                 string
+	table                 *storage.Table
+	on                    sqlast.Expr
+	eq                    *innerEquality
+	indexNoted, loopNoted bool
 }
 
 // walk is the one access and join walk of SELECT, UPDATE and DELETE.
@@ -266,12 +269,11 @@ func (w *walker) join(level int, id int64, leaf func(id int64) error) error {
 		}
 		return w.join(level+1, id, leaf)
 	}
-	// The first join's choice is noted per probe, up to a bound.
-	noting := level == 0 && len(w.ex.plan) < 32
 	if j.eq != nil {
 		if v, err := Eval(j.eq.outerExpr, w.env); err == nil {
 			if ix := probeIndex(j.table, j.eq.innerCol, v); ix != nil {
-				if noting {
+				if !j.indexNoted {
+					j.indexNoted = true
 					w.ex.note("IndexJoin(%s.%s)", j.table.Name, j.table.Cols[j.eq.innerCol].Name)
 				}
 				for _, innerID := range ix.Tree().Get(storage.EncodeKey(v)) {
@@ -288,7 +290,8 @@ func (w *walker) join(level int, id int64, leaf func(id int64) error) error {
 			}
 		}
 	}
-	if noting {
+	if !j.loopNoted {
+		j.loopNoted = true
 		w.ex.note("NestedLoopJoin(%s)", j.table.Name)
 	}
 	var err error

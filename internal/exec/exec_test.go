@@ -139,6 +139,14 @@ func TestIndexJoinVsNestedLoop(t *testing.T) {
 	if !hasPlan(res3, "IndexJoin") {
 		t.Errorf("grouped join plan = %v, want IndexJoin", res3.Plan)
 	}
+	// A join's access is noted once per statement, not once per probe.
+	res4 := q(t, db, `SELECT u.Name FROM Hosting h JOIN Users u ON u.User_ID = h.User_ID`)
+	if len(res4.Rows) != 30 {
+		t.Fatalf("unfiltered join rows = %d, want 30", len(res4.Rows))
+	}
+	if want := []string{"SeqScan(Hosting)", "IndexJoin(Users.User_ID)"}; !slices.Equal(res4.Plan, want) {
+		t.Errorf("unfiltered join plan = %v, want %v", res4.Plan, want)
+	}
 }
 
 func TestJoinUsing(t *testing.T) {

@@ -43,16 +43,18 @@ func parseAllScripts() map[string]string {
 }
 
 // TestParseAllMatchesPerStatementParse holds the script path (one
-// lexing pass, shared token buffer) to the reference path (split, then
-// lex and parse each statement alone): every statement's AST must be
-// deeply equal. It also holds parseExpr's literal fast path to the full
-// precedence climb at every literal of every statement.
+// lexing pass, shared token buffer) to the reference path (each
+// statement's text, as FingerprintScript records it, lexed and parsed
+// alone): every statement's AST must be deeply equal. The sqltoken
+// split-agreement contract holds those texts to its own splitter. It
+// also holds parseExpr's literal fast path to the full precedence
+// climb at every literal of every statement.
 func TestParseAllMatchesPerStatementParse(t *testing.T) {
 	for name, script := range parseAllScripts() {
-		texts := sqltoken.SplitStatements(script)
+		texts := sqltoken.FingerprintScript(script).Texts()
 		got := parser.ParseAll(script)
 		if len(got) != len(texts) {
-			t.Errorf("%s: ParseAll returned %d statements, SplitStatements %d", name, len(got), len(texts))
+			t.Errorf("%s: ParseAll returned %d statements, FingerprintScript %d", name, len(got), len(texts))
 			continue
 		}
 		for i, text := range texts {

@@ -8,12 +8,13 @@
 // into the detection rules, which work on whatever structure is
 // available.
 //
-// Scripts are parsed from sqltoken.Statements, which lexes the whole
-// script once into one token buffer reused statement after statement;
-// that reuse is safe only because no node keeps the token slice.
-// Single statements (Parse) are lexed with sqltoken.LexSignificant.
-// Both paths build identical ASTs: TestParseAllMatchesPerStatementParse
-// holds ParseAll to Parse over SplitStatements.
+// Scripts are parsed from sqltoken.Statements, the program's one
+// statement splitter, which lexes the whole script once into one
+// token buffer reused statement after statement; that reuse is safe
+// only because no node keeps the token slice. Single statements
+// (Parse) are lexed with sqltoken.LexSignificant. Both paths build
+// identical ASTs: TestParseAllMatchesPerStatementParse holds ParseAll
+// to Parse over each statement's text.
 package parser
 
 import (
@@ -42,8 +43,8 @@ func parseTokens(text string, toks []sqltoken.Token) sqlast.Statement {
 // own; each statement is parsed only when the consumer asks for it.
 func Statements(sql string) iter.Seq[sqlast.Statement] {
 	return func(yield func(sqlast.Statement) bool) {
-		for text, toks := range sqltoken.Statements(sql) {
-			if !yield(parseTokens(text, toks)) {
+		for st, toks := range sqltoken.Statements(sql) {
+			if !yield(parseTokens(st.Text, toks)) {
 				return
 			}
 		}

@@ -5,8 +5,9 @@ package profile
 // the 16-table bench fixture that cascade (plus re-rendering values
 // per cross-column pass) dominated the data phase. The classifiers
 // here are hand-rolled scanners exactly equivalent to the reference
-// regexes kept in profile.go — TestClassifierEquivalence exercises
-// the pair on adversarial and randomized inputs — so the profiler can
+// regexes kept in the tests — TestClassifierEquivalence exercises
+// each pair on adversarial and randomized inputs, and
+// FuzzClassifierEquivalence on fuzzed ones — so the profiler can
 // classify without regexp machinery while producing byte-identical
 // profiles.
 //

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,6 +27,44 @@ import (
 )
 
 // --- reference implementation (original code, verbatim) -------------
+
+// Reference format definitions: the executable specification of each
+// byte-level scanner in classify.go (TestClassifierEquivalence and
+// FuzzClassifierEquivalence hold each scanner to its regex). rePath
+// is the one the profiler still runs, so it lives in profile.go.
+var (
+	reInt        = regexp.MustCompile(`^\s*-?\d+\s*$`)
+	reFloat      = regexp.MustCompile(`^\s*-?\d+\.\d+([eE][-+]?\d+)?\s*$`)
+	reDate       = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
+	reDateTime   = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}(:\d{2})?(\.\d+)?$`)
+	reDateTimeTZ = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}(:\d{2})?(\.\d+)?\s*([zZ]|[-+]\d{2}:?\d{2})$`)
+	reEmail      = regexp.MustCompile(`^[^@\s]+@[^@\s]+\.[^@\s]+$`)
+	reHexish     = regexp.MustCompile(`^[0-9a-fA-F$./=+]{20,}$`)
+)
+
+// Sample draws a deterministic reservoir sample of row values from a
+// table. The returned rows are copies, safe to hold and mutate.
+// ProfileTableContext streams renderings instead of materializing
+// rows but follows the identical reservoir schedule, so for one seed
+// both observe the same sampled row set.
+func Sample(t *storage.Table, opts Options) []storage.Row {
+	opts = opts.withDefaults()
+	r := xrand.New(opts.Seed)
+	var reservoir []storage.Row
+	n := 0
+	t.ScanReadOnly(func(id int64, row storage.Row) bool {
+		n++
+		if len(reservoir) < opts.SampleSize {
+			reservoir = append(reservoir, row.Clone())
+			return true
+		}
+		if j := r.Intn(n); j < opts.SampleSize {
+			reservoir[j] = row.Clone()
+		}
+		return true
+	})
+	return reservoir
+}
 
 func refDelimListLike(s string) bool {
 	for _, d := range []string{",", ";", "|"} {
@@ -52,7 +91,7 @@ func refDelimListLike(s string) bool {
 
 func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 	opts = opts.withDefaults()
-	rows, _ := sampleContext(context.Background(), t, opts)
+	rows := Sample(t, opts)
 	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows), TotalRows: t.Len(), opts: opts}
 
 	type colState struct {
@@ -301,36 +340,49 @@ func randString(r *xrand.Rand) string {
 	return sb.String()
 }
 
-func TestClassifierEquivalence(t *testing.T) {
-	checks := []struct {
-		name string
-		fast func(string) bool
-		ref  func(string) bool
-	}{
-		{"int", intLike, reInt.MatchString},
-		{"float", floatLike, reFloat.MatchString},
-		{"date", dateLike, reDate.MatchString},
-		{"datetime-notz", dateTimeNoTZLike, reDateTime.MatchString},
-		{"datetime-tz", dateTimeTZLike, reDateTimeTZ.MatchString},
-		{"email", emailLike, reEmail.MatchString},
-		{"path", pathLike, rePath.MatchString},
-		{"delim-list", delimListLike, refDelimListLike},
-	}
-	verify := func(s string) {
-		t.Helper()
-		for _, c := range checks {
-			if got, want := c.fast(s), c.ref(s); got != want {
-				t.Errorf("%s(%q) = %v, reference regex says %v", c.name, s, got, want)
-			}
+// classifierChecks pairs each hand-rolled classifier with its
+// reference.
+var classifierChecks = []struct {
+	name string
+	fast func(string) bool
+	ref  func(string) bool
+}{
+	{"int", intLike, reInt.MatchString},
+	{"float", floatLike, reFloat.MatchString},
+	{"date", dateLike, reDate.MatchString},
+	{"datetime-notz", dateTimeNoTZLike, reDateTime.MatchString},
+	{"datetime-tz", dateTimeTZLike, reDateTimeTZ.MatchString},
+	{"email", emailLike, reEmail.MatchString},
+	{"path", pathLike, rePath.MatchString},
+	{"delim-list", delimListLike, refDelimListLike},
+}
+
+func verifyClassifiers(t *testing.T, s string) {
+	t.Helper()
+	for _, c := range classifierChecks {
+		if got, want := c.fast(s), c.ref(s); got != want {
+			t.Errorf("%s(%q) = %v, reference regex says %v", c.name, s, got, want)
 		}
 	}
+}
+
+func TestClassifierEquivalence(t *testing.T) {
 	for _, s := range adversarialStrings {
-		verify(s)
+		verifyClassifiers(t, s)
 	}
 	r := xrand.New(0xc1a551f7)
 	for i := 0; i < 20000; i++ {
-		verify(randString(r))
+		verifyClassifiers(t, randString(r))
 	}
+}
+
+// FuzzClassifierEquivalence runs the same checks on fuzzed strings,
+// seeded from the adversarial pool.
+func FuzzClassifierEquivalence(f *testing.F) {
+	for _, s := range adversarialStrings {
+		f.Add(s)
+	}
+	f.Fuzz(verifyClassifiers)
 }
 
 // --- whole-profile equivalence ---------------------------------------

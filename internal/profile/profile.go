@@ -205,68 +205,18 @@ func (tp *TableProfile) MemSize() int64 {
 	return n
 }
 
-// Reference format definitions. The hot path classifies through the
-// equivalent byte-level scanners in classify.go (verified against
-// these by TestClassifierEquivalence); rePath is still matched at
-// runtime behind a cheap necessary-condition pre-check, the rest are
-// retained as the executable specification.
-var (
-	reInt        = regexp.MustCompile(`^\s*-?\d+\s*$`)
-	reFloat      = regexp.MustCompile(`^\s*-?\d+\.\d+([eE][-+]?\d+)?\s*$`)
-	reDate       = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
-	reDateTime   = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}(:\d{2})?(\.\d+)?$`)
-	reDateTimeTZ = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}(:\d{2})?(\.\d+)?\s*([zZ]|[-+]\d{2}:?\d{2})$`)
-	rePath       = regexp.MustCompile(`^(/|[A-Za-z]:\\|\./|\.\./).+|^[\w./-]+\.(jpg|jpeg|png|gif|pdf|doc|docx|csv|txt|mp4|zip)$`)
-	reEmail      = regexp.MustCompile(`^[^@\s]+@[^@\s]+\.[^@\s]+$`)
-	reHexish     = regexp.MustCompile(`^[0-9a-fA-F$./=+]{20,}$`)
-)
+// rePath is the one format the profiler still matches with a regexp
+// (a genuinely irregular alternation), behind pathLike's cheap
+// necessary-condition pre-check. The other formats classify through
+// the byte-level scanners in classify.go; their reference regexes
+// live in the tests, which hold each scanner to its regex.
+var rePath = regexp.MustCompile(`^(/|[A-Za-z]:\\|\./|\.\./).+|^[\w./-]+\.(jpg|jpeg|png|gif|pdf|doc|docx|csv|txt|mp4|zip)$`)
 
 // cancelCheckRows is how many scanned rows pass between context
 // checks during sampling; small enough that canceling a request stops
 // a large-table profile promptly, large enough that the check is
 // noise against per-row work.
 const cancelCheckRows = 1024
-
-// Sample draws a deterministic reservoir sample of row values from a
-// table. The returned rows are copies, safe to hold and mutate.
-func Sample(t *storage.Table, opts Options) []storage.Row {
-	rows, _ := sampleContext(context.Background(), t, opts)
-	return rows
-}
-
-// sampleContext is Sample with cancellation: the full-table scan
-// behind the reservoir checks ctx every cancelCheckRows rows and
-// stops early with ctx.Err() when canceled. The profiler does not run
-// through this (it streams renderings instead of materializing rows)
-// but follows the identical reservoir schedule, so for one seed both
-// observe the same sampled row set.
-func sampleContext(ctx context.Context, t *storage.Table, opts Options) ([]storage.Row, error) {
-	opts = opts.withDefaults()
-	r := xrand.New(opts.Seed)
-	var reservoir []storage.Row
-	n := 0
-	// ScanReadOnly: profiling is analysis, not a measured workload
-	// query — it must not charge the cost model or mutate buffer-pool
-	// state, and the engine profiles tables concurrently.
-	t.ScanReadOnly(func(id int64, row storage.Row) bool {
-		n++
-		if n%cancelCheckRows == 0 && ctx.Err() != nil {
-			return false
-		}
-		if len(reservoir) < opts.SampleSize {
-			reservoir = append(reservoir, row.Clone())
-			return true
-		}
-		if j := r.Intn(n); j < opts.SampleSize {
-			reservoir[j] = row.Clone()
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return reservoir, nil
-}
 
 // cell is one sampled value rendered exactly once: the display string
 // (shared with the stored Value when it already is a string), the
@@ -383,10 +333,10 @@ func ProfileTableContext(ctx context.Context, t *storage.Table, opts Options) (*
 	defer sc.release()
 	cols := sc.columns(ncols)
 
-	// Reservoir sampling on the identical schedule as sampleContext
-	// (same seed ⇒ same sampled row set), rendering each admitted
-	// row's cells in place of cloning it. A replaced slot's renderings
-	// are simply overwritten.
+	// Reservoir sampling (the tests' Sample reference follows the same
+	// schedule, so one seed samples one row set), rendering each
+	// admitted row's cells in place of cloning it. A replaced slot's
+	// renderings are simply overwritten.
 	r := xrand.New(opts.Seed)
 	sampled, n := 0, 0
 	t.ScanReadOnly(func(id int64, row storage.Row) bool {

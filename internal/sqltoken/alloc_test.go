@@ -49,8 +49,9 @@ func TestSplitStatementsAllocationBudget(t *testing.T) {
 }
 
 // TestFingerprintAllocationBudget: the fingerprint walk's state lives
-// on the stack (no flush closure boxing); what allocates is the
-// returned ScriptPrint, its statement slice, and the literal spans.
+// on the stack; what allocates is the returned ScriptPrint, its
+// statement slice, and the token buffer Statements reuses from
+// statement to statement.
 func TestFingerprintAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		FingerprintScript(allocBudgetSQL)

@@ -6,13 +6,11 @@ package sqltoken
 // comments, and keyword/identifier case normalized away, so the
 // near-identical requests that dominate production SQL traffic (same
 // query shape, different literals) collapse onto one value. The walk
-// shares SplitStatements' statement-boundary semantics exactly (top
-// level semicolons split; strings, comments, and parenthesized
-// semicolons do not) and additionally records, per statement, the
-// exact text SplitStatements would return, its byte range in the
-// submitted input, and the positions of the normalized literals — so
-// a consumer that memoizes per-fingerprint results can still report
-// spans into the text actually submitted.
+// consumes Statements, so its statements are exactly the ones every
+// other consumer of the script sees, and it keeps each statement's
+// StmtPrint — its text, its byte range in the submitted input and its
+// line — so a consumer that memoizes per-fingerprint results can
+// still report spans into the text actually submitted.
 //
 // What normalizes (equal fingerprints):
 //   - number, string, and placeholder literal values (each kind keeps
@@ -40,35 +38,14 @@ type Fingerprint struct {
 	Hi, Lo uint64
 }
 
-// LitSpan is the byte range of one normalized literal (number or
-// string token) within its statement's text.
-type LitSpan struct {
-	Start, End int
-}
-
-// StmtPrint describes one statement of a fingerprinted script.
-type StmtPrint struct {
-	// Text is the statement exactly as SplitStatements returns it.
-	Text string
-	// Start and End delimit Text within the fingerprinted input:
-	// input[Start:End] == Text.
-	Start, End int
-	// Line is the 1-based line number of the statement's first token.
-	Line int
-	// Literals locates the literal tokens whose values the fingerprint
-	// normalized away, as ranges into Text.
-	Literals []LitSpan
-}
-
 // ScriptPrint is the result of fingerprinting a script: the combined
-// fingerprint plus per-statement texts and literal positions.
+// fingerprint plus where each statement lies in the input.
 type ScriptPrint struct {
 	Fingerprint Fingerprint
 	Stmts       []StmtPrint
 }
 
-// Texts returns the statement texts, equal to SplitStatements of the
-// fingerprinted input.
+// Texts returns the statement texts in script order.
 func (sp *ScriptPrint) Texts() []string {
 	out := make([]string, len(sp.Stmts))
 	for i := range sp.Stmts {
@@ -127,105 +104,34 @@ const (
 	fpMarkSepStmt     = 0xFE // between statements
 )
 
-// fpScan is the fingerprint walk's state. A struct with methods
-// instead of a closure over locals: the flush closure boxed every
-// captured variable onto the heap, and fingerprinting is the hot probe
-// of the report cache's serving path. The struct lives on
-// FingerprintScript's stack; only the returned ScriptPrint escapes.
-type fpScan struct {
-	input    string
-	sp       ScriptPrint
-	h        fpHasher
-	begin    int
-	line     int
-	literals []LitSpan // absolute offsets until flush
-}
-
-// flush closes the statement begun at s.begin, if any, ending at end.
-func (s *fpScan) flush(end int) {
-	if s.begin < 0 {
-		return
-	}
-	start := s.begin
-	s.begin = -1
-	text := trimLexSpace(s.input[start:end])
-	if text == "" {
-		s.literals = s.literals[:0]
-		return
-	}
-	// start is a significant token's start, so there is nothing to
-	// trim on the left and Start == start; only trailing whitespace
-	// before the semicolon (or EOF) is dropped.
-	st := StmtPrint{Text: text, Start: start, End: start + len(text), Line: s.line}
-	for _, l := range s.literals {
-		// An unterminated string literal runs to EOF and can swallow
-		// the trailing whitespace the trim just dropped — clamp so
-		// spans always index Text.
-		ls, le := l.Start-start, l.End-start
-		if le > len(text) {
-			le = len(text)
-		}
-		if ls >= le {
-			continue
-		}
-		st.Literals = append(st.Literals, LitSpan{Start: ls, End: le})
-	}
-	s.literals = s.literals[:0]
-	s.sp.Stmts = append(s.sp.Stmts, st)
-	s.h.byte(fpMarkSepStmt)
-}
-
-// FingerprintScript lexes input once and returns its normalized
-// fingerprint together with the statement texts SplitStatements would
-// produce and the literal positions inside each. FingerprintScript
-// never fails; unparseable bytes hash as their raw text, so every
-// input has a stable fingerprint.
+// FingerprintScript returns the normalized fingerprint of input
+// together with its statements, as Statements yields them.
+// FingerprintScript never fails; unparseable bytes hash as their raw
+// text, so every input has a stable fingerprint.
 func FingerprintScript(input string) *ScriptPrint {
-	s := fpScan{input: input, h: newFPHasher(), begin: -1}
-	var depth int
-	// Stream tokens straight off the lexer: fingerprinting is the hot
-	// probe of the report cache's serving path, and materializing the
-	// token slice Lex returns would dominate it.
-	l := lexer{src: input, line: 1}
-	for {
-		t := l.next()
-		switch {
-		case t.Kind == TokenEOF:
-			s.flush(t.Pos)
-			s.sp.Fingerprint = Fingerprint{Hi: s.h.h1, Lo: s.h.h2}
-			out := s.sp
-			return &out
-		case t.Kind == TokenWhitespace || t.Kind == TokenComment:
-			// normalized away; does not begin a statement
-		case t.IsPunct(";") && depth == 0:
-			s.flush(t.Pos)
-		default:
-			if s.begin < 0 {
-				s.begin = t.Pos
-				s.line = t.Line
-			}
-			if t.IsPunct("(") {
-				depth++
-			} else if t.IsPunct(")") && depth > 0 {
-				depth--
-			}
+	sp := &ScriptPrint{}
+	h := newFPHasher()
+	for st, toks := range Statements(input) {
+		for _, t := range toks[:len(toks)-1] { // EOF excluded
 			switch t.Kind {
 			case TokenNumber:
-				s.h.byte(fpMarkNumber)
-				s.literals = append(s.literals, LitSpan{Start: t.Pos, End: t.Pos + len(t.Text)})
+				h.byte(fpMarkNumber)
 			case TokenString:
-				s.h.byte(fpMarkString)
-				s.literals = append(s.literals, LitSpan{Start: t.Pos, End: t.Pos + len(t.Text)})
+				h.byte(fpMarkString)
 			case TokenPlaceholder:
-				s.h.byte(fpMarkPlaceholder)
+				h.byte(fpMarkPlaceholder)
 			case TokenKeyword, TokenIdent:
-				s.h.upperStr(t.Text)
+				h.upperStr(t.Text)
 			default:
 				// Quoted identifiers (case-sensitive), operators,
 				// punctuation, and unclassified bytes hash verbatim.
-				s.h.str(t.Text)
+				h.str(t.Text)
 			}
-			s.h.byte(fpMarkSepToken)
+			h.byte(fpMarkSepToken)
 		}
+		h.byte(fpMarkSepStmt)
+		sp.Stmts = append(sp.Stmts, st)
 	}
+	sp.Fingerprint = Fingerprint{Hi: h.h1, Lo: h.h2}
+	return sp
 }

@@ -45,8 +45,9 @@ var splitTraps = []string{
 }
 
 // TestFingerprintSplitAgreement pins the one invariant everything
-// else builds on: the fingerprinted statement texts and offsets are
-// exactly what SplitStatements returns, located in the input.
+// else builds on: the statements Statements yields, and so the ones
+// FingerprintScript records, are exactly what the SplitStatements
+// reference returns, located in the input.
 func TestFingerprintSplitAgreement(t *testing.T) {
 	for _, src := range append(slices.Clip(fpScripts), splitTraps...) {
 		t.Run(fmt.Sprintf("%.30q", src), func(t *testing.T) {
@@ -71,31 +72,25 @@ func assertSplitAgreement(t *testing.T, src string) {
 		st := sp.Stmts[i]
 		if st.Start < 0 || st.End > len(src) || src[st.Start:st.End] != st.Text {
 			t.Errorf("statement %d span [%d,%d) does not locate its text in the input", i, st.Start, st.End)
+			continue
 		}
-		for _, l := range st.Literals {
-			if l.Start < 0 || l.End > len(st.Text) || l.Start >= l.End {
-				t.Errorf("statement %d literal span [%d,%d) out of bounds", i, l.Start, l.End)
-				continue
-			}
-			c := st.Text[l.Start]
-			if c != '\'' && c != '.' && !(c >= '0' && c <= '9') {
-				t.Errorf("statement %d literal span %q does not start a literal", i, st.Text[l.Start:l.End])
-			}
+		if line := strings.Count(src[:st.Start], "\n") + 1; st.Line != line {
+			t.Errorf("statement %d line = %d, want %d", i, st.Line, line)
 		}
 	}
 	// The one-pass iterator yields the same texts and, for each, the
 	// tokens LexSignificant(text) returns, equal in every field, EOF
 	// included.
 	n := 0
-	for text, toks := range Statements(src) {
+	for st, toks := range Statements(src) {
 		if n >= len(want) {
 			t.Fatalf("Statements yielded more than the %d statements SplitStatements found", len(want))
 		}
-		if text != want[n] {
-			t.Errorf("Statements text %d mismatch\ngot:  %q\nwant: %q", n, text, want[n])
+		if st.Text != want[n] {
+			t.Errorf("Statements text %d mismatch\ngot:  %q\nwant: %q", n, st.Text, want[n])
 		}
-		if ref := LexSignificant(text); !slices.Equal(toks, ref) {
-			t.Errorf("Statements tokens %d differ from LexSignificant(%q)\ngot:  %+v\nwant: %+v", n, text, toks, ref)
+		if ref := LexSignificant(st.Text); !slices.Equal(toks, ref) {
+			t.Errorf("Statements tokens %d differ from LexSignificant(%q)\ngot:  %+v\nwant: %+v", n, st.Text, toks, ref)
 		}
 		n++
 	}
@@ -230,9 +225,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 }
 
 // FuzzFingerprintStability fuzzes the two contracts at once: the
-// statement texts always agree with SplitStatements, and rebuilding
-// the script with different whitespace, comment, literal, and case
-// choices never moves the fingerprint.
+// statements always agree with the SplitStatements reference, and
+// rebuilding the script with different whitespace, comment, literal,
+// and case choices never moves the fingerprint.
 func FuzzFingerprintStability(f *testing.F) {
 	for _, src := range append(slices.Clip(fpScripts), splitTraps...) {
 		f.Add(src)

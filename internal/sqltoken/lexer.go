@@ -5,25 +5,12 @@ import (
 	"strings"
 )
 
-// Lex tokenizes the input SQL text. It never returns an error: input
-// that cannot be classified becomes TokenOther tokens. The returned
-// slice always ends with a TokenEOF token.
-func Lex(input string) []Token {
-	l := lexer{src: input, line: 1}
-	toks := make([]Token, 0, len(input)/4+4)
-	for {
-		t := l.next()
-		toks = append(toks, t)
-		if t.Kind == TokenEOF {
-			return toks
-		}
-	}
-}
-
 // LexSignificant tokenizes input and drops whitespace and comment
-// tokens, which most analyses do not care about. The trailing EOF
-// token is retained. Insignificant tokens are skipped as they stream
-// off the lexer — no intermediate full-token slice is built.
+// tokens, which most analyses do not care about. It never fails:
+// input that cannot be classified becomes TokenOther tokens, and the
+// returned slice always ends with a TokenEOF token. Insignificant
+// tokens are skipped as they stream off the lexer — no intermediate
+// full-token slice is built.
 func LexSignificant(input string) []Token {
 	l := lexer{src: input, line: 1}
 	toks := make([]Token, 0, len(input)/6+4)
@@ -264,8 +251,8 @@ func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\
 // trimLexSpace trims exactly the lexer's whitespace class from both
 // ends of s. strings.TrimSpace would additionally trim bytes the lexer
 // treats as significant (form feed, vertical tab, unicode spaces), and
-// the statement splitter and fingerprinter must agree with the token
-// stream on which bytes a statement contains.
+// the statement splitter must agree with the token stream on which
+// bytes a statement contains.
 func trimLexSpace(s string) string {
 	i, j := 0, len(s)
 	for i < j && isSpace(s[i]) {
@@ -286,23 +273,41 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || isDigit(c) || c == '$'
 }
 
+// StmtPrint locates one statement of a script.
+type StmtPrint struct {
+	// Text is the statement without its terminating semicolon, trimmed
+	// of the lexer's whitespace class at both ends.
+	Text string
+	// Start and End delimit Text within the script:
+	// script[Start:End] == Text.
+	Start, End int
+	// Line is the 1-based line number of the statement's first token.
+	Line int
+}
+
 // Statements iterates over the statements of a script in a single
-// lexing pass. Each step yields a statement's text exactly as
-// SplitStatements returns it, together with its significant tokens
-// exactly as LexSignificant(text) returns them: positions and line
-// numbers relative to the text, EOF-terminated. Splitting and then
-// lexing each statement would lex every byte twice and allocate a
-// token array per statement; here the whole script is lexed once and
-// the tokens go into one buffer that every step reuses, so a consumer
-// must copy any token it keeps past the step.
+// lexing pass; it is the one statement-boundary rule of the program.
+// A statement ends at a semicolon outside strings, comments and
+// parentheses, or at end of input, and statements without a
+// significant token are skipped. Each step yields where the statement
+// lies together with its significant tokens exactly as
+// LexSignificant(st.Text) returns them: positions and line numbers
+// relative to the text, EOF-terminated. Splitting and then lexing
+// each statement would lex every byte twice and allocate a token
+// array per statement; here the tokens go into one buffer that every
+// step reuses, so a consumer must copy any token it keeps past the
+// step.
 //
-// SplitStatements and LexSignificant remain the reference: the fuzz
-// contract (assertSplitAgreement) holds this iterator to them.
-func Statements(input string) iter.Seq2[string, []Token] {
-	return func(yield func(string, []Token) bool) {
+// The fuzz contract (assertSplitAgreement) holds the iterator to a
+// split-then-lex reference kept in the tests.
+func Statements(input string) iter.Seq2[StmtPrint, []Token] {
+	return func(yield func(StmtPrint, []Token) bool) {
 		l := lexer{src: input, line: 1}
 		var (
-			toks      []Token
+			// Room for a typical statement: where the iterator
+			// inlines (FingerprintScript), a buffer that never grows
+			// stays on the stack.
+			toks      = make([]Token, 0, 64)
 			depth     int
 			begin     = -1
 			beginLine int
@@ -332,7 +337,7 @@ func Statements(input string) iter.Seq2[string, []Token] {
 						}
 					}
 					toks = append(toks, Token{Kind: TokenEOF, Pos: len(text), Line: lastLine - beginLine + 1})
-					if !yield(text, toks) {
+					if !yield(StmtPrint{Text: text, Start: begin, End: end, Line: beginLine}, toks) {
 						return
 					}
 				}
@@ -360,53 +365,6 @@ func Statements(input string) iter.Seq2[string, []Token] {
 				t.Pos -= begin
 				t.Line -= beginLine - 1
 				toks = append(toks, t)
-			}
-		}
-	}
-}
-
-// SplitStatements splits SQL text into individual statements on
-// top-level semicolons. Semicolons inside strings, comments, or
-// parentheses do not split. Empty statements are dropped. The returned
-// statements retain their original text (without the terminating
-// semicolon).
-func SplitStatements(input string) []string {
-	l := lexer{src: input, line: 1}
-	var (
-		stmts []string
-		depth int
-		begin = -1
-	)
-	flush := func(end int) {
-		if begin < 0 {
-			return
-		}
-		s := trimLexSpace(input[begin:end])
-		if s != "" {
-			stmts = append(stmts, s)
-		}
-		begin = -1
-	}
-	// Tokens stream straight off the lexer; splitting never needs the
-	// full token slice.
-	for {
-		t := l.next()
-		switch {
-		case t.Kind == TokenEOF:
-			flush(t.Pos)
-			return stmts
-		case t.Kind == TokenWhitespace || t.Kind == TokenComment:
-			// does not begin a statement
-		case t.IsPunct(";") && depth == 0:
-			flush(t.Pos)
-		default:
-			if begin < 0 {
-				begin = t.Pos
-			}
-			if t.IsPunct("(") {
-				depth++
-			} else if t.IsPunct(")") && depth > 0 {
-				depth--
 			}
 		}
 	}
