@@ -21,7 +21,7 @@ BENCH_COUNT ?= 5
 # daemon's end-to-end serving benchmark and the WAL checkpoint.
 BENCH_PKGS = . ./cmd/sqlcheckd ./internal/storage/wal
 
-.PHONY: build test test-full bench bench-check bench-e2e-check bench-e2e-smoke bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check lint loc ci
+.PHONY: build test test-full bench bench-check bench-e2e-check bench-e2e-smoke bounded-rss print-bench-gate print-bench-pkgs profile-cpu profile-heap docs-check examples lint loc ci
 
 # The single source of truth for the gated-benchmark pattern:
 # bench/base.sh reads it from this Makefile, not the base commit's,
@@ -121,9 +121,15 @@ bench-e2e-smoke:
 loc:
 	@find . \( -path './.*' -o -path ./bench \) -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
+# Run every example program and fail on the first non-zero exit. The
+# examples call MustExec and log.Fatal, so an executor or API error
+# they meet surfaces here; `go build ./...` only compiles them.
+examples:
+	@set -e; for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d"; done
+
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: build lint docs-check test bench-e2e-check
+ci: build lint docs-check test bench-e2e-check examples

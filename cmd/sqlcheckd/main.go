@@ -97,12 +97,14 @@ func main() {
 		ckptEvery   = flag.Int("checkpoint-every", 0, "WAL records between automatic checkpoints (0 = default 1024, negative disables)")
 		pageBytes   = flag.Int64("page-cache-bytes", 0, "resident-byte budget for registered databases' row pages; cold pages spill to disk and fault back on access (0 = unbounded, all pages stay in memory)")
 		drainWait   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown deadline for draining in-flight requests")
-		maxInflight = flag.Int("max-inflight", defaultMaxInflight(), "max concurrently analyzing requests; excess queues, then sheds with 429")
-		maxQueue    = flag.Int("max-queue", 64, "max requests waiting for an analysis slot before shedding with 429 (0 = shed immediately when all slots busy)")
-		queueWait   = flag.Duration("queue-wait", 2*time.Second, "max time one request may wait queued before shedding with 429")
-		reqTimeout  = flag.Duration("request-timeout", 60*time.Second, "per-request analysis deadline; 504 on expiry")
-		maxBody     = flag.Int64("max-body-bytes", 8<<20, "max request body bytes; 413 past it")
 	)
+	// The serving bounds' flag defaults are DefaultServerConfig's.
+	cfg := DefaultServerConfig()
+	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "max concurrently analyzing requests; excess queues, then sheds with 429")
+	flag.IntVar(&cfg.MaxQueue, "max-queue", cfg.MaxQueue, "max requests waiting for an analysis slot before shedding with 429 (0 = shed immediately when all slots busy)")
+	flag.DurationVar(&cfg.QueueWait, "queue-wait", cfg.QueueWait, "max time one request may wait queued before shedding with 429")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request analysis deadline; 504 on expiry")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", cfg.MaxBodyBytes, "max request body bytes; 413 past it")
 	flag.Parse()
 
 	opts := sqlcheck.Options{
@@ -141,13 +143,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sqlcheckd: %v\n", err)
 		os.Exit(1)
 	}
-	cfg := ServerConfig{
-		MaxInflight:    *maxInflight,
-		MaxQueue:       *maxQueue,
-		QueueWait:      *queueWait,
-		RequestTimeout: *reqTimeout,
-		MaxBodyBytes:   *maxBody,
-	}.resolved()
+	cfg = cfg.resolved()
 	// Server-level timeouts harden the listener against slow or stuck
 	// clients (slowloris header dribbling, dead reads): independent of
 	// admission, no connection may hold a serving goroutine forever.

@@ -75,14 +75,9 @@ type Impact struct {
 // RegisterRule adds a custom rule to the global registry. Subsequent
 // Checkers (in this process) will run it. Returns an error for
 // malformed definitions; registration is not idempotent — registering
-// the same ID twice fails.
+// the same ID twice fails, and of concurrent registrations of one ID
+// exactly one succeeds.
 func RegisterRule(cr CustomRule) error {
-	if cr.ID == "" || cr.Name == "" {
-		return errors.New("sqlcheck: custom rule needs ID and Name")
-	}
-	if rules.ByID(cr.ID) != nil {
-		return fmt.Errorf("sqlcheck: rule %q already registered", cr.ID)
-	}
 	if cr.Match == nil && cr.Pattern == "" {
 		return errors.New("sqlcheck: custom rule needs Pattern or Match")
 	}
@@ -95,12 +90,8 @@ func RegisterRule(cr CustomRule) error {
 		match = re.MatchString
 	}
 	category := rules.Category(cr.Category)
-	switch category {
-	case rules.Logical, rules.Physical, rules.Query, rules.Data:
-	case "":
+	if category == "" {
 		category = rules.Query
-	default:
-		return fmt.Errorf("sqlcheck: unknown category %q", cr.Category)
 	}
 	message := cr.Message
 	if message == "" {
@@ -126,7 +117,7 @@ func RegisterRule(cr CustomRule) error {
 		needs |= rules.NeedSchema | rules.NeedProfile
 	}
 	id, name := cr.ID, cr.Name
-	rules.Register(&rules.Rule{
+	return rules.Register(&rules.Rule{
 		Meta:        rules.Meta{Kinds: kinds, Needs: needs},
 		ID:          id,
 		Name:        name,
@@ -165,7 +156,6 @@ func RegisterRule(cr CustomRule) error {
 			}}
 		},
 	})
-	return nil
 }
 
 func minF(a, b float64) float64 {

@@ -278,10 +278,6 @@ func NewEngine(opts Options, concurrency int) *Engine {
 	return e
 }
 
-// PageCache returns the engine's spill-capable page cache, or nil
-// when Options.PageCacheBytes was zero.
-func (e *Engine) PageCache() *storage.PageCache { return e.pageCache }
-
 // Registry returns the engine's named-database registry.
 func (e *Engine) Registry() *Registry { return e.registry }
 

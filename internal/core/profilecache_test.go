@@ -181,9 +181,10 @@ func TestEngineProfileMemoization(t *testing.T) {
 		t.Errorf("post-DML hits = %d, want %d (every untouched table)",
 			afterStats.Hits, warmStats.Hits+tables-1)
 	}
-	if after[0].Context.Profiles["tenants"].TotalRows != 61 {
-		t.Errorf("post-DML profile not refreshed: TotalRows = %d, want 61",
-			after[0].Context.Profiles["tenants"].TotalRows)
+	// The default sample holds every row of the 60-row table.
+	if after[0].Context.Profiles["tenants"].RowsSampled != 61 {
+		t.Errorf("post-DML profile not refreshed: RowsSampled = %d, want 61",
+			after[0].Context.Profiles["tenants"].RowsSampled)
 	}
 }
 

@@ -246,3 +246,30 @@ func TestGlobaLeaksVariants(t *testing.T) {
 		t.Error("MVA not detected in the AP design")
 	}
 }
+
+// StudyTotals aggregates the simulation for reporting.
+type StudyTotals struct {
+	Participants   int
+	Statements     int
+	TruthInstances int
+	MeanPerUser    float64
+	EngagedUsers   int
+}
+
+// Totals computes aggregate statistics.
+func Totals(parts []*Participant) StudyTotals {
+	t := StudyTotals{Participants: len(parts)}
+	for _, p := range parts {
+		t.Statements += len(p.Statements)
+		for _, ids := range p.Truth {
+			t.TruthInstances += len(ids)
+		}
+		if p.Engaged {
+			t.EngagedUsers++
+		}
+	}
+	if len(parts) > 0 {
+		t.MeanPerUser = float64(t.Statements) / float64(len(parts))
+	}
+	return t
+}

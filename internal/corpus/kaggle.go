@@ -131,10 +131,6 @@ type kaggleBuilder struct {
 	r    *xrand.Rand
 	rows int
 	seq  int
-	// open is a multi-purpose host table that absorbs column-level
-	// seeds so the database does not explode into hundreds of tables.
-	open     *storage.Table
-	openCols int
 }
 
 func (b *kaggleBuilder) fresh(base string) string {
@@ -275,6 +271,4 @@ func (b *kaggleBuilder) hostColumn(base string, class schema.TypeClass, gen func
 	for i := 0; i < b.rows; i++ {
 		t.MustInsert(storage.Int(int64(i)), storage.Str(fmt.Sprintf("f%d-%d", i%41, b.r.Intn(999))), gen(i))
 	}
-	b.open = t
-	b.openCols++
 }

@@ -33,16 +33,6 @@ var Types = []string{
 	rules.IDPatternMatching,
 }
 
-// Supports reports whether dbdeo can detect the given rule ID.
-func Supports(ruleID string) bool {
-	for _, t := range Types {
-		if t == ruleID {
-			return true
-		}
-	}
-	return false
-}
-
 // Finding is one dbdeo detection.
 type Finding struct {
 	RuleID         string

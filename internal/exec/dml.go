@@ -122,18 +122,25 @@ func (ex *executor) execUpdate(s *sqlast.UpdateStatement) (*Result, error) {
 	env := &Env{Rand: ex.rand}
 	env.Push(alias, t, nil)
 
-	ids, err := ex.matchingIDs(t, alias, s.Where, env)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve SET targets once.
+	// Resolve SET targets, SET values and WHERE once, before any row
+	// is read.
 	var setOrds []int
 	for _, a := range s.Set {
 		o := t.ColIndex(a.Column.Column)
 		if o < 0 {
 			return nil, fmt.Errorf("exec: unknown column %q in SET", a.Column.Column)
 		}
+		if err := resolveRefs(env, nil, a.Value); err != nil {
+			return nil, err
+		}
 		setOrds = append(setOrds, o)
+	}
+	if err := resolveRefs(env, nil, s.Where); err != nil {
+		return nil, err
+	}
+	ids, err := ex.matchingIDs(t, alias, s.Where, env)
+	if err != nil {
+		return nil, err
 	}
 	n := 0
 	for _, id := range ids {
@@ -165,6 +172,9 @@ func (ex *executor) execDelete(s *sqlast.DeleteStatement) (*Result, error) {
 	}
 	env := &Env{Rand: ex.rand}
 	env.Push(t.Name, t, nil)
+	if err := resolveRefs(env, nil, s.Where); err != nil {
+		return nil, err
+	}
 	ids, err := ex.matchingIDs(t, t.Name, s.Where, env)
 	if err != nil {
 		return nil, err
@@ -246,7 +256,7 @@ func (ex *executor) execAlter(s *sqlast.AlterTableStatement) (*Result, error) {
 		}
 		switch s.Constraint.CKind {
 		case "CHECK":
-			col, vals := checkInListOf(s.Constraint.Check)
+			col, vals := schema.InListCheck(s.Constraint.Check)
 			if col == "" {
 				return nil, fmt.Errorf("%w: only IN-list CHECK constraints", ErrUnsupported)
 			}
@@ -295,30 +305,6 @@ func (ex *executor) execAlter(s *sqlast.AlterTableStatement) (*Result, error) {
 		return nil, fmt.Errorf("%w: ALTER action", ErrUnsupported)
 	}
 	return &Result{Plan: ex.plan}, nil
-}
-
-func checkInListOf(e sqlast.Expr) (string, []string) {
-	be, ok := e.(*sqlast.BinaryExpr)
-	if !ok || be.Op != "IN" || be.Not {
-		return "", nil
-	}
-	cr, ok := be.Left.(*sqlast.ColumnRef)
-	if !ok {
-		return "", nil
-	}
-	list, ok := be.Right.(*sqlast.ExprList)
-	if !ok {
-		return "", nil
-	}
-	var vals []string
-	for _, it := range list.Items {
-		lit, ok := it.(*sqlast.Literal)
-		if !ok {
-			return "", nil
-		}
-		vals = append(vals, lit.Value)
-	}
-	return cr.Column, vals
 }
 
 // dropColumn rebuilds the table without the named column.

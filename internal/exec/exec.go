@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,15 +171,25 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 				}
 			}
 		}
-		joins = append(joins, joinSpec{alias: alias, table: t, on: on, eq: equalityForInner(on, alias, t)})
+		joins = append(joins, joinSpec{table: t, on: on, eq: equalityForInner(on, alias, t)})
 		env.Push(alias, t, nil)
 	}
 
-	if len(s.GroupBy) > 0 || hasAggregate(s.Items) {
+	grouped := len(s.GroupBy) > 0 || hasAggregate(s.Items)
+	if err := resolveSelect(s, joins, env, grouped); err != nil {
+		return nil, err
+	}
+	if grouped {
 		return ex.execAggregate(s, base, baseAlias, joins, env)
 	}
 
 	res := &Result{Cols: projectionCols(s, env)}
+	// ORDER BY may also name an output column, a select-list alias.
+	for _, o := range s.OrderBy {
+		if err := resolveRefs(env, res.Cols, o.Expr); err != nil {
+			return nil, err
+		}
+	}
 	var seen map[string]bool
 	if s.Distinct {
 		seen = map[string]bool{}
@@ -208,13 +219,12 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 	return res, nil
 }
 
-// joinSpec is a resolved JOIN clause: inner table, alias, ON clause
-// (USING expanded), and the ON equality an index nested loop can
-// probe, if any. indexNoted and loopNoted record which accesses the
-// plan already names, so each is noted once per statement, on the
-// first probe that takes it.
+// joinSpec is a resolved JOIN clause: inner table, ON clause (USING
+// expanded), and the ON equality an index nested loop can probe, if
+// any. indexNoted and loopNoted record which accesses the plan
+// already names, so each is noted once per statement, on the first
+// probe that takes it.
 type joinSpec struct {
-	alias                 string
 	table                 *storage.Table
 	on                    sqlast.Expr
 	eq                    *innerEquality
@@ -433,6 +443,57 @@ func keysLess(a, b []storage.Value, order []sqlast.OrderItem) bool {
 	return false
 }
 
+// resolveRefs resolves the column references in exprs, outside
+// subqueries, when a statement is planned: env's frames hold no row
+// yet, so a known column reads NULL, and an unknown one fails the
+// statement whatever rows its access path would reach. A bare name in
+// also is known too.
+func resolveRefs(env *Env, also []string, exprs ...sqlast.Expr) error {
+	var err error
+	for _, e := range exprs {
+		sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
+			if ref, ok := x.(*sqlast.ColumnRef); ok && err == nil {
+				if _, err = env.Resolve(ref); err != nil && slices.ContainsFunc(also, func(n string) bool { return strings.EqualFold(n, ref.Column) }) {
+					err = nil
+				}
+			}
+			_, sub := x.(*sqlast.SubQuery)
+			return err == nil && !sub
+		})
+	}
+	return err
+}
+
+// resolveSelect resolves a SELECT's WHERE, ON clauses, GROUP BY,
+// select list and, when grouped, HAVING. A grouped query's select
+// list and HAVING may name a GROUP BY column by its bare name, as the
+// group evaluation reads them. ORDER BY resolves in execSelect,
+// against the output columns too; a grouped query's sort is best
+// effort, so its ORDER BY is not resolved.
+func resolveSelect(s *sqlast.SelectStatement, joins []joinSpec, env *Env, grouped bool) error {
+	exprs := []sqlast.Expr{s.Where}
+	for _, j := range joins {
+		exprs = append(exprs, j.on)
+	}
+	if err := resolveRefs(env, nil, append(exprs, s.GroupBy...)...); err != nil {
+		return err
+	}
+	var groupCols []string
+	for _, g := range s.GroupBy {
+		if gc, ok := g.(*sqlast.ColumnRef); ok {
+			groupCols = append(groupCols, gc.Column)
+		}
+	}
+	exprs = exprs[:0]
+	for _, it := range s.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	if grouped {
+		exprs = append(exprs, s.Having)
+	}
+	return resolveRefs(env, groupCols, exprs...)
+}
+
 // ---------------------------------------------------------------------------
 // Projection helpers
 // ---------------------------------------------------------------------------
@@ -498,16 +559,6 @@ func projectRow(s *sqlast.SelectStatement, env *Env) (storage.Row, error) {
 // Access planning
 // ---------------------------------------------------------------------------
 
-func splitAnd(e sqlast.Expr) []sqlast.Expr {
-	if e == nil {
-		return nil
-	}
-	if be, ok := e.(*sqlast.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []sqlast.Expr{e}
-}
-
 // scanPlan is a statement's access to its base table: a point access
 // at key, or a range access from lo to hi ("" = open) when isRange, of
 // index, or a sequential scan when index is nil; filters are the
@@ -527,7 +578,7 @@ type scanPlan struct {
 // them and compiles those it can; it returns the plan and the
 // conjuncts left for the general evaluator.
 func planScan(t *storage.Table, alias string, where sqlast.Expr) (scanPlan, []sqlast.Expr) {
-	p, rest := pickIndexPredicate(t, alias, splitAnd(where))
+	p, rest := pickIndexPredicate(t, alias, sqlast.Conjuncts(where))
 	p.filters, rest = compileFilters(rest, t, alias)
 	return p, rest
 }
@@ -715,7 +766,7 @@ type innerEquality struct {
 // binding a column of the inner table to an expression over outer
 // tables.
 func equalityForInner(on sqlast.Expr, innerAlias string, inner *storage.Table) *innerEquality {
-	for _, c := range splitAnd(on) {
+	for _, c := range sqlast.Conjuncts(on) {
 		be, ok := c.(*sqlast.BinaryExpr)
 		if !ok || (be.Op != "=" && be.Op != "==") {
 			continue

@@ -536,17 +536,41 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 	if _, err := RunSQL(db, "SELECT * FROM ghost"); err == nil {
 		t.Error("unknown table accepted")
 	}
-	q(t, db, "CREATE TABLE t (a INT)")
-	if _, err := RunSQL(db, "SELECT nope FROM t"); err == nil {
-		// Zero rows: projection never runs; force a row.
-		q(t, db, "INSERT INTO t (a) VALUES (1)")
-		if _, err := RunSQL(db, "SELECT nope FROM t"); err == nil {
-			t.Error("unknown column accepted")
+	q(t, db, "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
+	// Column references resolve when the statement is planned, so an
+	// empty table, which no clause ever evaluates a row of, still
+	// rejects an unknown column.
+	unknown := func(sql string) {
+		t.Helper()
+		if _, err := RunSQL(db, sql); err == nil || !strings.Contains(err.Error(), "exec: unknown column") {
+			t.Errorf("%s: err = %v, want an unknown column", sql, err)
 		}
 	}
-	if _, err := RunSQL(db, "UPDATE t SET nope = 1"); err == nil {
-		t.Error("unknown SET column accepted")
+	for _, sql := range []string{
+		"SELECT nope FROM t",
+		"SELECT a FROM t WHERE nope = 1",
+		"SELECT a FROM t ORDER BY nope",
+		"SELECT a, COUNT(*) FROM t GROUP BY nope",
+		"SELECT a, COUNT(*) FROM t GROUP BY a HAVING nope > 1",
+		"SELECT t.a FROM t JOIN t AS u ON u.nope = t.a",
+		"UPDATE t SET b = 'x' WHERE nope = 1",
+		"UPDATE t SET b = nope",
+		"DELETE FROM t WHERE nope = 1",
+		"UPDATE t SET nope = 1",
+	} {
+		unknown(sql)
 	}
+	// Select-list aliases and ordinals stay valid.
+	for _, sql := range []string{
+		"SELECT a AS k FROM t ORDER BY k",
+		"SELECT a, b FROM t ORDER BY 2",
+		"SELECT a, COUNT(*) AS n FROM t GROUP BY a ORDER BY n",
+	} {
+		q(t, db, sql)
+	}
+	// A point access leaves no row for the rest of the WHERE to read.
+	q(t, db, "INSERT INTO t (a, b) VALUES (1, 'x')")
+	unknown("SELECT a FROM t WHERE a = 2 AND nope = 1")
 }
 
 func TestPlanNotes(t *testing.T) {

@@ -58,8 +58,8 @@ func runSqlcheck(repo *corpus.Repo, mode appctx.Mode) statementFlags {
 // schema-level finding.
 func attributeToStatement(res *core.Result, f rules.Finding) int {
 	for qi, facts := range res.Context.Facts {
-		if f.RuleID == rules.IDIndexOveruse && facts.CreatesIndex != nil &&
-			strings.EqualFold(facts.CreatesIndex.Name, f.Column) {
+		if f.RuleID == rules.IDIndexOveruse && facts.CreatesIndex != "" &&
+			strings.EqualFold(facts.CreatesIndex, f.Column) {
 			return qi
 		}
 		if facts.CreatesTable != "" && strings.EqualFold(facts.CreatesTable, f.Table) {

@@ -29,7 +29,6 @@ type Rewrite struct {
 
 // Fix is the repair suggested for one finding.
 type Fix struct {
-	Finding rules.Finding
 	// Rewrites are unambiguous statement transformations.
 	Rewrites []Rewrite
 	// NewStatements are additional statements to run (new tables,
@@ -98,20 +97,19 @@ var textualOnly = map[string]string{
 func (e *Engine) Repair(f rules.Finding) Fix {
 	if fn, ok := repairRules[f.RuleID]; ok {
 		out := fn(e, f)
-		out.Finding = f
 		if len(out.Impacted) == 0 {
 			out.Impacted = e.ImpactedQueries(f)
 		}
 		return out
 	}
 	if tpl, ok := textualOnly[f.RuleID]; ok {
-		return Fix{Finding: f, Textual: fmt.Sprintf(tpl, orUnknown(f.Table), orUnknown(f.Column)),
+		return Fix{Textual: fmt.Sprintf(tpl, orUnknown(f.Table), orUnknown(f.Column)),
 			Impacted: e.ImpactedQueries(f)}
 	}
 	if r := rules.ByID(f.RuleID); r != nil && r.Guidance != "" {
-		return Fix{Finding: f, Textual: r.Guidance}
+		return Fix{Textual: r.Guidance}
 	}
-	return Fix{Finding: f, Textual: "no automated fix available; review " + f.Message}
+	return Fix{Textual: "no automated fix available; review " + f.Message}
 }
 
 // ImpactedQueries returns indexes of statements that reference the

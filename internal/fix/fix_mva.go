@@ -78,7 +78,7 @@ func (e *Engine) guessListColumn(f rules.Finding) string {
 		return ""
 	}
 	for _, j := range sel.Joins {
-		for _, conj := range splitAnd(j.On) {
+		for _, conj := range sqlast.Conjuncts(j.On) {
 			be, ok := conj.(*sqlast.BinaryExpr)
 			if !ok {
 				continue
@@ -141,7 +141,7 @@ func rewriteMVASelect(sel *sqlast.SelectStatement, table, col, xref, ownerKey, v
 		return rewriteMVAJoin(sel, table, col, xref, ownerKey, valueCol)
 	}
 	// Task #1: SELECT ... FROM t WHERE listcol LIKE '<pattern>'.
-	conjs := splitAnd(sel.Where)
+	conjs := sqlast.Conjuncts(sel.Where)
 	matchIdx := -1
 	var token string
 	for i, c := range conjs {
@@ -306,14 +306,4 @@ func qualifyExpr(e sqlast.Expr, alias string) sqlast.Expr {
 		}
 		return x
 	})
-}
-
-func splitAnd(e sqlast.Expr) []sqlast.Expr {
-	if e == nil {
-		return nil
-	}
-	if be, ok := e.(*sqlast.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []sqlast.Expr{e}
 }

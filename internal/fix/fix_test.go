@@ -310,7 +310,7 @@ func TestRepairAllCoversEveryFinding(t *testing.T) {
 	}
 	for _, f := range findings {
 		if fx := e.Repair(f); !fx.Automated() && fx.Textual == "" {
-			t.Errorf("finding %s has neither rewrite nor textual fix", fx.Finding.RuleID)
+			t.Errorf("finding %s has neither rewrite nor textual fix", f.RuleID)
 		}
 	}
 }

@@ -195,40 +195,6 @@ func dateTimeNoTZLike(s string) bool {
 	return timeOfDayTail(s, 11) == len(s)
 }
 
-// dateTimeTZLike is reDateTimeTZ:
-// ^\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}(:\d{2})?(\.\d+)?\s*([zZ]|[-+]\d{2}:?\d{2})$
-func dateTimeTZLike(s string) bool {
-	n := len(s)
-	if n < 17 || !datePrefix(s) || (s[10] != ' ' && s[10] != 'T') {
-		return false
-	}
-	i := timeOfDayTail(s, 11)
-	if i < 0 {
-		return false
-	}
-	for i < n && isSpaceByte(s[i]) {
-		i++
-	}
-	if i >= n {
-		return false
-	}
-	switch s[i] {
-	case 'z', 'Z':
-		return i+1 == n
-	case '+', '-':
-		i++
-		if i+2 > n || !isDigit(s[i]) || !isDigit(s[i+1]) {
-			return false
-		}
-		i += 2
-		if i < n && s[i] == ':' {
-			i++
-		}
-		return i+2 == n && isDigit(s[i]) && isDigit(s[i+1])
-	}
-	return false
-}
-
 // emailLike is reEmail: ^[^@\s]+@[^@\s]+\.[^@\s]+$ — exactly one '@'
 // with a non-empty local part, no whitespace anywhere, and a '.' in
 // the interior of the domain part ('.' itself is a legal class

@@ -2,8 +2,9 @@ package profile
 
 // Byte-identical-output guarantees for the single-pass profiler. The
 // reference implementation below is the original (pre-rewrite)
-// ProfileTableContext, kept verbatim: clone-based reservoir, per-pass
-// value re-rendering, regexp classification. The tests drive both
+// ProfileTableContext: clone-based reservoir, per-pass value
+// re-rendering, regexp classification, and the full format cascade,
+// whose time-zone and email cases now count nothing. The tests drive both
 // implementations over adversarial and randomized tables and demand
 // deeply equal profiles, and drive every hand-rolled classifier
 // against its reference regex over adversarial and randomized
@@ -26,7 +27,7 @@ import (
 	"sqlcheck/internal/xrand"
 )
 
-// --- reference implementation (original code, verbatim) -------------
+// --- reference implementation (original code) -----------------------
 
 // Reference format definitions: the executable specification of each
 // byte-level scanner in classify.go (TestClassifierEquivalence and
@@ -89,81 +90,88 @@ func refDelimListLike(s string) bool {
 	return false
 }
 
+// refColumn is the reference's per-column accumulation state.
+type refColumn struct {
+	freq map[string]int
+	nums []float64
+}
+
+// refObserve counts one sampled value into its column profile: the
+// reference's regex cascade, with the cases whose counters are gone
+// (time-zone strings, email addresses) still claiming their strings.
+func refObserve(cp *ColumnProfile, st *refColumn, v storage.Value) {
+	cp.Rows++
+	if v.IsNull() {
+		cp.Nulls++
+		return
+	}
+	s := v.String()
+	st.freq[s]++
+	if f, ok := v.AsFloat(); ok && (v.Kind == storage.KindInt || v.Kind == storage.KindFloat || v.Kind == storage.KindString && (reInt.MatchString(s) || reFloat.MatchString(s))) {
+		cp.NumericCount++
+		st.nums = append(st.nums, f)
+	}
+	if v.Kind == storage.KindString {
+		switch {
+		case reInt.MatchString(s):
+			cp.IntLike++
+		case reFloat.MatchString(s):
+			cp.FloatLike++
+		case reDateTimeTZ.MatchString(s):
+		case reDateTime.MatchString(s):
+			cp.DateTimeNoTZ++
+		case reDate.MatchString(s):
+			cp.DateLike++
+		case reEmail.MatchString(s):
+		case rePath.MatchString(s):
+			cp.PathLike++
+		}
+		if refDelimListLike(s) {
+			cp.DelimList++
+		}
+		if len(s) > 0 && len(s) < 20 && !reHexish.MatchString(s) {
+			cp.PlainTextish++
+		}
+	}
+	if v.Kind == storage.KindTime && !v.TZKnown {
+		cp.DateTimeNoTZ++
+	}
+}
+
+// refFinish derives a column's distinct count, top value and range
+// from its accumulated state.
+func refFinish(cp *ColumnProfile, st *refColumn) {
+	cp.Distinct = len(st.freq)
+	for v, n := range st.freq {
+		if n > cp.TopFreq || (n == cp.TopFreq && v < cp.TopValue) {
+			cp.TopValue, cp.TopFreq = v, n
+		}
+	}
+	if len(st.nums) > 0 {
+		sort.Float64s(st.nums)
+		cp.Min, cp.Max = st.nums[0], st.nums[len(st.nums)-1]
+	}
+}
+
 func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 	opts = opts.withDefaults()
 	rows := Sample(t, opts)
-	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows), TotalRows: t.Len(), opts: opts}
+	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows), opts: opts}
 
-	type colState struct {
-		freq map[string]int
-		nums []float64
-	}
-	states := make([]*colState, len(t.Cols))
+	states := make([]*refColumn, len(t.Cols))
 	for i, cd := range t.Cols {
-		states[i] = &colState{freq: map[string]int{}}
+		states[i] = &refColumn{freq: map[string]int{}}
 		tp.Columns = append(tp.Columns, &ColumnProfile{Name: cd.Name, Class: cd.Class})
 	}
 
 	for _, row := range rows {
 		for i, v := range row {
-			cp := tp.Columns[i]
-			st := states[i]
-			cp.Rows++
-			if v.IsNull() {
-				cp.Nulls++
-				continue
-			}
-			s := v.String()
-			st.freq[s]++
-			if f, ok := v.AsFloat(); ok && (v.Kind == storage.KindInt || v.Kind == storage.KindFloat || v.Kind == storage.KindString && (reInt.MatchString(s) || reFloat.MatchString(s))) {
-				cp.NumericCount++
-				st.nums = append(st.nums, f)
-			}
-			if v.Kind == storage.KindString {
-				switch {
-				case reInt.MatchString(s):
-					cp.IntLike++
-				case reFloat.MatchString(s):
-					cp.FloatLike++
-				case reDateTimeTZ.MatchString(s):
-					cp.DateTimeTZ++
-				case reDateTime.MatchString(s):
-					cp.DateTimeNoTZ++
-				case reDate.MatchString(s):
-					cp.DateLike++
-				case reEmail.MatchString(s):
-					cp.EmailLike++
-				case rePath.MatchString(s):
-					cp.PathLike++
-				}
-				if refDelimListLike(s) {
-					cp.DelimList++
-				}
-				if len(s) > 0 && len(s) < 20 && !reHexish.MatchString(s) {
-					cp.PlainTextish++
-				}
-			}
-			if v.Kind == storage.KindTime && !v.TZKnown {
-				cp.DateTimeNoTZ++
-			}
-			if v.Kind == storage.KindTime && v.TZKnown {
-				cp.DateTimeTZ++
-			}
+			refObserve(tp.Columns[i], states[i], v)
 		}
 	}
 
 	for i, cp := range tp.Columns {
-		st := states[i]
-		cp.Distinct = len(st.freq)
-		for v, n := range st.freq {
-			if n > cp.TopFreq || (n == cp.TopFreq && v < cp.TopValue) {
-				cp.TopValue, cp.TopFreq = v, n
-			}
-		}
-		if len(st.nums) > 0 {
-			sort.Float64s(st.nums)
-			cp.Min, cp.Max = st.nums[0], st.nums[len(st.nums)-1]
-		}
+		refFinish(cp, states[i])
 	}
 
 	refFindFDs(tp, rows)
@@ -310,7 +318,7 @@ var adversarialStrings = []string{
 	"2020-01-0210:30", "2020-01-02 103:0",
 	"a@b.c", "a@b.c.", "a@.b.c", ".a@b.c", "a@b..c", "a@b.", "a@.c", "@b.c",
 	"a@", "@", "a@b@c.d", "a b@c.d", "a@b c.d", "a@b.c\t", "ä@ö.ü", "a@bc",
-	"a@b.cd.ef", "aa@bb.cc",
+	"a@b.cd.ef", "aa@bb.cc", "/home/a@b.io", "./a@b.c",
 	"/var/log/x.txt", "C:\\temp\\f", "./rel", "../up", ".hidden", "a.b/c",
 	"file.jpg", "file.exe", "some/file.unknown", "x.csv", "-x.csv", "x-.csv",
 	"a,b,c", "a, b, c", "a,b", "a|b|c", "a;b;c", "a,,b", ",,", "a,b c,d",
@@ -351,18 +359,29 @@ var classifierChecks = []struct {
 	{"float", floatLike, reFloat.MatchString},
 	{"date", dateLike, reDate.MatchString},
 	{"datetime-notz", dateTimeNoTZLike, reDateTime.MatchString},
-	{"datetime-tz", dateTimeTZLike, reDateTimeTZ.MatchString},
 	{"email", emailLike, reEmail.MatchString},
 	{"path", pathLike, rePath.MatchString},
 	{"delim-list", delimListLike, refDelimListLike},
 }
 
+// verifyClassifiers holds each classifier to its reference, and the
+// profiler's whole format cascade (its precedence included) to the
+// reference cascade on a one-cell column holding s.
 func verifyClassifiers(t *testing.T, s string) {
 	t.Helper()
 	for _, c := range classifierChecks {
 		if got, want := c.fast(s), c.ref(s); got != want {
 			t.Errorf("%s(%q) = %v, reference regex says %v", c.name, s, got, want)
 		}
+	}
+	v := storage.Str(s)
+	var got, want ColumnProfile
+	new(scratch).columnStats(&got, []cell{renderCell(v)})
+	st := &refColumn{freq: map[string]int{}}
+	refObserve(&want, st, v)
+	refFinish(&want, st)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cascade(%q) = %+v, reference says %+v", s, got, want)
 	}
 }
 

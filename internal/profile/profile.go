@@ -103,9 +103,7 @@ type ColumnProfile struct {
 	FloatLike    int
 	DateLike     int
 	DateTimeNoTZ int
-	DateTimeTZ   int
 	PathLike     int
-	EmailLike    int
 	DelimList    int // looks like a delimiter-separated value list
 	PlainTextish int // short, unhashed-looking strings (password rule)
 }
@@ -137,7 +135,6 @@ func (c *ColumnProfile) FracOf(count int) float64 {
 type TableProfile struct {
 	Table       string
 	RowsSampled int
-	TotalRows   int
 	Columns     []*ColumnProfile
 	// FDs lists observed functional dependencies A -> B between
 	// non-key columns with substantial value repetition (the
@@ -362,7 +359,7 @@ func ProfileTableContext(ctx context.Context, t *storage.Table, opts Options) (*
 		return nil, err
 	}
 
-	tp := &TableProfile{Table: t.Name, RowsSampled: sampled, TotalRows: t.Len(), opts: opts}
+	tp := &TableProfile{Table: t.Name, RowsSampled: sampled, opts: opts}
 	tp.Columns = make([]*ColumnProfile, ncols)
 	for i, cd := range t.Cols {
 		cp := &ColumnProfile{Name: cd.Name, Class: cd.Class}
@@ -437,19 +434,20 @@ func (sc *scratch) columnStats(cp *ColumnProfile, cells []cell) {
 			}
 		}
 		if c.kind == storage.KindString {
+			// A string with a time zone counts as no format: it holds a
+			// ':' and a zone suffix, which every case below rejects.
 			switch {
 			case isInt:
 				cp.IntLike++
 			case isFloat:
 				cp.FloatLike++
-			case dateTimeTZLike(c.s):
-				cp.DateTimeTZ++
 			case dateTimeNoTZLike(c.s):
 				cp.DateTimeNoTZ++
 			case dateLike(c.s):
 				cp.DateLike++
 			case emailLike(c.s):
-				cp.EmailLike++
+				// An email address is no path, even one pathLike
+				// accepts ("/home/a@b.io").
 			case pathLike(c.s):
 				cp.PathLike++
 			}
@@ -465,9 +463,6 @@ func (sc *scratch) columnStats(cp *ColumnProfile, cells []cell) {
 		}
 		if c.kind == storage.KindTime && !c.tz {
 			cp.DateTimeNoTZ++
-		}
-		if c.kind == storage.KindTime && c.tz {
-			cp.DateTimeTZ++
 		}
 	}
 	cp.Distinct = len(freq)

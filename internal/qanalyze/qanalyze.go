@@ -17,13 +17,10 @@ type TableUse struct {
 	Alias string
 }
 
-// ColumnUse records one column reference with its access role.
+// ColumnUse records one column reference.
 type ColumnUse struct {
 	Table  string // alias or table name as written; may be ""
 	Column string
-	// Role is one of "select", "predicate", "join", "group", "order",
-	// "set", "insert".
-	Role string
 }
 
 // JoinEquality is an equality join condition between two columns.
@@ -61,7 +58,6 @@ type Facts struct {
 	JoinEqualities  []JoinEquality
 	ExprJoin        bool // join ON uses LIKE/REGEXP/expressions, not equality
 	Predicates      []PredicateFact
-	GroupByColumns  []string
 	OrderByRand     bool
 	PatternMatching bool // LIKE with leading wildcard or REGEXP anywhere
 	ConcatColumns   []ColumnUse
@@ -71,21 +67,11 @@ type Facts struct {
 	InsertColumns   []string
 	InsertLiterals  [][]string // literal texts per row, for data-in-query rules
 
-	// UPDATE facts.
-	SetColumns []string
-
 	// DDL facts are carried by the statement itself (rules inspect the
-	// AST); Facts only mirrors what needs cross-query aggregation.
+	// AST); Facts only mirrors what needs cross-query aggregation:
+	// the names of the table or index a statement creates.
 	CreatesTable string
-	CreatesIndex *IndexFact
-}
-
-// IndexFact summarizes a CREATE INDEX.
-type IndexFact struct {
-	Name    string
-	Table   string
-	Columns []string
-	Unique  bool
+	CreatesIndex string
 }
 
 // Analyze extracts facts from one parsed statement.
@@ -99,7 +85,7 @@ func Analyze(stmt sqlast.Statement) *Facts {
 		f.InsertNoColumns = len(s.Columns) == 0 && len(s.Rows) > 0
 		f.InsertColumns = s.Columns
 		for _, c := range s.Columns {
-			f.Columns = append(f.Columns, ColumnUse{Table: s.Table, Column: c, Role: "insert"})
+			f.Columns = append(f.Columns, ColumnUse{Table: s.Table, Column: c})
 		}
 		for _, row := range s.Rows {
 			var lits []string
@@ -118,8 +104,7 @@ func Analyze(stmt sqlast.Statement) *Facts {
 	case *sqlast.UpdateStatement:
 		f.Tables = append(f.Tables, TableUse{Name: s.Table, Alias: s.Alias})
 		for _, a := range s.Set {
-			f.SetColumns = append(f.SetColumns, a.Column.Column)
-			f.Columns = append(f.Columns, ColumnUse{Table: orAlias(a.Column.Table, s.Table), Column: a.Column.Column, Role: "set"})
+			f.Columns = append(f.Columns, ColumnUse{Table: orAlias(a.Column.Table, s.Table), Column: a.Column.Column})
 		}
 		analyzeWhere(f, s.Where, s.Table, s.Alias)
 	case *sqlast.DeleteStatement:
@@ -130,7 +115,7 @@ func Analyze(stmt sqlast.Statement) *Facts {
 		f.CreatesTable = s.Name
 	case *sqlast.CreateIndexStatement:
 		f.Tables = append(f.Tables, TableUse{Name: s.Table})
-		f.CreatesIndex = &IndexFact{Name: s.Name, Table: s.Table, Columns: s.Columns, Unique: s.Unique}
+		f.CreatesIndex = s.Name
 	case *sqlast.AlterTableStatement:
 		f.Tables = append(f.Tables, TableUse{Name: s.Table})
 	}
@@ -176,14 +161,14 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 			continue
 		}
 		for _, cr := range sqlast.ColumnRefs(it.Expr) {
-			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column, Role: "select"})
+			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column})
 		}
 		// || concatenation over columns (concatenate-nulls candidate).
 		sqlast.WalkExpr(it.Expr, func(e sqlast.Expr) bool {
 			if be, ok := e.(*sqlast.BinaryExpr); ok && be.Op == "||" {
 				for _, side := range []sqlast.Expr{be.Left, be.Right} {
 					if cr, ok := side.(*sqlast.ColumnRef); ok {
-						f.ConcatColumns = append(f.ConcatColumns, ColumnUse{Table: cr.Table, Column: cr.Column, Role: "select"})
+						f.ConcatColumns = append(f.ConcatColumns, ColumnUse{Table: cr.Table, Column: cr.Column})
 					}
 				}
 			}
@@ -212,7 +197,7 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 			continue
 		}
 		eqFound := false
-		for _, conj := range splitAnd(j.On) {
+		for _, conj := range sqlast.Conjuncts(j.On) {
 			be, ok := conj.(*sqlast.BinaryExpr)
 			if !ok {
 				continue
@@ -228,8 +213,8 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 						RightTable: r.Table, RightColumn: r.Column,
 					})
 					f.Columns = append(f.Columns,
-						ColumnUse{Table: l.Table, Column: l.Column, Role: "join"},
-						ColumnUse{Table: r.Table, Column: r.Column, Role: "join"})
+						ColumnUse{Table: l.Table, Column: l.Column},
+						ColumnUse{Table: r.Table, Column: r.Column})
 				}
 			case "LIKE", "ILIKE", "REGEXP", "RLIKE", "GLOB", "SIMILAR TO":
 				f.ExprJoin = true
@@ -243,8 +228,7 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 	analyzeWhere(f, s.Where, baseTable, baseAlias)
 	for _, g := range s.GroupBy {
 		if cr, ok := g.(*sqlast.ColumnRef); ok {
-			f.GroupByColumns = append(f.GroupByColumns, cr.Column)
-			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column, Role: "group"})
+			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column})
 		}
 	}
 	for _, o := range s.OrderBy {
@@ -252,7 +236,7 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 			f.OrderByRand = true
 		}
 		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok {
-			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column, Role: "order"})
+			f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column})
 		}
 	}
 	for _, u := range s.Setop {
@@ -266,7 +250,7 @@ func analyzeSelect(f *Facts, s *sqlast.SelectStatement, top bool) {
 }
 
 func analyzeWhere(f *Facts, where sqlast.Expr, table, alias string) {
-	for _, conj := range splitAnd(where) {
+	for _, conj := range sqlast.Conjuncts(where) {
 		be, ok := conj.(*sqlast.BinaryExpr)
 		if !ok {
 			continue
@@ -295,7 +279,7 @@ func analyzeWhere(f *Facts, where sqlast.Expr, table, alias string) {
 			f.PatternMatching = true
 		}
 		f.Predicates = append(f.Predicates, p)
-		f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column, Role: "predicate"})
+		f.Columns = append(f.Columns, ColumnUse{Table: cr.Table, Column: cr.Column})
 	}
 }
 
@@ -311,16 +295,6 @@ func predicateParts(be *sqlast.BinaryExpr) (*sqlast.ColumnRef, *sqlast.Literal) 
 		return cr, lit
 	}
 	return nil, nil
-}
-
-func splitAnd(e sqlast.Expr) []sqlast.Expr {
-	if e == nil {
-		return nil
-	}
-	if be, ok := e.(*sqlast.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []sqlast.Expr{e}
 }
 
 func firstNonEmpty(ss ...string) string {

@@ -88,28 +88,16 @@ const (
 type Model struct {
 	Weights Weights
 	Mode    InterQueryMode
-	// overrides substitute measured metric vectors for rule defaults
-	// ("as new performance data is collected over time, we update the
-	// ranking model").
-	overrides map[string]rules.Metrics
 }
 
 // NewModel builds a model with the given weights.
 func NewModel(w Weights) *Model {
-	return &Model{Weights: w, overrides: map[string]rules.Metrics{}}
+	return &Model{Weights: w}
 }
 
-// Observe records a measured metric vector for a rule, overriding its
-// catalog default in subsequent rankings.
-func (m *Model) Observe(ruleID string, metrics rules.Metrics) {
-	m.overrides[ruleID] = metrics
-}
-
-// MetricsFor returns the effective metric vector for a rule.
+// MetricsFor returns a rule's catalog metric vector, or the zero
+// vector for an unknown rule.
 func (m *Model) MetricsFor(ruleID string) rules.Metrics {
-	if mv, ok := m.overrides[ruleID]; ok {
-		return mv
-	}
 	if r := rules.ByID(ruleID); r != nil {
 		return r.Metrics
 	}
@@ -146,7 +134,6 @@ type QueryRank struct {
 	QueryIndex int
 	Count      int
 	TotalScore float64
-	Findings   []Ranked
 }
 
 // RankQueries groups findings by statement and orders statements by
@@ -164,7 +151,6 @@ func (m *Model) RankQueries(findings []rules.Finding) []QueryRank {
 		}
 		g.Count++
 		g.TotalScore += r.Score
-		g.Findings = append(g.Findings, r)
 	}
 	out := make([]QueryRank, 0, len(order))
 	for _, qi := range order {

@@ -1,9 +1,7 @@
 package rank
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,25 +62,26 @@ func TestExample6Ordering(t *testing.T) {
 
 func TestRankOrdersByImpactTimesConfidence(t *testing.T) {
 	m := NewModel(C1)
-	m.Observe("big", rules.Metrics{ReadPerf: 10})
-	m.Observe("small", rules.Metrics{ReadPerf: 1})
+	// Catalog scores under C1: multi-valued-attribute 0.84,
+	// pattern-matching 0.56, adjacency-list 0.154. The rule-ID tie
+	// break would order each pair below the other way round.
+	big, medium, small := rules.IDMultiValuedAttribute, rules.IDPatternMatching, rules.IDAdjacencyList
 	fs := []rules.Finding{
-		{RuleID: "small", Confidence: 1},
-		{RuleID: "big", Confidence: 1},
+		{RuleID: small, Confidence: 1},
+		{RuleID: big, Confidence: 1},
 	}
 	ranked := m.Rank(fs)
-	if ranked[0].RuleID != "big" {
+	if ranked[0].RuleID != big {
 		t.Errorf("order = %v %v", ranked[0].RuleID, ranked[1].RuleID)
 	}
 	// Confidence scales: a barely-confident big finding loses to a
 	// certain medium one.
-	m.Observe("medium", rules.Metrics{ReadPerf: 5})
 	fs = []rules.Finding{
-		{RuleID: "big", Confidence: 0.2},
-		{RuleID: "medium", Confidence: 1},
+		{RuleID: big, Confidence: 0.2},
+		{RuleID: medium, Confidence: 1},
 	}
 	ranked = m.Rank(fs)
-	if ranked[0].RuleID != "medium" {
+	if ranked[0].RuleID != medium {
 		t.Error("confidence scaling not applied")
 	}
 }
@@ -96,21 +95,18 @@ func TestMetricsForFallsBackToCatalog(t *testing.T) {
 	if mv := m.MetricsFor("no-such-rule"); mv != (rules.Metrics{}) {
 		t.Error("unknown rule should yield zero metrics")
 	}
-	m.Observe(rules.IDOrderByRand, rules.Metrics{ReadPerf: 99})
-	if m.MetricsFor(rules.IDOrderByRand).ReadPerf != 99 {
-		t.Error("override ignored")
-	}
 }
 
 func TestRankQueriesByScoreAndCount(t *testing.T) {
 	m := NewModel(C1)
-	m.Observe("hot", rules.Metrics{ReadPerf: 10})
-	m.Observe("cold", rules.Metrics{ReadPerf: 0.1})
+	// Catalog scores under C1: multi-valued-attribute 0.84,
+	// generic-primary-key 0.01, so three cold findings score 0.03.
+	hot, cold := rules.IDMultiValuedAttribute, rules.IDGenericPrimaryKey
 	fs := []rules.Finding{
-		{RuleID: "cold", QueryIndex: 0, Confidence: 1},
-		{RuleID: "cold", QueryIndex: 0, Confidence: 1},
-		{RuleID: "cold", QueryIndex: 0, Confidence: 1},
-		{RuleID: "hot", QueryIndex: 1, Confidence: 1},
+		{RuleID: cold, QueryIndex: 0, Confidence: 1},
+		{RuleID: cold, QueryIndex: 0, Confidence: 1},
+		{RuleID: cold, QueryIndex: 0, Confidence: 1},
+		{RuleID: hot, QueryIndex: 1, Confidence: 1},
 	}
 	byScore := m.RankQueries(fs)
 	if byScore[0].QueryIndex != 1 {
@@ -167,46 +163,5 @@ func TestDeterministicTieBreak(t *testing.T) {
 	r2 := m.Rank(fs)
 	if r1[0].RuleID != r2[0].RuleID || r1[0].RuleID != "aa" {
 		t.Error("tie break not deterministic by rule id")
-	}
-}
-
-func TestExportImportObservations(t *testing.T) {
-	m := NewModel(C1)
-	m.Observe(rules.IDOrderByRand, rules.Metrics{ReadPerf: 12})
-	m.ObserveMeasurement(rules.IDIndexOveruse, 0, 7.5)
-
-	var buf bytes.Buffer
-	if err := m.ExportObservations(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewModel(C2)
-	if err := m2.ImportObservations(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if m2.MetricsFor(rules.IDOrderByRand).ReadPerf != 12 {
-		t.Error("observation lost in round trip")
-	}
-	if m2.MetricsFor(rules.IDIndexOveruse).WritePerf != 7.5 {
-		t.Error("measurement lost in round trip")
-	}
-	// Unknown rule is rejected.
-	bad := strings.NewReader(`[{"rule": "not-a-rule", "read_perf": 1}]`)
-	if err := m2.ImportObservations(bad); err == nil {
-		t.Error("unknown rule accepted")
-	}
-	// Malformed JSON is rejected.
-	if err := m2.ImportObservations(strings.NewReader("{nope")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-}
-
-func TestObserveMeasurementKeepsOtherMetrics(t *testing.T) {
-	m := NewModel(C1)
-	// enum-types has a catalog Maint of 2; observing a write factor
-	// must not erase it.
-	m.ObserveMeasurement(rules.IDEnumeratedTypes, 0, 400)
-	mv := m.MetricsFor(rules.IDEnumeratedTypes)
-	if mv.WritePerf != 400 || mv.Maint == 0 {
-		t.Errorf("metrics = %+v", mv)
 	}
 }

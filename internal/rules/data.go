@@ -24,7 +24,7 @@ const (
 var boundedName = regexp.MustCompile(`(?i)(rating|rank|score|percent|pct|age|grade|priority|level|stars)`)
 
 func init() {
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDMissingTimezone,
 		Name:     "Missing Timezone",
 		Category: Data,
@@ -62,7 +62,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDIncorrectDataType,
 		Name:     "Incorrect Data Type",
 		Category: Data,
@@ -103,7 +103,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDDenormalizedTable,
 		Name:     "Denormalized Table",
 		Category: Data,
@@ -124,7 +124,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDInformationDuplication,
 		Name:     "Information Duplication",
 		Category: Data,
@@ -151,7 +151,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDRedundantColumn,
 		Name:     "Redundant Column",
 		Category: Data,
@@ -181,7 +181,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDNoDomainConstraint,
 		Name:     "No Domain Constraint",
 		Category: Data,

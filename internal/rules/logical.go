@@ -32,7 +32,7 @@ var mvaColumnName = regexp.MustCompile(`(?i)(_ids?|ids|_list|list|tags|codes|ema
 var listLiteral = regexp.MustCompile(`^[\w@.-]+([,;|][\w@.-]+)+$`)
 
 func init() {
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDMultiValuedAttribute,
 		Name:     "Multi-Valued Attribute",
 		Category: Logical,
@@ -174,7 +174,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDNoPrimaryKey,
 		Name:     "No Primary Key",
 		Category: Logical,
@@ -208,7 +208,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDNoForeignKey,
 		Name:     "No Foreign Key",
 		Category: Logical,
@@ -255,7 +255,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDGenericPrimaryKey,
 		Name:     "Generic Primary Key",
 		Category: Logical,
@@ -290,7 +290,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDDataInMetadata,
 		Name:     "Data in Metadata",
 		Category: Logical,
@@ -331,7 +331,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDAdjacencyList,
 		Name:     "Adjacency List",
 		Category: Logical,
@@ -382,7 +382,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDGodTable,
 		Name:     "God Table",
 		Category: Logical,

@@ -27,7 +27,7 @@ const (
 var moneyName = regexp.MustCompile(`(?i)(price|cost|amount|balance|total|salary|fee|rate|tax|pay)`)
 
 func init() {
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDRoundingErrors,
 		Name:     "Rounding Errors",
 		Category: Physical,
@@ -85,7 +85,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDEnumeratedTypes,
 		Name:     "Enumerated Types",
 		Category: Physical,
@@ -166,7 +166,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDExternalDataStorage,
 		Name:     "External Data Storage",
 		Category: Physical,
@@ -210,7 +210,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDIndexOveruse,
 		Name:     "Index Overuse",
 		Category: Physical,
@@ -274,7 +274,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDIndexUnderuse,
 		Name:     "Index Underuse",
 		Category: Physical,
@@ -323,7 +323,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDCloneTable,
 		Name:     "Clone Table",
 		Category: Physical,

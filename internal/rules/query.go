@@ -25,7 +25,7 @@ const (
 )
 
 func init() {
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDColumnWildcard,
 		Name:     "Column Wildcard Usage",
 		Category: Query,
@@ -48,7 +48,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDConcatenateNulls,
 		Name:     "Concatenate Nulls",
 		Category: Query,
@@ -98,7 +98,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDOrderByRand,
 		Name:     "Ordering by RAND",
 		Category: Query,
@@ -118,7 +118,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDPatternMatching,
 		Name:     "Pattern Matching",
 		Category: Query,
@@ -163,7 +163,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDImplicitColumns,
 		Name:     "Implicit Columns",
 		Category: Query,
@@ -183,7 +183,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDDistinctJoin,
 		Name:     "DISTINCT and JOIN",
 		Category: Query,
@@ -206,7 +206,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDTooManyJoins,
 		Name:     "Too Many Joins",
 		Category: Query,
@@ -234,7 +234,7 @@ func init() {
 		},
 	})
 
-	Register(&Rule{
+	MustRegister(&Rule{
 		ID:       IDReadablePassword,
 		Name:     "Readable Password",
 		Category: Query,

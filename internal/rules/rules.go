@@ -11,6 +11,7 @@
 package rules
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -267,27 +268,28 @@ func loadRegistry() []*Rule {
 }
 
 // Register adds a rule after validating its metadata, then derives
-// the dispatch gate and resource needs from it. It panics on
-// incomplete or contradictory declarations — a malformed downstream
-// extension must fail at init, not silently lose findings at
-// dispatch time.
-func Register(r *Rule) {
+// the dispatch gate and resource needs from it. It returns an error
+// for an incomplete or contradictory declaration, or for an ID already
+// registered: the duplicate check and the store happen under one hold
+// of registryMu, so of two concurrent registrations of one ID exactly
+// one succeeds.
+func Register(r *Rule) error {
 	if r.ID == "" || r.Name == "" {
-		panic("rules: rule must have ID and Name")
+		return errors.New("rules: rule must have ID and Name")
 	}
 	switch r.Category {
 	case Logical, Physical, Query, Data:
 	default:
-		panic("rules: rule " + r.ID + " has unknown category " + string(r.Category))
+		return fmt.Errorf("rules: rule %s has unknown category %q", r.ID, r.Category)
 	}
 	if r.Description == "" {
-		panic("rules: rule " + r.ID + " lacks a description")
+		return fmt.Errorf("rules: rule %s lacks a description", r.ID)
 	}
 	if r.DetectQuery == nil && r.DetectSchema == nil && r.DetectData == nil {
-		panic("rules: rule " + r.ID + " declares no detector")
+		return fmt.Errorf("rules: rule %s declares no detector", r.ID)
 	}
 	if r.DetectQuery == nil && r.Meta.gate() != nil {
-		panic("rules: rule " + r.ID + " declares dispatch metadata without DetectQuery")
+		return fmt.Errorf("rules: rule %s declares dispatch metadata without DetectQuery", r.ID)
 	}
 	if r.Meta.Facts != nil && (len(r.Meta.AnyToken) > 0 || len(r.Meta.AllTokens) > 0) {
 		// The derived gate decides from Facts alone when it is set, so
@@ -295,11 +297,11 @@ func Register(r *Rule) {
 		// rule declaring both (expecting union semantics) would lose
 		// the token-admitted findings. Fold the token check into the
 		// Facts predicate instead.
-		panic("rules: rule " + r.ID + " declares both Facts and token requirements; tokens are ignored when Facts is set")
+		return fmt.Errorf("rules: rule %s declares both Facts and token requirements; tokens are ignored when Facts is set", r.ID)
 	}
 	for _, k := range r.Meta.Kinds {
 		if !k.Valid() {
-			panic(fmt.Sprintf("rules: rule %s declares unknown statement kind %d", r.ID, k))
+			return fmt.Errorf("rules: rule %s declares unknown statement kind %d", r.ID, k)
 		}
 	}
 	registryMu.Lock()
@@ -307,7 +309,7 @@ func Register(r *Rule) {
 	cur := loadRegistry()
 	for _, existing := range cur {
 		if existing.ID == r.ID {
-			panic("rules: duplicate rule ID " + r.ID)
+			return fmt.Errorf("rules: rule %q already registered", r.ID)
 		}
 	}
 	r.gate = r.Meta.gate()
@@ -329,6 +331,16 @@ func Register(r *Rule) {
 	// blocks this invalidation (both take allSetMu), never overwrites
 	// it, so the next compilation sees the new rule.
 	invalidateAllRuleSet()
+	return nil
+}
+
+// MustRegister is Register for the built-in catalog, whose rules
+// register at init: a malformed declaration panics there rather than
+// silently losing findings at dispatch time.
+func MustRegister(r *Rule) {
+	if err := Register(r); err != nil {
+		panic(err)
+	}
 }
 
 // All returns the registered rules in registration order.

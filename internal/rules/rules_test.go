@@ -66,8 +66,10 @@ func TestConcurrentRegisterAndCompile(t *testing.T) {
 		}()
 	}
 	for i := 0; i < probes; i++ {
-		Register(&Rule{ID: fmt.Sprintf("probe-race-%d", i), Name: "Race Probe",
-			Category: Query, Description: "d", DetectQuery: detector})
+		if err := Register(&Rule{ID: fmt.Sprintf("probe-race-%d", i), Name: "Race Probe",
+			Category: Query, Description: "d", DetectQuery: detector}); err != nil {
+			t.Error(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -103,53 +105,49 @@ func TestRegistryInvariants(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
+	// Each malformed rule fails Register with an error, and
+	// MustRegister, the built-in catalog's init path, with a panic.
+	mustFail := func(name string, r *Rule) {
 		t.Helper()
+		if err := Register(r); err == nil {
+			t.Errorf("%s: Register accepted the rule", name)
+			unregister(r.ID)
+		}
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+				t.Errorf("%s: MustRegister did not panic", name)
+				unregister(r.ID)
 			}
 		}()
-		f()
+		MustRegister(r)
 	}
 	// detector is a minimal valid query detector for probe rules.
 	detector := func(qi int, f *qanalyze.Facts, ctx *appctx.Context) []Finding { return nil }
-	mustPanic("empty id", func() { Register(&Rule{Name: "x"}) })
-	mustPanic("duplicate id", func() {
-		Register(&Rule{ID: IDGodTable, Name: "dup", Category: Query,
-			Description: "d", DetectQuery: detector})
-	})
-	mustPanic("unknown category", func() {
-		Register(&Rule{ID: "probe-bad-cat", Name: "x", Category: "weird",
-			Description: "d", DetectQuery: detector})
-	})
-	mustPanic("missing description", func() {
-		Register(&Rule{ID: "probe-no-desc", Name: "x", Category: Query,
-			DetectQuery: detector})
-	})
-	mustPanic("no detector", func() {
-		Register(&Rule{ID: "probe-no-detector", Name: "x", Category: Query,
-			Description: "d"})
-	})
-	mustPanic("dispatch metadata without DetectQuery", func() {
-		Register(&Rule{ID: "probe-gate-no-query", Name: "x", Category: Data,
-			Description: "d",
-			Meta:        Meta{Kinds: []sqlast.StatementKind{sqlast.KindSelect}},
-			DetectData:  func(tp *profile.TableProfile, ctx *appctx.Context) []Finding { return nil }})
-	})
-	mustPanic("unknown statement kind", func() {
-		Register(&Rule{ID: "probe-bad-kind", Name: "x", Category: Query,
-			Description: "d",
-			Meta:        Meta{Kinds: []sqlast.StatementKind{sqlast.StatementKind(99)}},
-			DetectQuery: detector})
-	})
-	mustPanic("Facts combined with token requirements", func() {
-		Register(&Rule{ID: "probe-facts-and-tokens", Name: "x", Category: Query,
-			Description: "d",
-			Meta: Meta{Facts: func(f *qanalyze.Facts) bool { return true },
-				AnyToken: []string{"MERGE"}},
-			DetectQuery: detector})
-	})
+	mustFail("empty id", &Rule{Name: "x"})
+	mustFail("duplicate id", &Rule{ID: IDGodTable, Name: "dup", Category: Query,
+		Description: "d", DetectQuery: detector})
+	mustFail("unknown category", &Rule{ID: "probe-bad-cat", Name: "x", Category: "weird",
+		Description: "d", DetectQuery: detector})
+	mustFail("missing description", &Rule{ID: "probe-no-desc", Name: "x", Category: Query,
+		DetectQuery: detector})
+	mustFail("no detector", &Rule{ID: "probe-no-detector", Name: "x", Category: Query,
+		Description: "d"})
+	mustFail("dispatch metadata without DetectQuery", &Rule{ID: "probe-gate-no-query", Name: "x", Category: Data,
+		Description: "d",
+		Meta:        Meta{Kinds: []sqlast.StatementKind{sqlast.KindSelect}},
+		DetectData:  func(tp *profile.TableProfile, ctx *appctx.Context) []Finding { return nil }})
+	mustFail("unknown statement kind", &Rule{ID: "probe-bad-kind", Name: "x", Category: Query,
+		Description: "d",
+		Meta:        Meta{Kinds: []sqlast.StatementKind{sqlast.StatementKind(99)}},
+		DetectQuery: detector})
+	mustFail("Facts combined with token requirements", &Rule{ID: "probe-facts-and-tokens", Name: "x", Category: Query,
+		Description: "d",
+		Meta: Meta{Facts: func(f *qanalyze.Facts) bool { return true },
+			AnyToken: []string{"MERGE"}},
+		DetectQuery: detector})
+	if got := len(All()); got != 27 {
+		t.Errorf("malformed registrations changed the catalog: %d rules", got)
+	}
 }
 
 // TestRegisterDerivesDispatchAndNeeds registers a complete downstream
@@ -173,7 +171,9 @@ func TestRegisterDerivesDispatchAndNeeds(t *testing.T) {
 		DetectQuery: func(qi int, f *qanalyze.Facts, ctx *appctx.Context) []Finding { return nil },
 		DetectData:  func(tp *profile.TableProfile, ctx *appctx.Context) []Finding { return nil },
 	}
-	Register(probe)
+	if err := Register(probe); err != nil {
+		t.Fatal(err)
+	}
 	defer unregister(probe.ID)
 
 	g := probe.DispatchGate()

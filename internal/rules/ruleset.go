@@ -29,16 +29,14 @@ type RuleSet struct {
 	query  []*Rule // rules with DetectQuery, registration order
 	schema []*Rule // rules with DetectSchema, registration order
 	data   []*Rule // rules with DetectData, registration order
-	byID   map[string]*Rule
 	needs  Need
 	all    bool
 }
 
 // compile builds the scope slices and need union from the selection.
 func compile(selected []*Rule, all bool) *RuleSet {
-	rs := &RuleSet{rules: selected, byID: make(map[string]*Rule, len(selected)), all: all}
+	rs := &RuleSet{rules: selected, all: all}
 	for _, r := range selected {
-		rs.byID[r.ID] = r
 		rs.needs |= r.needs
 		if r.DetectQuery != nil {
 			rs.query = append(rs.query, r)
@@ -147,9 +145,6 @@ func (rs *RuleSet) IDs() []string {
 	return out
 }
 
-// Has reports whether the set selects the rule ID.
-func (rs *RuleSet) Has(id string) bool { return rs.byID[id] != nil }
-
 // Key returns the set's canonical identity string — the "normalized
 // ruleset" component of memoization keys. Subset keys join the
 // selected IDs in registration order (which NewRuleSet guarantees
@@ -164,9 +159,6 @@ func (rs *RuleSet) Key() string {
 	}
 	return strings.Join(rs.IDs(), ",")
 }
-
-// Rules returns the selected rules in registration order.
-func (rs *RuleSet) Rules() []*Rule { return rs.rules }
 
 // QueryRules returns the selected query-scoped rules.
 func (rs *RuleSet) QueryRules() []*Rule { return rs.query }

@@ -61,7 +61,6 @@ func tableFromCreate(d *sqlast.CreateTableStatement) *Table {
 				RefTable:   cd.References.Table,
 				RefColumns: cd.References.Columns,
 				OnDelete:   cd.References.OnDelete,
-				OnUpdate:   cd.References.OnUpdate,
 			}
 			t.ForeignKeys = append(t.ForeignKeys, fk)
 			if strings.EqualFold(cd.References.Table, d.Name) {
@@ -78,17 +77,15 @@ func tableFromCreate(d *sqlast.CreateTableStatement) *Table {
 
 func columnFromDef(cd sqlast.ColumnDef) Column {
 	col := Column{
-		Name:          cd.Name,
-		Type:          cd.Type,
-		Class:         ClassifyType(cd.Type),
-		TypeParams:    cd.TypeParams,
-		NotNull:       cd.NotNull || cd.PrimaryKey,
-		Unique:        cd.Unique || cd.PrimaryKey,
-		AutoIncrement: cd.AutoIncrement,
-		HasDefault:    cd.Default != nil,
+		Name:       cd.Name,
+		Type:       cd.Type,
+		Class:      ClassifyType(cd.Type),
+		TypeParams: cd.TypeParams,
+		NotNull:    cd.NotNull || cd.PrimaryKey,
+		Unique:     cd.Unique || cd.PrimaryKey,
 	}
 	if cd.Check != nil {
-		if c, vals := inListCheck(cd.Check); strings.EqualFold(c, cd.Name) {
+		if c, vals := InListCheck(cd.Check); strings.EqualFold(c, cd.Name) {
 			col.CheckInValues = vals
 		}
 	}
@@ -110,7 +107,6 @@ func applyConstraint(t *Table, tc sqlast.TableConstraint) {
 			fk.RefTable = tc.Ref.Table
 			fk.RefColumns = tc.Ref.Columns
 			fk.OnDelete = tc.Ref.OnDelete
-			fk.OnUpdate = tc.Ref.OnUpdate
 			if strings.EqualFold(tc.Ref.Table, t.Name) {
 				t.SelfRefFK = true
 			}
@@ -119,8 +115,8 @@ func applyConstraint(t *Table, tc sqlast.TableConstraint) {
 	case "UNIQUE":
 		t.Indexes = append(t.Indexes, Index{Name: tc.Name, Columns: tc.Columns, Unique: true})
 	case "CHECK":
-		cc := CheckConstraint{Name: tc.Name, Expr: sqlast.ExprSQL(tc.Check)}
-		if col, vals := inListCheck(tc.Check); col != "" {
+		cc := CheckConstraint{Name: tc.Name}
+		if col, vals := InListCheck(tc.Check); col != "" {
 			cc.Column = col
 			cc.InValues = vals
 			if c := t.Column(col); c != nil {
@@ -202,10 +198,10 @@ func applyAlter(s *Schema, d *sqlast.AlterTableStatement) {
 	}
 }
 
-// inListCheck recognizes CHECK (col IN ('a','b',...)) expressions and
+// InListCheck recognizes CHECK (col IN ('a','b',...)) expressions and
 // returns the constrained column and the permitted values. Returns
 // ("", nil) for any other expression shape.
-func inListCheck(e sqlast.Expr) (string, []string) {
+func InListCheck(e sqlast.Expr) (string, []string) {
 	be, ok := e.(*sqlast.BinaryExpr)
 	if !ok || be.Op != "IN" || be.Not {
 		return "", nil

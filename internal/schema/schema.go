@@ -105,9 +105,6 @@ type Column struct {
 	TypeParams []string
 	NotNull    bool
 	Unique     bool
-	// AutoIncrement marks AUTO_INCREMENT/SERIAL columns.
-	AutoIncrement bool
-	HasDefault    bool
 	// CheckInValues is populated when the column carries a
 	// CHECK (col IN (...)) constraint: the permitted values.
 	CheckInValues []string
@@ -120,14 +117,11 @@ type ForeignKey struct {
 	RefTable   string
 	RefColumns []string
 	OnDelete   string
-	OnUpdate   string
 }
 
 // CheckConstraint is a table-level CHECK constraint.
 type CheckConstraint struct {
 	Name string
-	// Expr is the constraint expression rendered to SQL.
-	Expr string
 	// Column is the single column the check constrains, when that can
 	// be determined; otherwise "".
 	Column string

@@ -512,3 +512,15 @@ func ColumnRefs(e Expr) []*ColumnRef {
 	})
 	return refs
 }
+
+// Conjuncts flattens a tree of ANDs into its conjuncts, left to right;
+// nil yields none.
+func Conjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
+		return append(Conjuncts(be.Left), Conjuncts(be.Right)...)
+	}
+	return []Expr{e}
+}

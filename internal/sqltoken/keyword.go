@@ -65,12 +65,6 @@ func asciiEqualFold(s, upper string) bool {
 	return true
 }
 
-// EqualFold reports whether s equals upper under ASCII case folding,
-// where upper is already upper-case ASCII. Exported for the parser's
-// keyword comparisons; byte-for-byte equivalent to
-// strings.ToUpper(s) == upper for ASCII inputs.
-func EqualFold(s, upper string) bool { return asciiEqualFold(s, upper) }
-
 // LookupFold reports whether set[strings.ToUpper(word)], where set is
 // keyed by upper-case ASCII strings no longer than keywordMaxLen,
 // without allocating on the ASCII path: the probe goes through a stack

@@ -345,10 +345,7 @@ func (db *Database) Reflect() *schema.Schema {
 			}
 			sort.Strings(vals)
 			col := t.Cols[ck.Col].Name
-			ts.Checks = append(ts.Checks, schema.CheckConstraint{
-				Name: ck.Name, Column: col, InValues: vals,
-				Expr: col + " IN (...)",
-			})
+			ts.Checks = append(ts.Checks, schema.CheckConstraint{Name: ck.Name, Column: col, InValues: vals})
 			if c := ts.Column(col); c != nil {
 				c.CheckInValues = vals
 			}

@@ -43,7 +43,6 @@ type spillFile struct {
 	path        string
 	f           *os.File // opened lazily on first write
 	size        int64    // append offset
-	live        int64    // bytes of records still referenced by a frame
 	garbage     int64
 	compactions int64
 	// refs tracks every record for compaction. Values are weak: a
@@ -75,7 +74,7 @@ func (sf *spillFile) close() error {
 		err = rmErr
 	}
 	sf.refs = make(map[*diskRef]weak.Pointer[rowPage])
-	sf.size, sf.live, sf.garbage = 0, 0, 0
+	sf.size, sf.garbage = 0, 0
 	return err
 }
 
@@ -160,13 +159,11 @@ func (sf *spillFile) write(ref *diskRef, p *rowPage, rows *[PageRows]Row, used i
 	sf.size += int64(len(blob))
 	if ref != nil {
 		sf.garbage += int64(ref.n)
-		sf.live -= int64(ref.n)
 		ref.off, ref.n = off, int32(len(blob))
 	} else {
 		ref = &diskRef{off: off, n: int32(len(blob))}
 		sf.refs[ref] = weak.Make(p)
 	}
-	sf.live += int64(len(blob))
 	if sf.garbage > spillCompactMin && sf.garbage > sf.size/2 {
 		// Compaction failure is not data loss — the old file stays
 		// intact — so the error is dropped and garbage carries over.
@@ -238,7 +235,6 @@ func (sf *spillFile) compactLocked() error {
 		m.ref.off = m.newOff
 	}
 	sf.size = newSize
-	sf.live = newSize
 	sf.garbage = 0
 	sf.compactions++
 	return nil

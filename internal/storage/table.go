@@ -321,9 +321,6 @@ func (t *Table) ColIndex(name string) int {
 // Len returns the number of live rows.
 func (t *Table) Len() int { return t.live }
 
-// Cap returns the number of row slots (live + deleted).
-func (t *Table) Cap() int { return t.slots }
-
 // Frozen reports whether the table is a read-only snapshot view.
 func (t *Table) Frozen() bool { return t.frozen }
 

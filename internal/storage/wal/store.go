@@ -50,8 +50,6 @@ type Stats struct {
 	// LastCheckpointUnix is the completion time of the newest
 	// checkpoint taken by this process (0 if none yet).
 	LastCheckpointUnix int64
-	// Tenants is the current registered-database count.
-	Tenants int
 }
 
 // RecoverInfo reports what Open reconstructed.
@@ -372,9 +370,6 @@ func (s *Store) Close() error {
 
 // Stats returns a point-in-time view of the durability counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	tenants := len(s.tenants)
-	s.mu.Unlock()
 	return Stats{
 		Records:            s.log.records.Load(),
 		Replayed:           s.replayed.Load(),
@@ -382,6 +377,5 @@ func (s *Store) Stats() Stats {
 		SinceCheckpoint:    s.sinceCkpt.Load(),
 		AppendErrors:       s.appendErrors.Load(),
 		LastCheckpointUnix: s.lastCkptUnix.Load(),
-		Tenants:            tenants,
 	}
 }

@@ -3,6 +3,7 @@ package sqlcheck
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -64,5 +65,53 @@ func TestRegisterRuleWhileChecking(t *testing.T) {
 	<-done
 	if checkErr != nil {
 		t.Fatal(checkErr)
+	}
+}
+
+// TestRegisterRuleConcurrentDuplicates releases four RegisterRule
+// calls of one fresh rule ID from one barrier, round after round.
+// Exactly one call per round must succeed and the others must return
+// an error: none may panic, as a check of the catalog followed by a
+// separate store would let two callers pass the check.
+func TestRegisterRuleConcurrentDuplicates(t *testing.T) {
+	const rounds, callers = 2000, 4
+	run := registerRaceRuns.Add(1)
+	for round := 0; round < rounds; round++ {
+		id := fmt.Sprintf("register-dup-%d-%d", run, round)
+		barrier := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]error, callers)
+		panics := make([]any, callers)
+		for g := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[g] = recover() }()
+				<-barrier
+				errs[g] = RegisterRule(CustomRule{
+					ID:    id,
+					Name:  "Duplicate registration probe",
+					Kinds: []string{"DROP INDEX"},
+					Match: func(string) bool { return false },
+				})
+			}()
+		}
+		close(barrier)
+		wg.Wait()
+		succeeded := 0
+		for g := range callers {
+			switch {
+			case panics[g] != nil:
+				t.Errorf("round %d: RegisterRule panicked: %v", round, panics[g])
+			case errs[g] == nil:
+				succeeded++
+			}
+		}
+		if succeeded != 1 {
+			t.Errorf("round %d: %d of %d registrations of %s succeeded, want 1", round, succeeded, callers, id)
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }
