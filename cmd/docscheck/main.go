@@ -1,11 +1,14 @@
 // docscheck fails when the named markdown files reference exported
-// sqlcheck identifiers or sqlcheck_* Prometheus metric names that no
-// longer exist in the source tree. README and DESIGN quote API
-// snippets and /metrics output; nothing re-executes those fences, so
-// a rename silently strands them. This gate greps the docs for
-// `sqlcheck.Ident` and `sqlcheck_metric_name` tokens and checks each
-// against the real package surface (go/parser over the root package)
-// and the real metric names (string literals in cmd/sqlcheckd).
+// sqlcheck identifiers, option fields or sqlcheck_* Prometheus metric
+// names that no longer exist in the source tree. README and DESIGN
+// quote API snippets and /metrics output; nothing re-executes those
+// fences, so a rename silently strands them. This gate greps the docs
+// for `sqlcheck.Ident`, `Options.Field`, `Workload.Field` and
+// `sqlcheck_metric_name` tokens and checks each against the real
+// package surface (go/parser over the root package; fields against
+// the Options and Workload structs of the root package and
+// internal/core) and the real metric names (string literals in
+// cmd/sqlcheckd).
 //
 // Run from the repository root: `make docs-check`, also part of
 // `make ci`.
@@ -32,6 +35,9 @@ var (
 	// trailing wildcard (sqlcheck_report_cache_*); the match then ends
 	// in '_' and is accepted as a prefix of a real name.
 	metricRe = regexp.MustCompile(`\bsqlcheck_[a-z_]+`)
+	// Options.Field or Workload.Field, with or without a package
+	// qualifier in front.
+	fieldRe = regexp.MustCompile(`\b(Options|Workload)\.([A-Z][A-Za-z0-9_]*)`)
 )
 
 func main() {
@@ -39,11 +45,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: docscheck FILE.md ...")
 		os.Exit(2)
 	}
-	idents, err := exportedIdents(".")
+	root, err := parsePackage(".", "sqlcheck")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck: parsing root package:", err)
 		os.Exit(2)
 	}
+	core, err := parsePackage("internal/core", "core")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck: parsing internal/core:", err)
+		os.Exit(2)
+	}
+	idents := exportedIdents(root)
+	fields := fieldNames(root, core)
 	metrics, err := metricNames("cmd/sqlcheckd")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck: scanning daemon source:", err)
@@ -64,6 +77,12 @@ func main() {
 					stale++
 				}
 			}
+			for _, m := range fieldRe.FindAllStringSubmatch(line, -1) {
+				if !fields[m[0]] {
+					fmt.Printf("%s:%d: stale field %s — not a field of %s in package sqlcheck or internal/core\n", path, i+1, m[0], m[1])
+					stale++
+				}
+			}
 			for _, tok := range metricRe.FindAllString(line, -1) {
 				if !knownMetric(tok, metrics) {
 					fmt.Printf("%s:%d: stale metric name %s — not rendered by cmd/sqlcheckd\n", path, i+1, tok)
@@ -78,9 +97,8 @@ func main() {
 	}
 }
 
-// exportedIdents parses the root package (tests excluded) and returns
-// its exported top-level names: types, funcs, consts, vars.
-func exportedIdents(dir string) (map[string]bool, error) {
+// parsePackage parses the named package in dir, tests excluded.
+func parsePackage(dir, name string) (*ast.Package, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -88,15 +106,21 @@ func exportedIdents(dir string) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, ok := pkgs["sqlcheck"]
+	pkg, ok := pkgs[name]
 	if !ok {
 		names := make([]string, 0, len(pkgs))
 		for n := range pkgs {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		return nil, fmt.Errorf("package sqlcheck not found in %s (found %v)", dir, names)
+		return nil, fmt.Errorf("package %s not found in %s (found %v)", name, dir, names)
 	}
+	return pkg, nil
+}
+
+// exportedIdents returns a package's exported top-level names: types,
+// funcs, consts, vars.
+func exportedIdents(pkg *ast.Package) map[string]bool {
 	out := make(map[string]bool)
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -123,7 +147,28 @@ func exportedIdents(dir string) (map[string]bool, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
+}
+
+// fieldNames returns "Type.Field" for every field of every struct
+// type that pkgs declare.
+func fieldNames(pkgs ...*ast.Package) map[string]bool {
+	out := make(map[string]bool)
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							out[ts.Name.Name+"."+name.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // metricNames greps the daemon source for metric-name string content.

@@ -64,9 +64,9 @@
 // and README's overload-tuning section.
 //
 // Flags: -addr (default :8686), -mode, -weights, -concurrency,
-// -cache-bytes, -report-cache-bytes, -data-dir, -checkpoint-every,
-// -page-cache-bytes, -shutdown-timeout, -max-inflight, -max-queue,
-// -queue-wait, -request-timeout, -max-body-bytes.
+// -cache-bytes, -data-dir, -checkpoint-every, -page-cache-bytes,
+// -shutdown-timeout, -max-inflight, -max-queue, -queue-wait,
+// -request-timeout, -max-body-bytes.
 package main
 
 import (
@@ -91,8 +91,7 @@ func main() {
 		mode        = flag.String("mode", "inter", "analysis mode: inter or intra")
 		weights     = flag.String("weights", "c1", "ranking weights: c1 or c2")
 		concurrency = flag.Int("concurrency", 0, "analysis worker pool size (0 = GOMAXPROCS)")
-		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "parsed-statement cache budget in estimated resident bytes")
-		reportBytes = flag.Int64("report-cache-bytes", 32<<20, "memoized-report cache budget in estimated resident bytes (the serving fast path)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "budget of the parse, report, script-print and profile caches in estimated resident bytes, split 8:4:1:2 (0 = default 120 MiB)")
 		dataDir     = flag.String("data-dir", "", "durable registry directory: WAL + checkpoints, recovered on start (empty = in-memory only)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "WAL records between automatic checkpoints (0 = default 1024, negative disables)")
 		pageBytes   = flag.Int64("page-cache-bytes", 0, "resident-byte budget for registered databases' row pages; cold pages spill to disk and fault back on access (0 = unbounded, all pages stay in memory)")
@@ -108,12 +107,11 @@ func main() {
 	flag.Parse()
 
 	opts := sqlcheck.Options{
-		Concurrency:      *concurrency,
-		ParseCacheBytes:  *cacheBytes,
-		ReportCacheBytes: *reportBytes,
-		DataDir:          *dataDir,
-		CheckpointEvery:  *ckptEvery,
-		PageCacheBytes:   *pageBytes,
+		Concurrency:     *concurrency,
+		CacheBytes:      *cacheBytes,
+		DataDir:         *dataDir,
+		CheckpointEvery: *ckptEvery,
+		PageCacheBytes:  *pageBytes,
 	}
 	if *mode == "intra" {
 		opts.Mode = sqlcheck.IntraQuery

@@ -57,7 +57,6 @@ var respPool = sync.Pool{New: func() any {
 	r := &responseBuffer{}
 	r.buf.Grow(respBufPresize)
 	r.enc = json.NewEncoder(&r.buf)
-	r.enc.SetIndent("", "  ")
 	return r
 }}
 

@@ -63,7 +63,7 @@ func ExampleChecker_Metrics_profileCache() {
 // served without parsing, profiling, or rule evaluation — and stays
 // byte-equivalent to a cold analysis.
 func ExampleChecker_Metrics_reportCache() {
-	checker := sqlcheck.New(sqlcheck.Options{ReportCacheBytes: 16 << 20})
+	checker := sqlcheck.New(sqlcheck.Options{CacheBytes: 60 << 20})
 
 	sql := "SELECT name FROM users WHERE name LIKE '%smith'"
 	first, err := checker.CheckSQL(sql)

@@ -40,9 +40,6 @@ type Config struct {
 	// TooManyJoins is the join-count threshold (Table 1: "number of
 	// JOINs cross a threshold").
 	TooManyJoins int
-	// EnumDistinctRatio activates the enumerated-types data check when
-	// distinct/rows falls below it (paper Example 4).
-	EnumDistinctRatio float64
 	// Profile carries sampling configuration for data analysis.
 	Profile profile.Options
 }
@@ -51,10 +48,9 @@ type Config struct {
 // evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Mode:              ModeInter,
-		GodTableColumns:   10,
-		TooManyJoins:      4,
-		EnumDistinctRatio: 0.01,
+		Mode:            ModeInter,
+		GodTableColumns: 10,
+		TooManyJoins:    4,
 	}
 }
 

@@ -9,10 +9,10 @@ package core
 // so a cyclic scan past the budget still hits on the half the
 // doorkeeper keeps resident.
 //
-// Each Engine owns one ParseCache, sized by Options.ParseCacheBytes,
-// and it is safe for the engine's concurrent runs: a daemon serving
-// from one Checker parses a statement repeated across tenants,
-// requests, and batches once.
+// Each Engine owns one ParseCache, sized by its share of
+// Options.CacheBytes, and it is safe for the engine's concurrent runs:
+// a daemon serving from one Checker parses a statement repeated across
+// tenants, requests, and batches once.
 
 import (
 	"strings"
@@ -22,11 +22,6 @@ import (
 )
 
 const (
-	// DefaultParseCacheBytes bounds the parse cache when
-	// Options.ParseCacheBytes is unset (32 MiB of estimated
-	// residency).
-	DefaultParseCacheBytes = 32 << 20
-
 	// astExpansionFactor and entryOverheadBytes model an entry's
 	// resident cost from its only cheap observable, the statement
 	// text. An entry holds a copy of the text, the AST's node structs
@@ -53,11 +48,8 @@ type ParseCache struct {
 }
 
 // NewParseCache builds a cache bounded by maxBytes of estimated
-// residency (<= 0 means DefaultParseCacheBytes).
+// residency.
 func NewParseCache(maxBytes int64) *ParseCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultParseCacheBytes
-	}
 	return &ParseCache{lru: newLRU[string, sqlast.Statement](maxBytes)}
 }
 

@@ -107,3 +107,53 @@ func liveHeap() int64 {
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
 }
+
+// TestScriptPrintResidencyWithinBudget does for the report cache's
+// script-print side cache what TestParseCacheResidencyWithinBudget
+// does for the parse cache: each entry keeps its script, the joined
+// statement texts and one StmtPrint per statement, and a full cache's
+// live heap must stay within 1.1x its estimate. Each script is built
+// fresh and dropped once fingerprinted, as a request's would be. Not
+// parallel: it measures the whole process heap.
+func TestScriptPrintResidencyWithinBudget(t *testing.T) {
+	gh := corpus.GitHub(corpus.GitHubOptions{Repos: 3000, Seed: 29, MinStatements: 1, MaxStatements: 12})
+	c := NewReportCache(0, 4<<20)
+	before := liveHeap()
+	for _, repo := range gh.Repos {
+		if st := c.scripts.stats(); st.Bytes >= st.MaxBytes*9/10 {
+			break
+		}
+		c.script(strings.Join(repo.Statements, ";\n"))
+	}
+	growth := liveHeap() - before
+	runtime.KeepAlive(gh)
+	st := c.scripts.stats()
+	if st.Bytes < st.MaxBytes*9/10 {
+		t.Fatalf("corpus filled %d of %d budget bytes; the test needs a full cache", st.Bytes, st.MaxBytes)
+	}
+	ratio := float64(growth) / float64(st.Bytes)
+	t.Logf("live heap +%d bytes for %d script prints estimated at %d bytes: %.2fx", growth, st.Entries, st.Bytes, ratio)
+	if ratio > 1.1 {
+		t.Errorf("script-print cache retains %.2fx its estimated bytes, want <= 1.1x", ratio)
+	}
+}
+
+// TestCacheBudgetOptions: NewEngine splits Options.CacheBytes 8:4:1:2
+// among parsed statements, reports, script prints and table profiles,
+// and <= 0 selects DefaultCacheBytes: 64, 32, 8 and 16 MiB.
+func TestCacheBudgetOptions(t *testing.T) {
+	for _, tc := range []struct {
+		cacheBytes int64
+		want       [4]int64 // parse, report, script, profile
+	}{
+		{0, [4]int64{64 << 20, 32 << 20, 8 << 20, 16 << 20}},
+		{-1, [4]int64{64 << 20, 32 << 20, 8 << 20, 16 << 20}},
+		{15 << 10, [4]int64{8 << 10, 4 << 10, 1 << 10, 2 << 10}},
+	} {
+		e := NewEngine(Options{CacheBytes: tc.cacheBytes}, 1)
+		got := [4]int64{e.cache.Stats().MaxBytes, e.reports.Stats().MaxBytes, e.reports.scripts.stats().MaxBytes, e.profiles.Stats().MaxBytes}
+		if got != tc.want {
+			t.Errorf("CacheBytes %d: parse, report, script, profile budgets = %v, want %v", tc.cacheBytes, got, tc.want)
+		}
+	}
+}

@@ -47,21 +47,18 @@ type Options struct {
 	// query-scoped rule on every statement. Kept as the benchmark
 	// baseline and for verifying gate conservatism.
 	NoPrefilter bool
-	// ParseCacheBytes bounds the Engine's parse cache by estimated
-	// resident bytes (<= 0 means DefaultParseCacheBytes). The sequential
-	// Detect path does not cache.
-	ParseCacheBytes int64
-	// ReportCacheBytes bounds the Engine's report memoization cache by
-	// estimated resident bytes (<= 0 means DefaultReportCacheBytes) —
-	// the serving fast path. Reports are keyed by (script fingerprint,
-	// database origin ID + state version, normalized ruleset,
-	// configuration) with byte-identical statement texts as the hit
-	// condition, so a repeated workload against an unchanged database
-	// returns its memoized report before any pipeline phase runs; any
-	// DML on the database moves its version, and the re-analyzed report
-	// replaces the stale one. The table-profile cache beside it keeps
-	// DefaultProfileCacheBytes.
-	ReportCacheBytes int64
+	// CacheBytes bounds the Engine's caches by estimated resident
+	// bytes (<= 0 means DefaultCacheBytes). NewEngine splits it 8:4:1:2
+	// among parsed statements, finished reports, script prints and
+	// table profiles. The report cache is the serving fast path:
+	// reports are keyed by (script fingerprint, database origin ID +
+	// state version, normalized ruleset, sampling options) with
+	// byte-identical statement texts as the hit condition, so a
+	// repeated workload against an unchanged database returns its
+	// memoized report before any pipeline phase runs; any DML on the
+	// database moves its version, and the re-analyzed report replaces
+	// the stale one. The sequential Detect path does not cache.
+	CacheBytes int64
 	// Reporter, when non-nil, builds each analyzed workload's report;
 	// without one, nothing is memoized.
 	Reporter Reporter
@@ -108,6 +105,11 @@ type Reporter interface {
 	// cost against the report cache's budget.
 	Report(res *Result) (report any, cost int64)
 }
+
+// DefaultCacheBytes is an Engine's cache budget when
+// Options.CacheBytes is unset: 64 MiB of parsed statements, 32 of
+// reports, 8 of script prints and 16 of table profiles.
+const DefaultCacheBytes = 120 << 20
 
 // DefaultOptions returns the standard configuration (full inter-query
 // analysis).

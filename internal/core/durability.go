@@ -10,18 +10,6 @@ import (
 	"sqlcheck/internal/storage/wal"
 )
 
-// DurabilityConfig tunes the engine's durable registry.
-type DurabilityConfig struct {
-	// CheckpointEvery is the appended-record count that triggers a
-	// background checkpoint; 0 uses the wal package default, negative
-	// disables automatic checkpoints.
-	CheckpointEvery int
-	// NoSync skips fsync on appends (test-only).
-	NoSync bool
-	// Logf receives recovery warnings; nil uses the standard logger.
-	Logf func(format string, args ...any)
-}
-
 // RecoverySummary reports what OpenDurability reconstructed.
 type RecoverySummary struct {
 	// Databases is the recovered tenant count now in the registry.
@@ -40,12 +28,8 @@ type RecoverySummary struct {
 // registry mutation through the log. Must be called once, before the
 // engine serves traffic; calling it on an engine that already has a
 // store is an error in the caller (the public API prevents it).
-func (e *Engine) OpenDurability(dir string, cfg DurabilityConfig) (RecoverySummary, error) {
-	store, info, err := wal.Open(dir, wal.Config{
-		CheckpointEvery: cfg.CheckpointEvery,
-		NoSync:          cfg.NoSync,
-		Logf:            cfg.Logf,
-	})
+func (e *Engine) OpenDurability(dir string, cfg wal.Config) (RecoverySummary, error) {
+	store, info, err := wal.Open(dir, cfg)
 	if err != nil {
 		return RecoverySummary{}, err
 	}
@@ -82,22 +66,9 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// DurabilityStats mirrors wal.Stats for the metrics snapshot.
-type DurabilityStats struct {
-	// Records counts WAL records appended by this process and Replayed
-	// the records applied during startup recovery.
-	Records  int64 `json:"records"`
-	Replayed int64 `json:"replayed"`
-	// Checkpoints counts checkpoints completed by this process;
-	// SinceCheckpoint is the pending replay delta in records;
-	// LastCheckpointUnix is the newest completion time (0 = none yet).
-	Checkpoints        int64 `json:"checkpoints"`
-	SinceCheckpoint    int64 `json:"since_checkpoint"`
-	LastCheckpointUnix int64 `json:"last_checkpoint_unix"`
-	// AppendErrors counts statements that applied in memory but failed
-	// to reach the log — each one is durability silently degraded.
-	AppendErrors int64 `json:"append_errors"`
-}
+// DurabilityStats snapshots the WAL and checkpoint counters for the
+// metrics snapshot.
+type DurabilityStats = wal.Stats
 
 // durabilityStats snapshots the attached store, or nil without one.
 func (e *Engine) durabilityStats() *DurabilityStats {
@@ -106,12 +77,5 @@ func (e *Engine) durabilityStats() *DurabilityStats {
 		return nil
 	}
 	st := s.Stats()
-	return &DurabilityStats{
-		Records:            st.Records,
-		Replayed:           st.Replayed,
-		Checkpoints:        st.Checkpoints,
-		SinceCheckpoint:    st.SinceCheckpoint,
-		LastCheckpointUnix: st.LastCheckpointUnix,
-		AppendErrors:       st.AppendErrors,
-	}
+	return &st
 }

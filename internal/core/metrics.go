@@ -143,15 +143,15 @@ type PoolStats struct {
 // EngineMetrics is a point-in-time snapshot of an engine's
 // observability counters.
 type EngineMetrics struct {
-	// Cache describes the engine's parse cache (budget
-	// Options.ParseCacheBytes).
+	// Cache describes the engine's parse cache (budget 8/15 of
+	// Options.CacheBytes).
 	Cache CacheStats `json:"cache"`
 	// ProfileCache describes the engine's table-profile memoization
 	// cache. Every hit is a table whose data phase was an integer
 	// compare instead of a sampling pass.
 	ProfileCache CacheStats `json:"profile_cache"`
 	// ReportCache describes the engine's report memoization cache
-	// (budget Options.ReportCacheBytes). Every hit is a workload
+	// (budget 4/15 of Options.CacheBytes). Every hit is a workload
 	// served without running any pipeline phase at all; Fingerprints
 	// is the resident-cardinality gauge.
 	ReportCache ReportCacheStats `json:"report_cache"`

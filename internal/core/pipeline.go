@@ -252,19 +252,26 @@ type phaseSkipCounters struct {
 }
 
 // NewEngine builds an Engine with its own parse, profile and report
-// caches, sized by opts. concurrency bounds the worker pool (<= 0
-// means GOMAXPROCS, 1 means one workload at a time).
+// caches, which split opts.CacheBytes in fifteenths: 8 to parsed
+// statements, 4 to reports, 1 to script prints and 2 to table
+// profiles. concurrency bounds the worker pool (<= 0 means GOMAXPROCS,
+// 1 means one workload at a time).
 func NewEngine(opts Options, concurrency int) *Engine {
 	if opts.MinConfidence == 0 {
 		opts.MinConfidence = 0.5
 	}
+	budget := opts.CacheBytes
+	if budget <= 0 {
+		budget = DefaultCacheBytes
+	}
+	share := budget / 15
 	rs, rsErr := rules.NewRuleSet(opts.Rules)
 	e := &Engine{
 		opts:     opts,
 		pool:     NewPool(concurrency),
-		cache:    NewParseCache(opts.ParseCacheBytes),
-		profiles: NewProfileCache(DefaultProfileCacheBytes),
-		reports:  NewReportCache(opts.ReportCacheBytes),
+		cache:    NewParseCache(8 * share),
+		profiles: NewProfileCache(2 * share),
+		reports:  NewReportCache(4*share, share),
 		phases:   newPhaseSet(),
 		registry: NewRegistry(),
 		ruleSet:  rs,

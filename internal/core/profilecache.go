@@ -28,18 +28,14 @@ package core
 // Eviction is the cache core's (lru.go): a burst of one-off inline
 // databases (each table profiled once, never again) cannot flush the
 // resident working set of registered fixtures. Each Engine owns one
-// ProfileCache, bounded by DefaultProfileCacheBytes; it is safe for
-// concurrent use.
+// ProfileCache, bounded by its share of Options.CacheBytes (16 MiB at
+// the default; a typical multi-column profile costs a few KiB, so that
+// holds thousands of tables); it is safe for concurrent use.
 
 import (
 	"sqlcheck/internal/profile"
 	"sqlcheck/internal/storage"
 )
-
-// DefaultProfileCacheBytes bounds an engine's profile cache (16 MiB of
-// estimated residency; a typical multi-column profile costs a few KiB,
-// so the budget holds thousands of tables).
-const DefaultProfileCacheBytes = 16 << 20
 
 // profileKey identifies a table's profile under given options; the
 // table version travels beside it as the entry's version.
@@ -59,11 +55,8 @@ type ProfileCache struct {
 }
 
 // NewProfileCache builds a cache bounded by maxBytes of estimated
-// profile residency (<= 0 means DefaultProfileCacheBytes).
+// profile residency.
 func NewProfileCache(maxBytes int64) *ProfileCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultProfileCacheBytes
-	}
 	return &ProfileCache{lru: newLRU[profileKey, *profile.TableProfile](maxBytes)}
 }
 

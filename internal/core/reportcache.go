@@ -8,11 +8,11 @@ package core
 // This cache memoizes the finished per-workload report keyed by
 //
 //	(script fingerprint, db origin ID + version, normalized ruleset,
-//	 normalized profile options, statement texts)
+//	 normalized sampling options, statement texts)
 //
 // Each Engine owns its cache, so what is constant for an engine — its
-// analysis configuration apart from the profile options a workload may
-// override, its confidence floor, its prefilter switch, and its
+// analysis configuration apart from the sampling options a workload
+// may override, its confidence floor, its prefilter switch, and its
 // Reporter's configuration (the Checker's ranking weights) — is the
 // same for every entry and stays out of the key.
 //
@@ -45,7 +45,8 @@ package core
 //
 // Eviction is the cache core's (lru.go), and the script-print side
 // cache is a second instance of it. A ReportCache is safe for
-// concurrent use; its budget is Options.ReportCacheBytes.
+// concurrent use; the two budgets are its shares of
+// Options.CacheBytes.
 
 import (
 	"strings"
@@ -56,21 +57,22 @@ import (
 )
 
 const (
-	// DefaultReportCacheBytes bounds the report cache when
-	// Options.ReportCacheBytes is unset (32 MiB of estimated residency;
-	// a typical report costs a few KiB, so the default holds thousands
-	// of distinct workloads).
-	DefaultReportCacheBytes = 32 << 20
-
 	// reportMaxVariants bounds resident text-variants per fingerprint
 	// key: a stream of same-shape queries with unique literals (each a
 	// distinct variant that will never repeat) can occupy at most this
 	// many slots per fingerprint, so it cannot crowd out other keys.
 	reportMaxVariants = 4
 
-	// scriptCacheDivisor sizes the script-print side cache relative to
-	// the report budget (see ReportCache.script).
-	scriptCacheDivisor = 4
+	// scriptPrintBase and stmtPrintBytes model a script print's
+	// resident cost beyond its two copies of the script (the input
+	// text it is keyed by and the joined statement texts): the entry,
+	// the ScriptPrint and the LRU bookkeeping, plus one 40-byte
+	// StmtPrint per statement in a slice grown by append, whose spare
+	// capacity the per-statement figure covers.
+	// TestScriptPrintResidencyWithinBudget measures a full cache at
+	// about 1.02x this estimate on corpus scripts.
+	scriptPrintBase = 160
+	stmtPrintBytes  = 64
 )
 
 // reportKey identifies everything besides the statement texts that a
@@ -83,7 +85,7 @@ type reportKey struct {
 	dbID      uint64
 	dbVersion uint64
 	rules     string          // rules.RuleSet.Key(): the normalized ruleset
-	profile   profile.Options // the workload's, normalized (Engine.memoProfile)
+	profile   profile.Options // the workload's sampling, normalized (Engine.memoProfile)
 }
 
 // reportVariantKey is the exact-lookup key: the fingerprint-keyed
@@ -133,17 +135,15 @@ type scriptPrint struct {
 	texts string
 }
 
-// NewReportCache builds a cache bounded by maxBytes of estimated
-// report residency (<= 0 means DefaultReportCacheBytes).
-func NewReportCache(maxBytes int64) *ReportCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultReportCacheBytes
-	}
+// NewReportCache builds a cache bounded by reportBytes of estimated
+// report residency, with a script-print side cache bounded by
+// scriptBytes.
+func NewReportCache(reportBytes, scriptBytes int64) *ReportCache {
 	c := &ReportCache{
-		reports:  newLRU[reportVariantKey, any](maxBytes),
+		reports:  newLRU[reportVariantKey, any](reportBytes),
 		variants: make(map[reportKey]int),
 		prints:   make(map[sqltoken.Fingerprint]int),
-		scripts:  newLRU[string, scriptPrint](maxBytes / scriptCacheDivisor),
+		scripts:  newLRU[string, scriptPrint](scriptBytes),
 	}
 	c.reports.onRemove = func(vk reportVariantKey, ver uint64) {
 		key := vk.key
@@ -170,9 +170,8 @@ func decrement[K comparable](m map[K]int, k K) {
 // dominate its microsecond budget. ScriptPrints are immutable after
 // construction and shared across callers; the returned texts string is
 // the NUL-joined statement list (the lookup's byte-equality witness).
-// The side cache is bounded to a fraction of the report budget;
-// entries retain the input string, so the cost estimate is dominated
-// by the script bytes themselves.
+// Entries retain the input string and the joined texts, so the cost
+// estimate is dominated by the script bytes themselves.
 func (c *ReportCache) script(sql string) (*sqltoken.ScriptPrint, string) {
 	if s, ok := c.scripts.get(sql, 0); ok {
 		return s.sp, s.texts
@@ -180,7 +179,7 @@ func (c *ReportCache) script(sql string) (*sqltoken.ScriptPrint, string) {
 	// Fingerprint outside the lock: it is the expensive part.
 	sp := sqltoken.FingerprintScript(sql)
 	s := scriptPrint{sp: sp, texts: strings.Join(sp.Texts(), "\x00")}
-	c.scripts.add(sql, 0, s, int64(2*len(sql))+160)
+	c.scripts.add(sql, 0, s, int64(2*len(sql)+scriptPrintBase+stmtPrintBytes*len(sp.Stmts)))
 	return s.sp, s.texts
 }
 
@@ -222,12 +221,13 @@ func (c *ReportCache) recheck(key reportKey, texts string) (any, bool) {
 // bound, the supersede rule, and the admission and eviction policy. A
 // key whose bucket is full of sibling variants at its version admits
 // nothing; LRU pressure frees slots when the resident ones stop being
-// used.
+// used. The entry costs the report's estimate plus its texts, which
+// its key keeps alive.
 func (c *ReportCache) add(key reportKey, texts string, payload any, cost int64) {
 	c.reports.mu.Lock()
 	defer c.reports.mu.Unlock()
 	vk, ver := identity(key, texts)
-	if c.variants[key] < reportMaxVariants && c.reports.insert(vk, ver, payload, cost) {
+	if c.variants[key] < reportMaxVariants && c.reports.insert(vk, ver, payload, cost+int64(len(texts))) {
 		c.variants[key]++
 		c.prints[key.fp]++
 	}

@@ -16,7 +16,7 @@ func reportTestKey(fp uint64) reportKey {
 // reportMaxVariants resident text variants, however much budget is
 // left; a declined variant misses as a variant miss.
 func TestReportCacheVariantBound(t *testing.T) {
-	c := NewReportCache(1 << 20)
+	c := NewReportCache(1<<20, 0)
 	key := reportTestKey(1)
 	for i := 0; i < 2*reportMaxVariants; i++ {
 		c.add(key, fmt.Sprintf("SELECT %d", i), i, lruCost)
@@ -40,9 +40,11 @@ func TestReportCacheVariantBound(t *testing.T) {
 // TestReportCacheEvictionReleasesCounts: evicting a key's entries
 // returns its variant and fingerprint counts to zero, through the
 // core's eviction callback, so a key whose variant bucket was full
-// admits again.
+// admits again. An entry costs its report plus its texts, so the
+// budget holds exactly the full bucket of two-byte variants.
 func TestReportCacheEvictionReleasesCounts(t *testing.T) {
-	c := NewReportCache(reportMaxVariants * lruCost)
+	const budget = reportMaxVariants * (lruCost + 2)
+	c := NewReportCache(budget, 0)
 	full, big := reportTestKey(1), reportTestKey(2)
 	for i := 0; i < reportMaxVariants; i++ {
 		c.add(full, fmt.Sprintf("v%d", i), i, lruCost)
@@ -59,8 +61,8 @@ func TestReportCacheEvictionReleasesCounts(t *testing.T) {
 	}
 	// One entry costing the whole budget evicts every variant on its
 	// repeated miss.
-	c.add(big, "big", 0, reportMaxVariants*lruCost)
-	c.add(big, "big", 0, reportMaxVariants*lruCost)
+	c.add(big, "big", 0, budget-3)
+	c.add(big, "big", 0, budget-3)
 	variants, prints := counts()
 	if len(variants) != 1 || variants[big] != 1 || len(prints) != 1 || prints[big.fp] != 1 {
 		t.Fatalf("after evicting every variant: variants %v prints %v, want only the big entry", variants, prints)
@@ -83,10 +85,10 @@ func TestReportCacheEvictionReleasesCounts(t *testing.T) {
 }
 
 // TestReportCacheScriptPrintBudget: the script-print side cache stays
-// within a quarter of the report budget under repeated misses.
+// within its own budget under repeated misses.
 func TestReportCacheScriptPrintBudget(t *testing.T) {
-	const budget = 64 << 10
-	c := NewReportCache(budget)
+	const budget = 16 << 10
+	c := NewReportCache(1<<20, budget)
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 200; i++ {
 			sql := fmt.Sprintf("SELECT c%d FROM t%d WHERE id = %d; SELECT 1", i, i, i)
@@ -96,8 +98,8 @@ func TestReportCacheScriptPrintBudget(t *testing.T) {
 		}
 	}
 	st := c.scripts.stats()
-	if st.MaxBytes != budget/scriptCacheDivisor {
-		t.Errorf("script budget = %d, want %d", st.MaxBytes, budget/scriptCacheDivisor)
+	if st.MaxBytes != budget {
+		t.Errorf("script budget = %d, want %d", st.MaxBytes, budget)
 	}
 	if st.Bytes > st.MaxBytes || st.Evictions == 0 {
 		t.Errorf("stats = %+v, want evictions and bytes within the budget", st)
@@ -111,7 +113,7 @@ func TestReportCacheScriptPrintBudget(t *testing.T) {
 // plain miss, not a variant miss; and a late store from an older
 // snapshot is declined.
 func TestReportCacheSupersedesOlderVersion(t *testing.T) {
-	c := NewReportCache(1 << 20)
+	c := NewReportCache(1<<20, 0)
 	at := func(ver uint64) reportKey {
 		k := reportTestKey(1)
 		k.dbID, k.dbVersion = 7, ver
@@ -137,7 +139,7 @@ func TestReportCacheSupersedesOlderVersion(t *testing.T) {
 		t.Fatalf("lookup at version 2 = %v, %v; want the version-2 report", p, ok)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Bytes != lruCost || st.Superseded != 1 || st.Evictions != 0 || st.Fingerprints != 1 {
+	if st.Entries != 1 || st.Bytes != lruCost+int64(len(texts)) || st.Superseded != 1 || st.Evictions != 0 || st.Fingerprints != 1 {
 		t.Fatalf("stats = %+v, want 1 entry superseded once, nothing evicted", st)
 	}
 	variants, prints := counts()

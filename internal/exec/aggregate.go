@@ -298,10 +298,10 @@ func (ex *executor) streamAggregate(s *sqlast.SelectStatement, base *storage.Tab
 	return ex.finishAggregate(s, ap, groups, env)
 }
 
-// finishAggregate projects group results, applies HAVING, ORDER BY,
-// OFFSET and LIMIT.
+// finishAggregate projects group results, applies HAVING, then
+// orderAndLimit.
 func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, groups []*group, env *Env) (*Result, error) {
-	res := &Result{Plan: ex.plan}
+	res := &Result{}
 	for i, it := range s.Items {
 		res.Cols = append(res.Cols, itemName(it, i))
 	}
@@ -331,12 +331,10 @@ func (ex *executor) finishAggregate(s *sqlast.SelectStatement, ap *aggPlan, grou
 		res.Rows = append(res.Rows, row)
 	}
 
-	if len(s.OrderBy) > 0 && !isRandOrder(s.OrderBy) {
-		// An ORDER BY the sort cannot evaluate leaves the groups in
-		// their grouping order.
-		_ = sortRows(s, res)
+	if err := ex.orderAndLimit(s, res); err != nil {
+		return nil, err
 	}
-	paginate(s, res, env)
+	res.Plan = ex.plan
 	return res, nil
 }
 

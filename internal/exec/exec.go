@@ -175,11 +175,12 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 		env.Push(alias, t, nil)
 	}
 
-	grouped := len(s.GroupBy) > 0 || hasAggregate(s.Items)
-	if err := resolveSelect(s, joins, env, grouped); err != nil {
+	if err := resolveSelect(s, joins, env); err != nil {
 		return nil, err
 	}
-	if grouped {
+	// HAVING makes a query grouped, as in SQL: without GROUP BY its
+	// rows form one group.
+	if len(s.GroupBy) > 0 || s.Having != nil || hasAggregate(s.Items) {
 		return ex.execAggregate(s, base, baseAlias, joins, env)
 	}
 
@@ -212,7 +213,7 @@ func (ex *executor) execSelect(s *sqlast.SelectStatement) (*Result, error) {
 		return nil, err
 	}
 
-	if err := ex.orderAndLimit(s, res, env); err != nil {
+	if err := ex.orderAndLimit(s, res); err != nil {
 		return nil, err
 	}
 	res.Plan = ex.plan
@@ -313,8 +314,9 @@ func (w *walker) join(level int, id int64, leaf func(id int64) error) error {
 }
 
 // orderAndLimit applies ORDER BY (including ORDER BY RAND()), OFFSET,
-// and LIMIT to a materialized result.
-func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *Env) error {
+// and LIMIT to a materialized result. A term or bound it cannot
+// evaluate fails the statement.
+func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result) error {
 	if len(s.OrderBy) > 0 {
 		if isRandOrder(s.OrderBy) {
 			// ORDER BY RAND(): materialize + shuffle, the full cost the
@@ -328,35 +330,34 @@ func (ex *executor) orderAndLimit(s *sqlast.SelectStatement, res *Result, env *E
 			return err
 		}
 	}
-	paginate(s, res, env)
-	return nil
+	return paginate(s, res)
 }
 
-// paginate applies OFFSET, then LIMIT, to ordered result rows. A
-// bound that does not evaluate is ignored, a negative OFFSET skips no
-// rows, and a negative LIMIT means no limit.
-func paginate(s *sqlast.SelectStatement, res *Result, env *Env) {
+// paginate applies OFFSET, then LIMIT, to ordered result rows. The
+// bounds evaluate with no table bound, so a column reference in one
+// fails. A negative OFFSET skips no rows, and a negative LIMIT means
+// no limit.
+func paginate(s *sqlast.SelectStatement, res *Result) error {
+	var bounds Env
 	if s.Offset != nil {
-		v, err := Eval(s.Offset, env)
-		if err == nil {
-			n := int(vInt(v))
-			if n > len(res.Rows) {
-				n = len(res.Rows)
-			}
-			if n > 0 {
-				res.Rows = res.Rows[n:]
-			}
+		v, err := Eval(s.Offset, &bounds)
+		if err != nil {
+			return err
+		}
+		if n := min(int(vInt(v)), len(res.Rows)); n > 0 {
+			res.Rows = res.Rows[n:]
 		}
 	}
 	if s.Limit != nil {
-		v, err := Eval(s.Limit, env)
-		if err == nil {
-			n := int(vInt(v))
-			if n < len(res.Rows) && n >= 0 {
-				res.Rows = res.Rows[:n]
-			}
+		v, err := Eval(s.Limit, &bounds)
+		if err != nil {
+			return err
+		}
+		if n := int(vInt(v)); n >= 0 && n < len(res.Rows) {
+			res.Rows = res.Rows[:n]
 		}
 	}
+	return nil
 }
 
 func vInt(v storage.Value) int64 {
@@ -365,12 +366,23 @@ func vInt(v storage.Value) int64 {
 }
 
 // sortRows orders res.Rows by the statement's ORDER BY expressions,
-// evaluated against the projected rows (output-column names and
-// ordinal references resolve to their columns). Each row moves
-// together with its sort keys, so the comparator always reads the
-// keys of the rows it compares. On an error res.Rows is left as it
-// was.
+// evaluated against the projected rows (output-column names, ordinal
+// references and repeated select items resolve to their columns).
+// Each row moves together with its sort keys, so the comparator always
+// reads the keys of the rows it compares. On an error res.Rows is left
+// as it was.
 func sortRows(s *sqlast.SelectStatement, res *Result) error {
+	if len(res.Rows) == 0 {
+		// Check the terms against a row of NULLs, so an empty result
+		// fails as a full one would.
+		probe := make(storage.Row, len(res.Cols))
+		for _, o := range s.OrderBy {
+			if _, err := orderValue(o.Expr, s, res, probe); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	type keyedRow struct {
 		keys []storage.Value
 		row  storage.Row
@@ -413,6 +425,17 @@ func orderValue(e sqlast.Expr, s *sqlast.SelectStatement, res *Result, row stora
 		}
 		return storage.Null(), fmt.Errorf("exec: ORDER BY column %s not in output", x.Column)
 	default:
+		// A term that repeats a select item, such as ORDER BY
+		// COUNT(*), sorts by that item's column. A star makes the
+		// columns after it move, so items past one are not matched.
+		for i, it := range s.Items {
+			if it.Star {
+				break
+			}
+			if sameExpr(e, it.Expr) {
+				return row[i], nil
+			}
+		}
 		return storage.Null(), fmt.Errorf("%w: ORDER BY expression", ErrUnsupported)
 	}
 }
@@ -465,12 +488,12 @@ func resolveRefs(env *Env, also []string, exprs ...sqlast.Expr) error {
 }
 
 // resolveSelect resolves a SELECT's WHERE, ON clauses, GROUP BY,
-// select list and, when grouped, HAVING. A grouped query's select
-// list and HAVING may name a GROUP BY column by its bare name, as the
-// group evaluation reads them. ORDER BY resolves in execSelect,
-// against the output columns too; a grouped query's sort is best
-// effort, so its ORDER BY is not resolved.
-func resolveSelect(s *sqlast.SelectStatement, joins []joinSpec, env *Env, grouped bool) error {
+// select list and HAVING. A grouped query's select list and HAVING
+// may name a GROUP BY column by its bare name, as the group
+// evaluation reads them. ORDER BY resolves in execSelect, against the
+// output columns too; a grouped query's ORDER BY is checked by its
+// sort, against the groups' output columns.
+func resolveSelect(s *sqlast.SelectStatement, joins []joinSpec, env *Env) error {
 	exprs := []sqlast.Expr{s.Where}
 	for _, j := range joins {
 		exprs = append(exprs, j.on)
@@ -488,10 +511,7 @@ func resolveSelect(s *sqlast.SelectStatement, joins []joinSpec, env *Env, groupe
 	for _, it := range s.Items {
 		exprs = append(exprs, it.Expr)
 	}
-	if grouped {
-		exprs = append(exprs, s.Having)
-	}
-	return resolveRefs(env, groupCols, exprs...)
+	return resolveRefs(env, groupCols, append(exprs, s.Having)...)
 }
 
 // ---------------------------------------------------------------------------

@@ -298,6 +298,66 @@ func TestOrderByRandIsShuffle(t *testing.T) {
 	}
 }
 
+// TestHavingMakesAQueryGrouped: HAVING without GROUP BY treats the
+// rows as one group, as SQL does, so a bare column in it is an error
+// and an aggregate filters the single group, instead of the clause
+// being dropped.
+func TestHavingMakesAQueryGrouped(t *testing.T) {
+	db := storage.NewDatabase("having")
+	q(t, db, "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
+	q(t, db, "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'y')")
+	if _, err := RunSQL(db, "SELECT a FROM t HAVING a > 100"); err == nil || !strings.Contains(err.Error(), "exec: column a not in GROUP BY") {
+		t.Errorf("SELECT a FROM t HAVING a > 100: err = %v, want column a not in GROUP BY", err)
+	}
+	if res := q(t, db, "SELECT COUNT(*) FROM t HAVING COUNT(*) > 5"); len(res.Rows) != 0 {
+		t.Errorf("HAVING COUNT(*) > 5 kept %v", res.Rows)
+	}
+}
+
+// TestOrderAndBoundsAreNeverDropped: a grouped query sorts and
+// paginates as a plain one does, and an ORDER BY term, LIMIT or
+// OFFSET that does not evaluate fails the statement instead of being
+// skipped, on an empty table too; a bound naming a column is not
+// evaluated against whichever row the scan bound last.
+func TestOrderAndBoundsAreNeverDropped(t *testing.T) {
+	db := storage.NewDatabase("order")
+	q(t, db, "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
+	q(t, db, "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'y')")
+	fails := func(t *testing.T, sql string) {
+		t.Helper()
+		if res, err := RunSQL(db, sql); err == nil {
+			t.Errorf("%s = %v, want an error", sql, res.Rows)
+		}
+	}
+	t.Run("grouped_unknown_order", func(t *testing.T) {
+		fails(t, "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY nope")
+	})
+	t.Run("grouped_order_by_aggregate", func(t *testing.T) {
+		res := q(t, db, "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY COUNT(*) DESC")
+		if got := fmt.Sprint(res.Rows); got != "[[y 2] [x 1]]" {
+			t.Errorf("rows = %s, want [[y 2] [x 1]]", got)
+		}
+	})
+	t.Run("grouped_order_by_rand", func(t *testing.T) {
+		if res := q(t, db, "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY RAND()"); !hasPlan(res, "Shuffle") {
+			t.Errorf("plan = %v, want a Shuffle", res.Plan)
+		}
+	})
+	t.Run("unknown_limit", func(t *testing.T) {
+		fails(t, "SELECT a FROM t LIMIT nope")
+	})
+	t.Run("unknown_offset", func(t *testing.T) {
+		fails(t, "SELECT a FROM t ORDER BY a OFFSET nope")
+	})
+	t.Run("column_limit", func(t *testing.T) {
+		fails(t, "SELECT a FROM t LIMIT b")
+	})
+	t.Run("empty_grouped_unknown_order", func(t *testing.T) {
+		q(t, db, "CREATE TABLE e (a INT PRIMARY KEY, b TEXT)")
+		fails(t, "SELECT b, COUNT(*) FROM e GROUP BY b ORDER BY nope")
+	})
+}
+
 func TestInsertUpdateDelete(t *testing.T) {
 	db := newAppDB(t)
 	r := q(t, db, "INSERT INTO Users (User_ID, Name, Role, Score) VALUES ('U100', 'New', 'R1', 5)")

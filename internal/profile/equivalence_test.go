@@ -156,7 +156,7 @@ func refFinish(cp *ColumnProfile, st *refColumn) {
 func referenceProfile(t *storage.Table, opts Options) *TableProfile {
 	opts = opts.withDefaults()
 	rows := Sample(t, opts)
-	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows), opts: opts}
+	tp := &TableProfile{Table: t.Name, RowsSampled: len(rows)}
 
 	states := make([]*refColumn, len(t.Cols))
 	for i, cd := range t.Cols {

@@ -33,24 +33,14 @@ import (
 	"sqlcheck/internal/xrand"
 )
 
-// Options configures sampling and rule thresholds (paper: "ap-detect
-// allows the developer to configure the tuple sampling frequency and
-// the thresholds associated with activating data rules").
+// Options configures sampling (paper: "ap-detect allows the developer
+// to configure the tuple sampling frequency"); the data rules' own
+// thresholds are constants of the rules package.
 type Options struct {
 	// SampleSize is the reservoir size per table (default 1000).
 	SampleSize int
 	// Seed makes sampling deterministic.
 	Seed uint64
-	// FormatThreshold is the fraction of sampled non-null values that
-	// must match a format for it to be inferred (default 0.9).
-	FormatThreshold float64
-	// DelimiterThreshold is the fraction of values that must look like
-	// delimiter-separated lists for the MVA data rule (default 0.6).
-	DelimiterThreshold float64
-	// EnumDistinctRatio is the distinct/rows ratio below which a
-	// string column looks like an enumeration (default 0.01, with an
-	// absolute distinct cap).
-	EnumDistinctRatio float64
 }
 
 // withDefaults fills zero fields.
@@ -60,15 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 0xdb5eed
-	}
-	if o.FormatThreshold == 0 {
-		o.FormatThreshold = 0.9
-	}
-	if o.DelimiterThreshold == 0 {
-		o.DelimiterThreshold = 0.6
-	}
-	if o.EnumDistinctRatio == 0 {
-		o.EnumDistinctRatio = 0.01
 	}
 	return o
 }
@@ -143,7 +124,6 @@ type TableProfile struct {
 	// Derivations lists detected derived-column relationships
 	// (information duplication), e.g. "age derived from birth_year".
 	Derivations []Derivation
-	opts        Options
 }
 
 // FunctionalDependency records that in the sample, each value of From
@@ -171,9 +151,6 @@ func (tp *TableProfile) Column(name string) *ColumnProfile {
 	}
 	return nil
 }
-
-// Options returns the options the profile was built with.
-func (tp *TableProfile) Options() Options { return tp.opts }
 
 // Per-entry size model for MemSize: struct footprints rounded up to
 // cover allocator and pointer overhead. Like the parse cache's cost
@@ -359,7 +336,7 @@ func ProfileTableContext(ctx context.Context, t *storage.Table, opts Options) (*
 		return nil, err
 	}
 
-	tp := &TableProfile{Table: t.Name, RowsSampled: sampled, opts: opts}
+	tp := &TableProfile{Table: t.Name, RowsSampled: sampled}
 	tp.Columns = make([]*ColumnProfile, ncols)
 	for i, cd := range t.Cols {
 		cp := &ColumnProfile{Name: cd.Name, Class: cd.Class}

@@ -23,6 +23,20 @@ const (
 
 var boundedName = regexp.MustCompile(`(?i)(rating|rank|score|percent|pct|age|grade|priority|level|stars)`)
 
+// The thresholds that activate data rules (paper §4.2), at the values
+// of the paper's evaluation. Data rules of every category read them.
+const (
+	// formatThreshold is the fraction of a column's sampled non-null
+	// values that must match a format for it to be inferred.
+	formatThreshold = 0.9
+	// delimiterThreshold is the fraction that must look like
+	// delimiter-separated lists for the multi-valued-attribute rule.
+	delimiterThreshold = 0.6
+	// enumDistinctRatio is the distinct/non-null ratio at or below
+	// which a string column looks like an enumeration (paper Example 4).
+	enumDistinctRatio = 0.01
+)
+
 func init() {
 	MustRegister(&Rule{
 		ID:       IDMissingTimezone,
@@ -51,7 +65,7 @@ func init() {
 				}
 				// Text columns whose values are tz-less datetimes.
 				if cp.Class.IsStringy() && cp.NonNull() >= 5 &&
-					cp.FracOf(cp.DateTimeNoTZ) >= tp.Options().FormatThreshold {
+					cp.FracOf(cp.DateTimeNoTZ) >= formatThreshold {
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%.0f%% of %s.%s values are date-times without a zone offset",
@@ -80,19 +94,18 @@ func init() {
 				if cp.NonNull() < 5 {
 					continue
 				}
-				th := tp.Options().FormatThreshold
 				switch {
-				case cp.FracOf(cp.IntLike) >= th:
+				case cp.FracOf(cp.IntLike) >= formatThreshold:
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%s.%s is text but %.0f%% of values are integers",
 							tp.Table, cp.Name, 100*cp.FracOf(cp.IntLike)), 0.9))
-				case cp.FracOf(cp.FloatLike+cp.IntLike) >= th:
+				case cp.FracOf(cp.FloatLike+cp.IntLike) >= formatThreshold:
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%s.%s is text but %.0f%% of values are numeric",
 							tp.Table, cp.Name, 100*cp.FracOf(cp.FloatLike+cp.IntLike)), 0.9))
-				case cp.FracOf(cp.DateLike) >= th:
+				case cp.FracOf(cp.DateLike) >= formatThreshold:
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%s.%s is text but %.0f%% of values are dates",

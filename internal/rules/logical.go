@@ -113,7 +113,7 @@ func init() {
 					if nameMatches(p.Column, "address", "description", "comment", "body", "text", "note") {
 						// Free-text columns legitimately contain commas.
 						if tp := ctx.Profile(table); tp != nil {
-							if cp := tp.Column(p.Column); cp != nil && cp.FracOf(cp.DelimList) < tp.Options().DelimiterThreshold {
+							if cp := tp.Column(p.Column); cp != nil && cp.FracOf(cp.DelimList) < delimiterThreshold {
 								continue
 							}
 						} else {
@@ -122,7 +122,7 @@ func init() {
 					}
 					if tp := ctx.Profile(table); tp != nil {
 						if cp := tp.Column(p.Column); cp != nil {
-							if cp.FracOf(cp.DelimList) >= tp.Options().DelimiterThreshold {
+							if cp.FracOf(cp.DelimList) >= delimiterThreshold {
 								conf = 0.95
 								why += "; data profile confirms delimiter-separated values"
 							} else if cp.NonNull() > 10 {
@@ -163,7 +163,7 @@ func init() {
 				if !cp.Class.IsStringy() && cp.Class != schema.ClassUnknown {
 					continue
 				}
-				if cp.NonNull() >= 5 && cp.FracOf(cp.DelimList) >= tp.Options().DelimiterThreshold {
+				if cp.NonNull() >= 5 && cp.FracOf(cp.DelimList) >= delimiterThreshold {
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%.0f%% of sampled values in %s.%s are delimiter-separated lists",

@@ -110,7 +110,7 @@ func init() {
 								"%s.%s uses ENUM(%s)", s.Name, c.Name, strings.Join(c.TypeParams, ",")), 0.95))
 					}
 					if c.Check != nil {
-						if col, vals := inListOf(c.Check); col != "" {
+						if col, vals := schema.InListCheck(c.Check); col != "" {
 							out = append(out, withConfidence(
 								finding(r, qi, s.Name, col, "query",
 									"%s.%s restricted by CHECK IN-list of %d values", s.Name, col, len(vals)), 0.9))
@@ -119,7 +119,7 @@ func init() {
 				}
 				for _, tc := range s.Constraints {
 					if tc.CKind == "CHECK" {
-						if col, vals := inListOf(tc.Check); col != "" {
+						if col, vals := schema.InListCheck(tc.Check); col != "" {
 							out = append(out, withConfidence(
 								finding(r, qi, s.Name, col, "query",
 									"%s.%s restricted by CHECK IN-list of %d values", s.Name, col, len(vals)), 0.9))
@@ -128,7 +128,7 @@ func init() {
 				}
 			case *sqlast.AlterTableStatement:
 				if s.Action == sqlast.AlterAddConstraint && s.Constraint != nil && s.Constraint.CKind == "CHECK" {
-					if col, vals := inListOf(s.Constraint.Check); col != "" {
+					if col, vals := schema.InListCheck(s.Constraint.Check); col != "" {
 						out = append(out, withConfidence(
 							finding(r, qi, s.Table, col, "query",
 								"%s.%s restricted by CHECK IN-list of %d values", s.Table, col, len(vals)), 0.9))
@@ -155,7 +155,7 @@ func init() {
 				// below threshold on a string column.
 				if cp.Class.IsStringy() && cp.NonNull() >= 50 &&
 					cp.Distinct >= 2 && cp.Distinct <= 8 &&
-					cp.DistinctRatio() <= ctx.Config.EnumDistinctRatio {
+					cp.DistinctRatio() <= enumDistinctRatio {
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%s.%s holds only %d distinct values across %d rows (candidate lookup table)",
@@ -199,7 +199,7 @@ func init() {
 			r := ByID(IDExternalDataStorage)
 			var out []Finding
 			for _, cp := range tp.Columns {
-				if cp.NonNull() >= 5 && cp.FracOf(cp.PathLike) >= tp.Options().FormatThreshold {
+				if cp.NonNull() >= 5 && cp.FracOf(cp.PathLike) >= formatThreshold {
 					out = append(out, withConfidence(
 						finding(r, -1, tp.Table, cp.Name, "data",
 							"%.0f%% of sampled %s.%s values are file paths",
@@ -432,31 +432,6 @@ func indexSubsumed(ctx *appctx.Context, t *schema.Table, ix schema.Index) bool {
 		}
 	}
 	return sawQuery
-}
-
-func inListOf(e sqlast.Expr) (string, []string) {
-	be, ok := e.(*sqlast.BinaryExpr)
-	if !ok || be.Op != "IN" || be.Not {
-		return "", nil
-	}
-	cr, ok := be.Left.(*sqlast.ColumnRef)
-	if !ok {
-		return "", nil
-	}
-	list, ok := be.Right.(*sqlast.ExprList)
-	if !ok {
-		return "", nil
-	}
-	var vals []string
-	for _, it := range list.Items {
-		if lit, ok := it.(*sqlast.Literal); ok {
-			vals = append(vals, lit.Value)
-		}
-	}
-	if len(vals) == 0 {
-		return "", nil
-	}
-	return cr.Column, vals
 }
 
 func isPrefix(short, long []string) bool {

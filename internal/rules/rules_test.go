@@ -358,19 +358,6 @@ func TestIsPrefix(t *testing.T) {
 	}
 }
 
-func TestInListOf(t *testing.T) {
-	e := parser.ParseExpr("role IN ('a', 'b')")
-	col, vals := inListOf(e)
-	if col != "role" || len(vals) != 2 {
-		t.Errorf("inListOf = %q %v", col, vals)
-	}
-	for _, bad := range []string{"role NOT IN ('a')", "role > 3", "role IN (x, y)"} {
-		if col, _ := inListOf(parser.ParseExpr(bad)); col != "" && bad != "role IN (x, y)" {
-			t.Errorf("inListOf(%q) matched", bad)
-		}
-	}
-}
-
 func TestReferencedTableByName(t *testing.T) {
 	s := schema.NewSchema()
 	s.AddTable(&schema.Table{Name: "tenants"})

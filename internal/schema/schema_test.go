@@ -191,3 +191,17 @@ func TestTypeClassHelpers(t *testing.T) {
 		t.Error("String")
 	}
 }
+
+// TestInListCheck: a CHECK (col IN (...)) of literals names its column
+// and values; a negated list, another operator, or a list holding any
+// non-literal matches nothing.
+func TestInListCheck(t *testing.T) {
+	if col, vals := InListCheck(parser.ParseExpr("role IN ('a', 'b')")); col != "role" || len(vals) != 2 {
+		t.Errorf("InListCheck = %q %v", col, vals)
+	}
+	for _, bad := range []string{"role NOT IN ('a')", "role > 3", "role IN (x, y)", "role IN ('a', x)"} {
+		if col, vals := InListCheck(parser.ParseExpr(bad)); col != "" {
+			t.Errorf("InListCheck(%q) = %q %v, want no match", bad, col, vals)
+		}
+	}
+}

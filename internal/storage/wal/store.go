@@ -33,23 +33,24 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats is a point-in-time view of durability counters.
+// Stats is a point-in-time view of durability counters, served as the
+// durability object of the daemon's JSON metrics in field order.
 type Stats struct {
 	// Records counts WAL records appended by this process.
-	Records int64
+	Records int64 `json:"records"`
 	// Replayed counts records applied during startup recovery.
-	Replayed int64
+	Replayed int64 `json:"replayed"`
 	// Checkpoints counts checkpoints completed by this process.
-	Checkpoints int64
+	Checkpoints int64 `json:"checkpoints"`
 	// SinceCheckpoint counts records appended since the last completed
 	// (or started) checkpoint — the pending replay delta.
-	SinceCheckpoint int64
-	// AppendErrors counts commit-hook appends that failed: the
-	// in-memory mutation stood but was not made durable.
-	AppendErrors int64
+	SinceCheckpoint int64 `json:"since_checkpoint"`
 	// LastCheckpointUnix is the completion time of the newest
 	// checkpoint taken by this process (0 if none yet).
-	LastCheckpointUnix int64
+	LastCheckpointUnix int64 `json:"last_checkpoint_unix"`
+	// AppendErrors counts commit-hook appends that failed: the
+	// in-memory mutation stood but was not made durable.
+	AppendErrors int64 `json:"append_errors"`
 }
 
 // RecoverInfo reports what Open reconstructed.
@@ -375,7 +376,7 @@ func (s *Store) Stats() Stats {
 		Replayed:           s.replayed.Load(),
 		Checkpoints:        s.checkpoints.Load(),
 		SinceCheckpoint:    s.sinceCkpt.Load(),
-		AppendErrors:       s.appendErrors.Load(),
 		LastCheckpointUnix: s.lastCkptUnix.Load(),
+		AppendErrors:       s.appendErrors.Load(),
 	}
 }

@@ -10,7 +10,12 @@ package sqlcheck
 import (
 	"context"
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
+
+	"sqlcheck/internal/corpus"
+	"sqlcheck/internal/xrand"
 )
 
 // spanSQL has two findings-bearing statements with distinctive texts.
@@ -126,7 +131,7 @@ func TestReportMemoLiteralSoundness(t *testing.T) {
 // workload out entirely — no hit, no miss, no entry — while its
 // report stays byte-identical to the memoized one.
 func TestReportMemoOptOutAndResidency(t *testing.T) {
-	checker := New(Options{ReportCacheBytes: 1 << 20})
+	checker := New(Options{CacheBytes: 15 << 20})
 
 	sql := spanStmt1 + ";\n" + spanStmt2
 	rep := checkOne(t, checker, Workload{SQL: sql})
@@ -174,5 +179,66 @@ func TestReportMemoMutationIsolation(t *testing.T) {
 	got, _ := json.Marshal(second)
 	if string(got) != string(want) {
 		t.Fatalf("mutating a served report leaked into the cache\nwant: %s\ngot:  %s", want, got)
+	}
+}
+
+// TestReportCacheResidencyWithinBudget checks that the report cache's
+// cost model bounds what a full cache retains, as
+// TestParseCacheResidencyWithinBudget (internal/core) does for parsed
+// statements: the live heap that filling the cache adds must stay
+// within 1.1x the estimate Metrics().ReportCache.Bytes reports. An
+// entry holds its report and its key, whose statement texts are a
+// copy about the size of the script. Scripts are drawn from a small
+// pool of corpus statements, so the parse cache holds the pool before
+// the measurement starts; the script-print side cache is filled first
+// with scripts the measurement never submits, so the measured scripts'
+// prints are declined and only report entries grow. Not parallel: it
+// measures the whole process heap.
+func TestReportCacheResidencyWithinBudget(t *testing.T) {
+	const cacheBytes = 30 << 20 // 8 MiB of reports, 2 MiB of script prints
+	gh := corpus.GitHub(corpus.GitHubOptions{Repos: 40, Seed: 29})
+	var pool []string
+	seen := map[string]bool{}
+	for _, repo := range gh.Repos {
+		for _, stmt := range repo.Statements {
+			if !seen[stmt] && len(pool) < 64 {
+				seen[stmt] = true
+				pool = append(pool, stmt)
+			}
+		}
+	}
+	rng := xrand.New(29)
+	script := func() string {
+		stmts := make([]string, 1+rng.Intn(8))
+		for i := range stmts {
+			stmts[i] = xrand.Pick(rng, pool)
+		}
+		return strings.Join(stmts, ";\n")
+	}
+
+	checker := New(Options{Concurrency: 1, CacheBytes: cacheBytes})
+	// A script print costs more than twice its script's length, so
+	// scripts totalling the side cache's budget at twice their length
+	// fill it.
+	for filled := 0; filled < cacheBytes/15; {
+		sql := script()
+		checkOne(t, checker, Workload{SQL: sql, NoReportCache: true})
+		filled += 2 * len(sql)
+	}
+	if st := checker.Metrics().ReportCache; st.Entries != 0 {
+		t.Fatalf("priming stored %d reports", st.Entries)
+	}
+
+	before := liveHeap()
+	for st := checker.Metrics().ReportCache; st.Bytes < st.MaxBytes*9/10; st = checker.Metrics().ReportCache {
+		checkOne(t, checker, Workload{SQL: script()})
+	}
+	growth := liveHeap() - before
+	runtime.KeepAlive(pool)
+	st := checker.Metrics().ReportCache
+	ratio := float64(growth) / float64(st.Bytes)
+	t.Logf("live heap +%d bytes for %d reports estimated at %d bytes: %.2fx", growth, st.Entries, st.Bytes, ratio)
+	if ratio > 1.1 {
+		t.Errorf("report cache retains %.2fx its estimated bytes, want <= 1.1x", ratio)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"sqlcheck/internal/rank"
 	"sqlcheck/internal/rules"
 	"sqlcheck/internal/sqltoken"
+	"sqlcheck/internal/storage/wal"
 )
 
 // Mode selects intra-query-only or full inter-query analysis.
@@ -103,29 +104,27 @@ type Options struct {
 	// slots that are idle at the time. Report-cache hits take no slot.
 	// 0 uses GOMAXPROCS; 1 analyzes one workload at a time.
 	Concurrency int
-	// ParseCacheBytes bounds the Checker's parsed-statement cache by
-	// estimated resident bytes; <= 0 selects the default (32 MiB). A
+	// CacheBytes bounds the Checker's caches by estimated resident
+	// bytes; <= 0 selects the default (120 MiB). It is split 8:4:1:2
+	// among parsed statements, finished reports, script fingerprints and
+	// table profiles, so the default gives them 64, 32, 8 and 16 MiB. A
 	// statement repeated across tenants, requests, and batches parses
-	// once per Checker.
-	ParseCacheBytes int64
-	// ReportCacheBytes bounds the Checker's finished-report memoization
-	// cache — the serving fast path above both other caches — by
-	// estimated resident bytes; <= 0 selects the default (32 MiB).
-	// Reports are keyed by the workload's normalized script fingerprint
-	// (literals, whitespace, and keyword case hashed away) together
-	// with the database identity and state version, the compiled rule
-	// selection, and the analysis configuration; a hit additionally
-	// requires the statement texts to match the memoized workload byte
-	// for byte, because detector messages and several rules read
-	// literal values. A repeated workload against an unchanged database
-	// is then served in microseconds without parsing, profiling, or
-	// rule evaluation — and any DML on the database moves its version,
-	// so a stale report never hits and the next analysis of the
-	// workload replaces it in place. Served reports are deep copies:
+	// once per Checker. The report cache is the serving fast path above
+	// the other caches: reports are keyed by the workload's normalized
+	// script fingerprint (literals, whitespace, and keyword case hashed
+	// away) together with the database identity and state version, the
+	// compiled rule selection, and the analysis configuration; a hit
+	// additionally requires the statement texts to match the memoized
+	// workload byte for byte, because detector messages and several
+	// rules read literal values. A repeated workload against an
+	// unchanged database is then served in microseconds without parsing,
+	// profiling, or rule evaluation — and any DML on the database moves
+	// its version, so a stale report never hits and the next analysis of
+	// the workload replaces it in place. Served reports are deep copies:
 	// mutating one never corrupts the cache. Workloads opt out per
-	// request with Workload.NoReportCache; Metrics().ReportCache
-	// reports the cache's counters.
-	ReportCacheBytes int64
+	// request with Workload.NoReportCache; Metrics().ReportCache reports
+	// the cache's counters.
+	CacheBytes int64
 	// NoCoalesce disables coalescing. By default each distinct cold
 	// workload is analyzed once however many copies arrive: workloads
 	// sharing a report identity (same normalized fingerprint,
@@ -195,13 +194,12 @@ type ReportCacheStats = core.ReportCacheStats
 // for concurrent use: all checks share one bounded worker pool and
 // the Checker's caches, so a server can hold a single Checker and
 // serve overlapping requests without oversubscribing the host. The
-// caches belong to the Checker: parsed statements
-// (Options.ParseCacheBytes), finished reports
-// (Options.ReportCacheBytes), and table profiles in a 16 MiB cache
-// keyed by (table identity, sampling options) and tagged with the
-// table version they profiled, so a registered database whose data
-// has not changed re-checks without re-profiling, and after a write
-// the table's re-profiled version replaces the old one in place.
+// caches belong to the Checker and share Options.CacheBytes: parsed
+// statements, finished reports, and table profiles keyed by (table
+// identity, sampling options) and tagged with the table version they
+// profiled, so a registered database whose data has not changed
+// re-checks without re-profiling, and after a write the table's
+// re-profiled version replaces the old one in place.
 type Checker struct {
 	opts Options
 
@@ -246,7 +244,7 @@ func Open(opts Options) (*Checker, error) {
 		c.eng = core.NewEngine(c.coreOptions(), c.opts.Concurrency)
 	})
 	if opts.DataDir != "" {
-		summary, err := c.eng.OpenDurability(opts.DataDir, core.DurabilityConfig{
+		summary, err := c.eng.OpenDurability(opts.DataDir, wal.Config{
 			CheckpointEvery: opts.CheckpointEvery,
 		})
 		if err != nil {
@@ -764,8 +762,7 @@ func (c *Checker) coreOptions() core.Options {
 		opts.Config.Profile.SampleSize = c.opts.SampleSize
 	}
 	opts.Rules = c.opts.Rules
-	opts.ParseCacheBytes = c.opts.ParseCacheBytes
-	opts.ReportCacheBytes = c.opts.ReportCacheBytes
+	opts.CacheBytes = c.opts.CacheBytes
 	opts.NoCoalesce = c.opts.NoCoalesce
 	opts.Reporter = newReporter(c.opts)
 	if c.opts.PageCacheBytes > 0 {

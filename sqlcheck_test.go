@@ -711,18 +711,19 @@ func TestCheckWorkloadsEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestCacheBudgetOptions: ParseCacheBytes and ReportCacheBytes size the
-// Checker's own parse and report caches (<= 0 selects the 32 MiB
-// defaults), and the profile cache keeps its fixed 16 MiB budget.
+// TestCacheBudgetOptions: CacheBytes sizes the Checker's parse, report
+// and profile caches, split 8:4:2 in fifteenths (script prints take the
+// fifteenth left; the core test of the same name pins it), and <= 0
+// selects 120 MiB: 64, 32 and 16 MiB.
 func TestCacheBudgetOptions(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		opts          Options
-		parse, report int64
+		name                   string
+		opts                   Options
+		parse, report, profile int64
 	}{
-		{"defaults", Options{}, 32 << 20, 32 << 20},
-		{"negative", Options{ParseCacheBytes: -1, ReportCacheBytes: -1}, 32 << 20, 32 << 20},
-		{"set", Options{ParseCacheBytes: 1 << 20, ReportCacheBytes: 2 << 20}, 1 << 20, 2 << 20},
+		{"defaults", Options{}, 64 << 20, 32 << 20, 16 << 20},
+		{"negative", Options{CacheBytes: -1}, 64 << 20, 32 << 20, 16 << 20},
+		{"set", Options{CacheBytes: 15 << 20}, 8 << 20, 4 << 20, 2 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(tc.opts).Metrics()
@@ -732,8 +733,8 @@ func TestCacheBudgetOptions(t *testing.T) {
 			if m.ReportCache.MaxBytes != tc.report {
 				t.Errorf("report cache budget = %d, want %d", m.ReportCache.MaxBytes, tc.report)
 			}
-			if m.ProfileCache.MaxBytes != 16<<20 {
-				t.Errorf("profile cache budget = %d, want %d", m.ProfileCache.MaxBytes, 16<<20)
+			if m.ProfileCache.MaxBytes != tc.profile {
+				t.Errorf("profile cache budget = %d, want %d", m.ProfileCache.MaxBytes, tc.profile)
 			}
 		})
 	}
