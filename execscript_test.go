@@ -1,14 +1,18 @@
 package sqlcheck
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"sqlcheck/internal/corpus"
 	"sqlcheck/internal/parser"
 	"sqlcheck/internal/sqlast"
+	"sqlcheck/internal/storage/wal"
 )
 
 // waitGoroutines fails t unless the goroutine count falls back to base.
@@ -81,5 +85,22 @@ func TestExecScriptReraisesParsePanic(t *testing.T) {
 	waitGoroutines(t, base)
 	if n := db.RowCount("t"); n != 1 {
 		t.Errorf("rows = %d, want 1: statements before the panic run", n)
+	}
+}
+
+// TestFixtureIngestImage pins what ingest produces: the encoded image
+// of a tenant fixture executed through ExecScript. Lexing, parsing and
+// the INSERT path may get faster, but the stored rows, their order,
+// the schema and the indexes must not move; any change to them shows
+// up here as a different digest.
+func TestFixtureIngestImage(t *testing.T) {
+	const want = "fa164692eed2bc781303651fa6e357e10d0b4d0b046c65e1e7ac711a3918e2c5"
+	db := NewDatabase("tenant")
+	if err := db.ExecScript(corpus.TenantFixture(4000, 250, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(wal.EncodeDatabase(db.inner))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("fixture image SHA-256 = %s, want %s", got, want)
 	}
 }

@@ -60,11 +60,42 @@ func (t *Tree) Insert(key string, id int64) {
 	t.size++
 }
 
+// InsertUnique adds a posting for key unless the tree holds key
+// already; it reports whether it added one, and leaves the tree
+// untouched when it did not. The duplicate probe and the insert share
+// one descent. When a node on the path is full, the insert goes
+// through Insert, so the tree splits exactly as Insert would split it.
+func (t *Tree) InsertUnique(key string, id int64) bool {
+	n := t.root
+	full := len(n.keys) >= degree
+	for !n.leaf {
+		n = n.children[n.descend(key)]
+		full = full || len(n.keys) >= degree
+	}
+	i := len(n.keys)
+	if i == 0 || n.keys[i-1] >= key {
+		i = sort.SearchStrings(n.keys, key)
+	}
+	if i < len(n.keys) && n.keys[i] == key {
+		return false
+	}
+	if full {
+		t.Insert(key, id)
+		return true
+	}
+	n.insertAt(i, key, id)
+	t.size++
+	return true
+}
+
 // descend returns the child index to follow for key: the first child
 // whose separator is strictly greater than key. Keys equal to a
 // separator live in the RIGHT child (a leaf split keeps the separator
 // key as the right node's first key), so equality moves right.
 func (n *node) descend(key string) int {
+	if k := len(n.keys); k > 0 && n.keys[k-1] <= key {
+		return k // an ascending load always goes right
+	}
 	return sort.Search(len(n.keys), func(j int) bool { return n.keys[j] > key })
 }
 
@@ -90,11 +121,7 @@ func (n *node) insert(key string, id int64) {
 			}
 			return
 		}
-		n.keys = slices.Insert(n.keys, i, key)
-		n.ids = slices.Insert(n.ids, i, id)
-		if n.lists != nil {
-			n.lists = slices.Insert(n.lists, i, nil)
-		}
+		n.insertAt(i, key, id)
 		return
 	}
 	i := n.descend(key)
@@ -105,6 +132,15 @@ func (n *node) insert(key string, id int64) {
 		}
 	}
 	n.children[i].insert(key, id)
+}
+
+// insertAt inserts a new key with its single row id at leaf slot i.
+func (n *node) insertAt(i int, key string, id int64) {
+	n.keys = slices.Insert(n.keys, i, key)
+	n.ids = slices.Insert(n.ids, i, id)
+	if n.lists != nil {
+		n.lists = slices.Insert(n.lists, i, nil)
+	}
 }
 
 // splitChild splits the full i-th child ahead of inserting key,

@@ -261,3 +261,57 @@ func TestBytesPerKey(t *testing.T) {
 		t.Errorf("shuffled load holds %.1f B/key, want <= 56", shuffled)
 	}
 }
+
+// shape renders a tree's node structure, keys included, so two trees
+// can be compared split for split.
+func shape(n *node) string {
+	if n.leaf {
+		return fmt.Sprint(n.keys, n.ids)
+	}
+	out := fmt.Sprint(n.keys, "{")
+	for _, c := range n.children {
+		out += shape(c) + " "
+	}
+	return out + "}"
+}
+
+// TestInsertUniqueSplitsLikeInsert: a tree loaded by InsertUnique has
+// the shape of one loaded by Insert, in ascending and random key
+// order, and an InsertUnique of a present key leaves the tree as it
+// was, even where the path to the key runs through full nodes.
+func TestInsertUniqueSplitsLikeInsert(t *testing.T) {
+	for _, order := range []string{"ascending", "random"} {
+		t.Run(order, func(t *testing.T) {
+			r := rand.New(rand.NewSource(5))
+			a, b := New(), New()
+			var keys []string
+			for i := 0; i < 5000; i++ {
+				x := i
+				if order == "random" {
+					x = r.Intn(1 << 30)
+				}
+				key := fmt.Sprintf("k%010d", x)
+				if len(a.Get(key)) > 0 {
+					continue
+				}
+				keys = append(keys, key)
+				a.Insert(key, int64(i))
+				if !b.InsertUnique(key, int64(i)) {
+					t.Fatalf("InsertUnique(%q) of a new key = false", key)
+				}
+			}
+			if shape(a.root) != shape(b.root) || a.Len() != b.Len() {
+				t.Fatal("InsertUnique built a different tree than Insert")
+			}
+			before := shape(b.root)
+			for _, key := range keys {
+				if b.InsertUnique(key, -1) {
+					t.Fatalf("InsertUnique(%q) of a present key = true", key)
+				}
+			}
+			if shape(b.root) != before || b.Len() != len(keys) {
+				t.Fatal("InsertUnique of present keys changed the tree")
+			}
+		})
+	}
+}

@@ -108,7 +108,8 @@ func fuzzKey(family, x int) string {
 // them to a tree and the model, and checks every read against the
 // model:
 //
-//	op%6 == 0, 1  Insert(key(a), id), duplicates and repeated ids included
+//	op%6 == 0     Insert(key(a), id), duplicates and repeated ids included
+//	op%6 == 1     InsertUnique(key(a), id), which adds only a new key
 //	op%6 == 2     Delete a posting of key(a), or a missing one
 //	op%6 == 3     Get(key(a))
 //	op%6 == 4     AscendRange(key(a), key(b)) stopping after op>>4 keys
@@ -121,7 +122,16 @@ func runOps(t testing.TB, data []byte) {
 		fam := op >> 3
 		key := fuzzKey(fam, a<<4|b&15)
 		switch op % 6 {
-		case 0, 1:
+		case 1:
+			added := tr.InsertUnique(key, next)
+			if want := len(m[key]) == 0; added != want {
+				t.Fatalf("InsertUnique(%q) = %v, want %v", key, added, want)
+			}
+			if added {
+				m.insert(key, next)
+			}
+			next++
+		case 0:
 			id := next
 			if b&16 != 0 && len(m[key]) > 0 {
 				id = m[key][0] // a repeated (key, id) posting

@@ -72,13 +72,16 @@ func (ex *executor) execInsert(s *sqlast.InsertStatement) (*Result, error) {
 			return nil, fmt.Errorf("%w: INSERT supplies %d values for %d columns",
 				storage.ErrArity, len(exprs), len(t.Cols))
 		}
-		row := make(storage.Row, len(t.Cols))
-		for i := range row {
-			row[i] = storage.Null()
-		}
+		row := make(storage.Row, len(t.Cols)) // every column starts NULL
 		for i, e := range exprs {
 			if i >= len(ords) {
 				break
+			}
+			// A literal, every cell of a fixture's VALUES list, is
+			// its own value; anything else is evaluated.
+			if lit, ok := e.(*sqlast.Literal); ok {
+				setLiteral(&row[ords[i]], lit)
+				continue
 			}
 			v, err := Eval(e, env)
 			if err != nil {

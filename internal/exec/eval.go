@@ -178,20 +178,27 @@ func Eval(expr sqlast.Expr, env *Env) (storage.Value, error) {
 	}
 }
 
-func literalValue(l *sqlast.Literal) storage.Value {
+func literalValue(l *sqlast.Literal) (v storage.Value) {
+	setLiteral(&v, l)
+	return v
+}
+
+// setLiteral stores literal l's value in *dst, which must hold NULL
+// (the zero Value). It sets fields in place: a returned Value would
+// be copied through the stack on its way into a row.
+func setLiteral(dst *storage.Value, l *sqlast.Literal) {
 	switch l.LitKind {
 	case "number":
 		if i, err := strconv.ParseInt(l.Value, 10, 64); err == nil {
-			return storage.Int(i)
+			dst.Kind, dst.I = storage.KindInt, i
+			return
 		}
 		f, _ := strconv.ParseFloat(l.Value, 64)
-		return storage.Float(f)
+		dst.Kind, dst.F = storage.KindFloat, f
 	case "string":
-		return storage.Str(l.Value)
+		dst.Kind, dst.S = storage.KindString, l.Value
 	case "bool":
-		return storage.Bool(l.Value == "TRUE")
-	default:
-		return storage.Null()
+		dst.Kind, dst.B = storage.KindBool, l.Value == "TRUE"
 	}
 }
 

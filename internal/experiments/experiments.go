@@ -20,7 +20,7 @@ import (
 type Measurement struct {
 	Label string
 	// AP and Fixed are the execution times of the anti-pattern and
-	// repaired designs: the median run (timeIt, timePair), or the
+	// repaired designs: the median run (timeIt, TimePair), or the
 	// median run of a destructive operation timed from fresh state
 	// (timeOncePair).
 	AP, Fixed time.Duration
@@ -59,7 +59,7 @@ func Fprint(w io.Writer, title string, ms []Measurement) {
 // timeIt runs f repeatedly and returns the median run. It runs one
 // untimed warm-up first, then `runs` timed iterations. The paper
 // reports the average of five runs, but a mean would let one run
-// preempted on a loaded host decide the result (see timePair).
+// preempted on a loaded host decide the result (see TimePair).
 func timeIt(runs int, f func()) time.Duration {
 	if runs <= 0 {
 		runs = 5
@@ -74,14 +74,14 @@ func timeIt(runs int, f func()) time.Duration {
 	return median(ds)
 }
 
-// timePair measures two alternatives by interleaving their runs so
+// TimePair measures two alternatives by interleaving their runs so
 // that clock drift and frequency scaling hit both sides equally, and
 // returns each side's median run. Both get one warm-up call. A mean
 // would not do: a run of a few microseconds that is preempted or
 // caught by a GC pause takes milliseconds, and on a loaded host one
 // such run lands on one side only and moves its 300-run mean
 // several-fold.
-func timePair(runs int, fa, fb func()) (da, db time.Duration) {
+func TimePair(runs int, fa, fb func()) (da, db time.Duration) {
 	if runs <= 0 {
 		runs = 100
 	}
@@ -110,7 +110,7 @@ func median(ds []time.Duration) time.Duration {
 // timeOncePair measures two destructive operations, each of which its
 // setup must give a fresh state per call: it alternates a setup and a
 // timed op for each side `runs` times, timing only the op, and
-// returns each side's median run. As in timePair, the interleaving
+// returns each side's median run. As in TimePair, the interleaving
 // lets a slow stretch of the host hit both sides, not the one that
 // happens to run during it.
 func timeOncePair(runs int, setupA, setupB func() func()) (da, db time.Duration) {

@@ -89,12 +89,12 @@ func TestTimePairIgnoresOneStalledRun(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	slow, fast := timePair(10, func() { time.Sleep(2 * time.Millisecond) }, stallOnce)
+	slow, fast := TimePair(10, func() { time.Sleep(2 * time.Millisecond) }, stallOnce)
 	if fast >= time.Millisecond {
-		t.Errorf("timePair: no-op side with one 20ms stall = %v, want its typical run (< 1ms)", fast)
+		t.Errorf("TimePair: no-op side with one 20ms stall = %v, want its typical run (< 1ms)", fast)
 	}
 	if slow < 2*time.Millisecond {
-		t.Errorf("timePair: 2ms side = %v, want >= 2ms", slow)
+		t.Errorf("TimePair: 2ms side = %v, want >= 2ms", slow)
 	}
 	calls = 0
 	if d := timeIt(10, stallOnce); d >= time.Millisecond {

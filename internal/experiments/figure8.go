@@ -84,7 +84,7 @@ func fig8aIndexOveruse(n int) Measurement {
 	const runs = 300
 	apUpd := updatePool(9, n, runs+2)
 	fixUpd := updatePool(10, n, runs+2)
-	ap, fixed := timePair(runs, apUpd.next(apDB), fixUpd.next(fixDB))
+	ap, fixed := TimePair(runs, apUpd.next(apDB), fixUpd.next(fixDB))
 	return Measurement{Label: "fig8a index overuse: update", AP: ap, Fixed: fixed,
 		PaperAP: 1.663, PaperFixed: 0.244, Note: "paper ~7x"}
 }
@@ -152,7 +152,7 @@ func fig8bGroupedAggregate(n int) Measurement {
 	apDB := build(false)
 	fixDB := build(true)
 	q := "SELECT grp, SUM(amount) FROM Events GROUP BY grp"
-	ap, fixed := timePair(5, func() { mustExec(apDB, q) }, func() { mustExec(fixDB, q) })
+	ap, fixed := TimePair(5, func() { mustExec(apDB, q) }, func() { mustExec(fixDB, q) })
 	return Measurement{Label: "fig8b index underuse: grouped agg", AP: ap, Fixed: fixed,
 		PaperAP: 0.331, PaperFixed: 0.249, Note: "paper ~1.3x"}
 }
@@ -195,7 +195,7 @@ func fig8cLowCardinality(n int) Measurement {
 	indexedDB := build(true)
 	scanDB := build(false)
 	q := "SELECT SUM(v) FROM Flags WHERE code < 'C050'"
-	indexTime, scanTime := timePair(7,
+	indexTime, scanTime := TimePair(7,
 		func() { mustExec(indexedDB, q) },
 		func() { mustExec(scanDB, q) })
 	return Measurement{Label: "fig8c low-cardinality: index is worse", AP: indexTime, Fixed: scanTime,
@@ -261,7 +261,7 @@ func fig8FKs(n int) []Measurement {
 		}
 		return p
 	}
-	dAP, dFix := timePair(dRuns, mkUpdPool(21).next(apDB), mkUpdPool(22).next(fkDB))
+	dAP, dFix := TimePair(dRuns, mkUpdPool(21).next(apDB), mkUpdPool(22).next(fkDB))
 
 	// (e) Select joining the two tables — FK presence is irrelevant to
 	// read cost. Fresh instances so the update experiment's buffer
@@ -277,14 +277,14 @@ func fig8FKs(n int) []Measurement {
 		}
 		return p
 	}
-	eAP, eFix := timePair(300, mkSelPool(23).next(eApDB), mkSelPool(23).next(eFkDB))
+	eAP, eFix := TimePair(300, mkSelPool(23).next(eApDB), mkSelPool(23).next(eFkDB))
 
 	// (f) Update selecting by the referencing column: sequential scan
 	// without an index vs point lookup with one.
 	updByRef := func(db *storage.Database) {
 		mustExec(db, fmt.Sprintf("UPDATE Orders SET amount = amount + 1 WHERE cust_ref = 'C%d'", r.Intn(users)))
 	}
-	fAP, fFix := timePair(20, func() { updByRef(fkDB) }, func() { updByRef(fkIdxDB) })
+	fAP, fFix := TimePair(20, func() { updByRef(fkDB) }, func() { updByRef(fkIdxDB) })
 
 	return []Measurement{
 		{Label: "fig8d foreign key: update by pk", AP: dAP, Fixed: dFix,
@@ -397,7 +397,7 @@ func fig8Enum(n int) []Measurement {
 	// practice (paper: 0.003s vs 0.003s).
 	apDB := buildAP()
 	fixDB := buildFixed()
-	iAP, iFix := timePair(50, func() {
+	iAP, iFix := TimePair(50, func() {
 		mustExec(apDB, "SELECT COUNT(*) FROM Staff WHERE role = 'R2'")
 	}, func() {
 		mustExec(fixDB, "SELECT role_id FROM Roles WHERE role_name = 'R2'")

@@ -18,7 +18,7 @@ import (
 // the literal unchanged.
 func (p *parser) parseExpr() sqlast.Expr {
 	if t := p.cur(); t.Kind == sqltoken.TokenNumber || t.Kind == sqltoken.TokenString {
-		if next := p.peek(); next.IsPunct(",") || next.IsPunct(")") {
+		if next := p.peek(); punctIs(next, ',') || punctIs(next, ')') {
 			return p.parsePrimary()
 		}
 	}
@@ -125,7 +125,7 @@ func (p *parser) parseComparison() sqlast.Expr {
 }
 
 func (p *parser) parseInList() sqlast.Expr {
-	if !p.acceptPunct("(") {
+	if !p.acceptPunct('(') {
 		return p.parseAdditive()
 	}
 	if p.cur().Is("SELECT") || p.cur().Is("WITH") {
@@ -134,9 +134,9 @@ func (p *parser) parseInList() sqlast.Expr {
 		return sub
 	}
 	list := &sqlast.ExprList{}
-	for !p.cur().IsPunct(")") && !p.eof() {
+	for !p.isPunct(')') && !p.eof() {
 		list.Items = append(list.Items, p.parseExpr())
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -187,7 +187,7 @@ func (p *parser) parsePostfix() sqlast.Expr {
 	for p.cur().IsOp("::") {
 		p.advance()
 		p.identValue() // cast target type; the expression keeps its node
-		if p.cur().IsPunct("(") {
+		if p.isPunct('(') {
 			p.skipParens()
 		}
 	}
@@ -199,10 +199,10 @@ func (p *parser) parsePrimary() sqlast.Expr {
 	switch {
 	case t.Kind == sqltoken.TokenNumber:
 		p.advance()
-		return &sqlast.Literal{LitKind: "number", Value: t.Text}
+		return p.literal("number", t.Text)
 	case t.Kind == sqltoken.TokenString:
 		p.advance()
-		return &sqlast.Literal{LitKind: "string", Value: stripString(t.Text)}
+		return p.literal("string", stripString(t.Text))
 	case t.Kind == sqltoken.TokenPlaceholder:
 		p.advance()
 		return &sqlast.Placeholder{Text: t.Text}
@@ -216,11 +216,11 @@ func (p *parser) parsePrimary() sqlast.Expr {
 		return p.parseCase()
 	case t.Is("CAST"):
 		p.advance()
-		if p.acceptPunct("(") {
+		if p.acceptPunct('(') {
 			inner := p.parseExpr()
 			p.accept("AS")
 			name := p.identValue()
-			if p.cur().IsPunct("(") {
+			if p.isPunct('(') {
 				p.skipParens()
 			}
 			p.skipToCloseParen()
@@ -229,7 +229,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 		return p.rawRest()
 	case t.Is("EXISTS"):
 		p.advance()
-		if p.acceptPunct("(") {
+		if p.acceptPunct('(') {
 			if p.cur().Is("SELECT") || p.cur().Is("WITH") {
 				sub := &sqlast.SubQuery{Select: p.parseSelect()}
 				p.skipToCloseParen()
@@ -245,7 +245,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 			p.advance()
 		}
 		return &sqlast.FuncCall{Name: "INTERVAL", Args: []sqlast.Expr{arg}}
-	case t.IsPunct("("):
+	case punctIs(t, '('):
 		p.advance()
 		if p.cur().Is("SELECT") || p.cur().Is("WITH") {
 			sub := &sqlast.SubQuery{Select: p.parseSelect()}
@@ -253,9 +253,9 @@ func (p *parser) parsePrimary() sqlast.Expr {
 			return sub
 		}
 		first := p.parseExpr()
-		if p.cur().IsPunct(",") {
+		if p.isPunct(',') {
 			list := &sqlast.ExprList{Items: []sqlast.Expr{first}}
-			for p.acceptPunct(",") {
+			for p.acceptPunct(',') {
 				list.Items = append(list.Items, p.parseExpr())
 			}
 			p.skipToCloseParen()
@@ -268,7 +268,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 		return &sqlast.ColumnRef{Column: "*"}
 	case isIdentLike(t) || t.Kind == sqltoken.TokenKeyword:
 		// Function call?
-		if p.peek().IsPunct("(") {
+		if punctIs(p.peek(), '(') {
 			return p.parseFuncCall()
 		}
 		return p.parseColumnRef()
@@ -280,21 +280,31 @@ func (p *parser) parsePrimary() sqlast.Expr {
 	}
 }
 
+// literal returns a number or string literal node, taken from the
+// VALUES list's block while the block lasts.
+func (p *parser) literal(kind, value string) *sqlast.Literal {
+	if len(p.lits) == cap(p.lits) {
+		return &sqlast.Literal{LitKind: kind, Value: value}
+	}
+	p.lits = append(p.lits, sqlast.Literal{LitKind: kind, Value: value})
+	return &p.lits[len(p.lits)-1]
+}
+
 func (p *parser) parseFuncCall() sqlast.Expr {
 	name := sqltoken.CanonUpper(p.identValue())
 	fc := &sqlast.FuncCall{Name: name}
-	p.acceptPunct("(")
+	p.acceptPunct('(')
 	if p.accept("DISTINCT") {
 		fc.Distinct = true
 	}
-	for !p.cur().IsPunct(")") && !p.eof() {
+	for !p.isPunct(')') && !p.eof() {
 		if p.cur().IsOp("*") {
 			p.advance()
 			fc.Star = true
 		} else {
 			fc.Args = append(fc.Args, p.parseExpr())
 		}
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -307,7 +317,7 @@ func (p *parser) parseFuncCall() sqlast.Expr {
 func (p *parser) parseColumnRef() *sqlast.ColumnRef {
 	first := p.identValue()
 	ref := &sqlast.ColumnRef{Column: first}
-	for p.cur().IsPunct(".") {
+	for p.isPunct('.') {
 		if p.at(1).IsOp("*") {
 			p.advance()
 			p.advance()
@@ -332,7 +342,11 @@ func (p *parser) parseColumnRef() *sqlast.ColumnRef {
 
 func stripString(s string) string {
 	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
-		return strings.ReplaceAll(s[1:len(s)-1], "''", "'")
+		inner := s[1 : len(s)-1]
+		if strings.IndexByte(inner, '\'') < 0 {
+			return inner
+		}
+		return strings.ReplaceAll(inner, "''", "'")
 	}
 	if len(s) >= 1 && s[0] == '\'' {
 		return s[1:]
@@ -375,7 +389,7 @@ func (p *parser) parseExprListUntilKeyword() []sqlast.Expr {
 	var out []sqlast.Expr
 	for {
 		out = append(out, p.parseExpr())
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			return out
 		}
 	}

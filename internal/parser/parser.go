@@ -12,14 +12,16 @@
 // statement splitter, which lexes the whole script once into one
 // token buffer reused statement after statement; that reuse is safe
 // only because no node keeps the token slice. Single statements
-// (Parse) are lexed with sqltoken.LexSignificant. Both paths build
-// identical ASTs: TestParseAllMatchesPerStatementParse holds ParseAll
-// to Parse over each statement's text.
+// (Parse) are lexed into a pooled token array, reused for the same
+// reason. Both paths build identical ASTs:
+// TestParseAllMatchesPerStatementParse holds ParseAll to Parse over
+// each statement's text.
 package parser
 
 import (
 	"iter"
 	"strings"
+	"sync"
 
 	"sqlcheck/internal/sqlast"
 	"sqlcheck/internal/sqltoken"
@@ -27,8 +29,23 @@ import (
 
 // Parse parses a single SQL statement.
 func Parse(sql string) sqlast.Statement {
-	return parseTokens(sql, sqltoken.LexSignificant(sql))
+	buf := tokenPool.Get().(*[]sqltoken.Token)
+	toks := sqltoken.AppendSignificant((*buf)[:0], sql)
+	stmt := parseTokens(sql, toks)
+	if cap(toks) <= maxPooledTokens {
+		clear(toks) // the pool must not pin sql through token texts
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}
+	return stmt
 }
+
+// tokenPool recycles Parse's token arrays. No node keeps the token
+// slice, so the array is free once its statement is parsed; an array
+// grown past maxPooledTokens tokens is left to the collector.
+var tokenPool = sync.Pool{New: func() any { return new([]sqltoken.Token) }}
+
+const maxPooledTokens = 4096
 
 // parseTokens parses one statement from its text and its significant,
 // EOF-terminated tokens.
@@ -65,6 +82,9 @@ type parser struct {
 	toks []sqltoken.Token // significant tokens, EOF-terminated
 	pos  int
 	text string
+	// lits is the block a VALUES list's number and string literals
+	// are allocated from (literal); nil outside one.
+	lits []sqlast.Literal
 }
 
 func (p *parser) cur() sqltoken.Token  { return p.toks[p.pos] }
@@ -96,13 +116,23 @@ func (p *parser) accept(word string) bool {
 	return false
 }
 
-// acceptPunct consumes the current token if it is the given punctuation.
-func (p *parser) acceptPunct(s string) bool {
-	if p.cur().IsPunct(s) {
+// acceptPunct consumes the current token if it is the punctuation c.
+func (p *parser) acceptPunct(c byte) bool {
+	if p.isPunct(c) {
 		p.advance()
 		return true
 	}
 	return false
+}
+
+// isPunct reports whether the current token is the punctuation c.
+func (p *parser) isPunct(c byte) bool { return punctIs(p.toks[p.pos], c) }
+
+// punctIs reports whether t is the punctuation c. The lexer's
+// TokenPunct is always one byte, so the test compares that byte
+// instead of strings.
+func punctIs(t sqltoken.Token, c byte) bool {
+	return t.Kind == sqltoken.TokenPunct && t.Text[0] == c
 }
 
 // identValue consumes an identifier-ish token and returns its value.
@@ -199,18 +229,18 @@ func (p *parser) parseCTEs() []sqlast.CTE {
 			break
 		}
 		// Optional column list.
-		if p.cur().IsPunct("(") && !p.at(1).Is("SELECT") {
+		if p.isPunct('(') && !p.at(1).Is("SELECT") {
 			p.skipParens()
 		}
 		p.accept("AS")
-		if p.acceptPunct("(") {
+		if p.acceptPunct('(') {
 			if p.cur().Is("SELECT") || p.cur().Is("WITH") {
 				c.Select = p.parseSelect()
 			}
 			p.skipToCloseParen()
 		}
 		ctes = append(ctes, c)
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -250,14 +280,14 @@ func (p *parser) parseSelectCore(sel *sqlast.SelectStatement) {
 				p.accept("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, it)
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
 	}
 	if p.accept("LIMIT") {
 		sel.Limit = p.parseExpr()
-		if p.acceptPunct(",") { // MySQL LIMIT offset, count
+		if p.acceptPunct(',') { // MySQL LIMIT offset, count
 			sel.Offset = sel.Limit
 			sel.Limit = p.parseExpr()
 		}
@@ -275,7 +305,7 @@ func (p *parser) parseSelectItems() []sqlast.SelectItem {
 		case p.cur().IsOp("*"):
 			p.advance()
 			it.Star = true
-		case isIdentLike(p.cur()) && p.peek().IsPunct(".") && p.at(2).IsOp("*"):
+		case isIdentLike(p.cur()) && punctIs(p.peek(), '.') && p.at(2).IsOp("*"):
 			it.Star = true
 			it.StarTable = p.cur().Ident()
 			p.advance()
@@ -290,7 +320,7 @@ func (p *parser) parseSelectItems() []sqlast.SelectItem {
 			}
 		}
 		items = append(items, it)
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			return items
 		}
 	}
@@ -320,7 +350,7 @@ func (p *parser) parseFrom() ([]sqlast.TableRef, []sqlast.Join) {
 	from = append(from, p.parseTableRef())
 	for {
 		switch {
-		case p.acceptPunct(","):
+		case p.acceptPunct(','):
 			from = append(from, p.parseTableRef())
 		case p.cur().Is("JOIN") || p.cur().Is("INNER") || p.cur().Is("LEFT") ||
 			p.cur().Is("RIGHT") || p.cur().Is("FULL") || p.cur().Is("CROSS"):
@@ -355,18 +385,18 @@ func (p *parser) parseJoin() sqlast.Join {
 	if p.accept("ON") {
 		j.On = p.parseExpr()
 	} else if p.accept("USING") {
-		if p.acceptPunct("(") {
+		if p.acceptPunct('(') {
 			for {
 				c := p.identValue()
 				if c == "" {
 					break
 				}
 				j.Using = append(j.Using, c)
-				if !p.acceptPunct(",") {
+				if !p.acceptPunct(',') {
 					break
 				}
 			}
-			p.acceptPunct(")")
+			p.acceptPunct(')')
 		}
 	}
 	return j
@@ -374,7 +404,7 @@ func (p *parser) parseJoin() sqlast.Join {
 
 func (p *parser) parseTableRef() sqlast.TableRef {
 	var t sqlast.TableRef
-	if p.acceptPunct("(") {
+	if p.acceptPunct('(') {
 		if p.cur().Is("SELECT") || p.cur().Is("WITH") {
 			t.Sub = p.parseSelect()
 		}
@@ -411,7 +441,7 @@ func nextClauseKeyword(t sqltoken.Token) bool {
 // qualifiedName parses ident(.ident)* and returns the dotted form.
 func (p *parser) qualifiedName() string {
 	name := p.identValue()
-	for p.cur().IsPunct(".") && isIdentLike(p.peek()) {
+	for p.isPunct('.') && isIdentLike(p.peek()) {
 		p.advance()
 		name += "." + p.identValue()
 	}
@@ -439,7 +469,7 @@ func (p *parser) parseInsert() sqlast.Statement {
 	}
 	p.accept("INTO")
 	ins.Table = p.qualifiedName()
-	if p.cur().IsPunct("(") && !p.at(1).Is("SELECT") {
+	if p.isPunct('(') && !p.at(1).Is("SELECT") {
 		p.advance()
 		for {
 			c := p.identValue()
@@ -447,48 +477,83 @@ func (p *parser) parseInsert() sqlast.Statement {
 				break
 			}
 			ins.Columns = append(ins.Columns, c)
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
-		p.acceptPunct(")")
+		p.acceptPunct(')')
 	}
 	switch {
 	case p.accept("VALUES") || p.accept("VALUE"):
-		width := 0
-		for {
-			if !p.acceptPunct("(") {
-				break
-			}
-			// Rows of one INSERT almost always share a width, so each
-			// row after the first is allocated at the previous row's.
-			// A row with no items stays nil.
-			var row []sqlast.Expr
-			if width > 0 && !p.cur().IsPunct(")") && !p.eof() {
-				row = make([]sqlast.Expr, 0, width)
-			}
-			for !p.cur().IsPunct(")") && !p.eof() {
+		// A VALUES list allocates its literal nodes from one block and
+		// its rows' expression slots from another, each sized by one
+		// count over its tokens. A row takes its slots from the front
+		// of what is left and is cut to its length, so an append to it
+		// never writes into the next row; a literal or a row past the
+		// count allocates on its own. A row with no items stays nil.
+		lits, rows, items := p.countValues()
+		p.lits = make([]sqlast.Literal, 0, lits)
+		slots := make([]sqlast.Expr, items)
+		if rows > 0 {
+			ins.Rows = make([][]sqlast.Expr, 0, rows)
+		}
+		for p.acceptPunct('(') {
+			row := slots[:0:len(slots)]
+			for !p.isPunct(')') && !p.eof() {
 				row = append(row, p.parseExpr())
-				if !p.acceptPunct(",") {
+				if !p.acceptPunct(',') {
 					break
 				}
 			}
-			p.acceptPunct(")")
-			width = len(row)
+			p.acceptPunct(')')
+			switch {
+			case len(row) == 0:
+				row = nil
+			case len(slots) > 0 && &row[0] == &slots[0]:
+				row, slots = row[:len(row):len(row)], slots[len(row):]
+			}
 			ins.Rows = append(ins.Rows, row)
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
+		p.lits = nil
 	case p.cur().Is("SELECT") || p.cur().Is("WITH"):
 		ins.Select = p.parseSelect()
-	case p.acceptPunct("("):
+	case p.acceptPunct('('):
 		if p.cur().Is("SELECT") {
 			ins.Select = p.parseSelect()
 		}
 		p.skipToCloseParen()
 	}
 	return ins
+}
+
+// countValues counts, from the current token to the end of the
+// statement, the number and string tokens, the VALUES rows, and their
+// items: a row ends at the ")" that returns to depth 0 or at end of
+// input, and holds one item more than its depth-1 commas.
+func (p *parser) countValues() (lits, rows, items int) {
+	depth := 0
+	for _, t := range p.toks[p.pos:] {
+		switch {
+		case t.Kind == sqltoken.TokenNumber || t.Kind == sqltoken.TokenString:
+			lits++
+		case t.Kind != sqltoken.TokenPunct:
+		case t.Text[0] == '(':
+			depth++
+		case t.Text[0] == ')':
+			if depth--; depth == 0 {
+				rows++
+			}
+		case t.Text[0] == ',' && depth == 1:
+			items++
+		}
+	}
+	if depth > 0 {
+		rows++
+	}
+	return lits, rows, items + rows
 }
 
 func (p *parser) parseUpdate() sqlast.Statement {
@@ -511,7 +576,7 @@ func (p *parser) parseUpdate() sqlast.Statement {
 			p.advance()
 			a.Value = p.parseExpr()
 			up.Set = append(up.Set, a)
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
@@ -569,23 +634,23 @@ func (p *parser) parseCreateTable(temp bool) sqlast.Statement {
 		}
 		return ct
 	}
-	if !p.acceptPunct("(") {
+	if !p.acceptPunct('(') {
 		return ct
 	}
-	for !p.cur().IsPunct(")") && !p.eof() {
+	for !p.isPunct(')') && !p.eof() {
 		if p.parseTableElement(ct) {
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		} else {
 			// Skip an element we could not parse, up to comma/close.
 			p.skipElement()
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
 	}
-	p.acceptPunct(")")
+	p.acceptPunct(')')
 	return ct
 }
 
@@ -645,14 +710,14 @@ func (p *parser) parseTableElement(ct *sqlast.CreateTableStatement) bool {
 	case "SERIAL", "BIGSERIAL":
 		col.AutoIncrement = true
 	}
-	if p.acceptPunct("(") {
-		for !p.cur().IsPunct(")") && !p.eof() {
+	if p.acceptPunct('(') {
+		for !p.isPunct(')') && !p.eof() {
 			col.TypeParams = append(col.TypeParams, p.typeParam())
-			if !p.acceptPunct(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
-		p.acceptPunct(")")
+		p.acceptPunct(')')
 	}
 	// Column constraints.
 	for {
@@ -678,7 +743,7 @@ func (p *parser) parseTableElement(ct *sqlast.CreateTableStatement) bool {
 		case p.accept("REFERENCES"):
 			col.References = p.parseFKRef()
 		case p.accept("CHECK"):
-			if p.acceptPunct("(") {
+			if p.acceptPunct('(') {
 				col.Check = p.parseExpr()
 				p.skipToCloseParen()
 			}
@@ -737,7 +802,7 @@ func (p *parser) parseTableConstraint() *sqlast.TableConstraint {
 		tc.Columns = p.parenColumnList()
 	case p.accept("CHECK"):
 		tc.CKind = "CHECK"
-		if p.acceptPunct("(") {
+		if p.acceptPunct('(') {
 			tc.Check = p.parseExpr()
 			p.skipToCloseParen()
 		}
@@ -749,10 +814,10 @@ func (p *parser) parseTableConstraint() *sqlast.TableConstraint {
 
 func (p *parser) parenColumnList() []string {
 	var cols []string
-	if !p.acceptPunct("(") {
+	if !p.acceptPunct('(') {
 		return cols
 	}
-	for !p.cur().IsPunct(")") && !p.eof() {
+	for !p.isPunct(')') && !p.eof() {
 		c := p.identValue()
 		if c == "" {
 			p.advance()
@@ -761,17 +826,17 @@ func (p *parser) parenColumnList() []string {
 		cols = append(cols, c)
 		p.accept("ASC")
 		p.accept("DESC")
-		if !p.acceptPunct(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
-	p.acceptPunct(")")
+	p.acceptPunct(')')
 	return cols
 }
 
 func (p *parser) parseFKRef() *sqlast.ForeignKeyRef {
 	ref := &sqlast.ForeignKeyRef{Table: p.qualifiedName()}
-	if p.cur().IsPunct("(") {
+	if p.isPunct('(') {
 		ref.Columns = p.parenColumnList()
 	}
 	for p.cur().Is("ON") {
@@ -896,15 +961,15 @@ func (p *parser) parseDrop() sqlast.Statement {
 
 // skipParens skips a balanced parenthesized group starting at "(".
 func (p *parser) skipParens() {
-	if !p.acceptPunct("(") {
+	if !p.acceptPunct('(') {
 		return
 	}
 	depth := 1
 	for depth > 0 && !p.eof() {
 		t := p.advance()
-		if t.IsPunct("(") {
+		if punctIs(t, '(') {
 			depth++
-		} else if t.IsPunct(")") {
+		} else if punctIs(t, ')') {
 			depth--
 		}
 	}
@@ -916,9 +981,9 @@ func (p *parser) skipToCloseParen() {
 	depth := 1
 	for depth > 0 && !p.eof() {
 		t := p.advance()
-		if t.IsPunct("(") {
+		if punctIs(t, '(') {
 			depth++
-		} else if t.IsPunct(")") {
+		} else if punctIs(t, ')') {
 			depth--
 		}
 	}
@@ -930,12 +995,12 @@ func (p *parser) skipElement() {
 	depth := 0
 	for !p.eof() {
 		t := p.cur()
-		if depth == 0 && (t.IsPunct(",") || t.IsPunct(")")) {
+		if depth == 0 && (punctIs(t, ',') || punctIs(t, ')')) {
 			return
 		}
-		if t.IsPunct("(") {
+		if punctIs(t, '(') {
 			depth++
-		} else if t.IsPunct(")") {
+		} else if punctIs(t, ')') {
 			depth--
 		}
 		p.advance()

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,9 +160,9 @@ func TestParseInsert(t *testing.T) {
 	}
 }
 
-// TestValuesRowsSizedAtPreviousWidth: each VALUES row after the first
-// is allocated at the previous row's width, and a row with no items
-// stays nil, as it was when rows grew by appends.
+// TestValuesRowsSizedAtPreviousWidth: each VALUES row is cut to its
+// width, and a row with no items stays nil, as it was when rows grew
+// by appends.
 func TestValuesRowsSizedAtPreviousWidth(t *testing.T) {
 	ins := Parse("INSERT INTO t VALUES (1, 'a', 2.5), (2, 'b', 3.5), (), (3), (").(*sqlast.InsertStatement)
 	if len(ins.Rows) != 5 {
@@ -174,6 +176,111 @@ func TestValuesRowsSizedAtPreviousWidth(t *testing.T) {
 	}
 	if len(ins.Rows[3]) != 1 {
 		t.Errorf("row after an empty row = %#v, want one item", ins.Rows[3])
+	}
+}
+
+func num(v string) sqlast.Expr { return &sqlast.Literal{LitKind: "number", Value: v} }
+func str(v string) sqlast.Expr { return &sqlast.Literal{LitKind: "string", Value: v} }
+
+// TestValuesBlocks: the rows a VALUES list builds from its literal and
+// slot blocks are the rows built node by node, for ragged rows, nested
+// parentheses and calls, the literals the blocks do not count, and a
+// list cut off at end of input.
+func TestValuesBlocks(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		want      [][]sqlast.Expr
+	}{
+		{"ragged", "INSERT INTO t VALUES (1),(2,3),()",
+			[][]sqlast.Expr{{num("1")}, {num("2"), num("3")}, nil}},
+		{"nested", "INSERT INTO t VALUES (f(1,(2)), 'a''b')",
+			[][]sqlast.Expr{{&sqlast.FuncCall{Name: "F", Args: []sqlast.Expr{num("1"), num("2")}}, str("a'b")}}},
+		{"null-bool-signed", "INSERT INTO t VALUES (NULL, TRUE, -1), (FALSE, +2.5, -'x')",
+			[][]sqlast.Expr{
+				{&sqlast.Literal{LitKind: "null", Value: "NULL"}, &sqlast.Literal{LitKind: "bool", Value: "TRUE"},
+					&sqlast.UnaryExpr{Op: "-", X: num("1")}},
+				{&sqlast.Literal{LitKind: "bool", Value: "FALSE"}, &sqlast.UnaryExpr{Op: "+", X: num("2.5")},
+					&sqlast.UnaryExpr{Op: "-", X: str("x")}},
+			}},
+		{"cut-off", "INSERT INTO t VALUES (1, 'a'), (2, 'b",
+			[][]sqlast.Expr{{num("1"), str("a")}, {num("2"), str("b")}}},
+		{"cut-off-in-row", "INSERT INTO t VALUES (1, 'a'), (2,",
+			[][]sqlast.Expr{{num("1"), str("a")}, {num("2")}}},
+	}
+	for _, c := range cases {
+		ins := Parse(c.sql).(*sqlast.InsertStatement)
+		if !reflect.DeepEqual(ins.Rows, c.want) {
+			t.Errorf("%s: rows = %s, want %s", c.name, renderRows(ins.Rows), renderRows(c.want))
+		}
+	}
+}
+
+// TestValuesRowAppendKeepsNextRow: a row is cut to its length, so an
+// append to it copies instead of writing into the next row's slots.
+func TestValuesRowAppendKeepsNextRow(t *testing.T) {
+	ins := Parse("INSERT INTO t VALUES (1, 2), (3, 4)").(*sqlast.InsertStatement)
+	ins.Rows[0] = append(ins.Rows[0], num("9"))
+	want := [][]sqlast.Expr{{num("1"), num("2"), num("9")}, {num("3"), num("4")}}
+	if !reflect.DeepEqual(ins.Rows, want) {
+		t.Errorf("rows after append = %s, want %s", renderRows(ins.Rows), renderRows(want))
+	}
+}
+
+// TestValuesListAllocatesBlocks: a VALUES list's allocations do not
+// grow with its rows; its literals and slots come from two blocks.
+func TestValuesListAllocatesBlocks(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("INSERT INTO t VALUES ")
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, 'name%d', %d.5)", i, i, i)
+	}
+	sql := b.String()
+	Parse(sql) // fill the token pool
+	if allocs := testing.AllocsPerRun(20, func() { Parse(sql) }); allocs > 8 {
+		t.Errorf("parsing a 100-row VALUES list allocated %.0f times; want at most 8", allocs)
+	}
+}
+
+func renderRows(rows [][]sqlast.Expr) string {
+	var parts []string
+	for _, row := range rows {
+		if row == nil {
+			parts = append(parts, "nil")
+			continue
+		}
+		var items []string
+		for _, e := range row {
+			items = append(items, fmt.Sprintf("%#v", e))
+		}
+		parts = append(parts, "("+strings.Join(items, ", ")+")")
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestParseKeepsNoPooledToken: Parse lexes into a pooled token array
+// that the next Parse overwrites, so no node may keep a window into
+// it: ASTs parsed before other statements equal fresh parses after.
+func TestParseKeepsNoPooledToken(t *testing.T) {
+	sqls := []string{
+		"SELECT CAST price AS INT FROM items",
+		"INSERT INTO t (a, b) VALUES (1, 'x'), (f(2), NULL)",
+		"UPDATE u SET v = 'w' || v WHERE id IN (1, 2) AND name LIKE '%q'",
+		"CREATE TABLE c (id INT PRIMARY KEY, s VARCHAR(10) DEFAULT 'd')",
+	}
+	first := make([]sqlast.Statement, len(sqls))
+	for i, sql := range sqls {
+		first[i] = Parse(sql)
+	}
+	for _, sql := range sqls {
+		Parse(strings.Repeat("SELECT zz, 'overwrite' FROM yy; ", 3) + sql)
+	}
+	for i, sql := range sqls {
+		if again := Parse(sql); !reflect.DeepEqual(first[i], again) {
+			t.Errorf("AST of %q changed after later parses:\nfirst: %#v\nagain: %#v", sql, first[i], again)
+		}
 	}
 }
 

@@ -5,22 +5,26 @@ import (
 	"strings"
 )
 
-// LexSignificant tokenizes input and drops whitespace and comment
-// tokens, which most analyses do not care about. It never fails:
-// input that cannot be classified becomes TokenOther tokens, and the
-// returned slice always ends with a TokenEOF token. Insignificant
-// tokens are skipped as they stream off the lexer — no intermediate
-// full-token slice is built.
+// LexSignificant tokenizes input and drops whitespace and comments,
+// which most analyses do not care about. It never fails: input that
+// cannot be classified becomes TokenOther tokens, and the returned
+// slice always ends with a TokenEOF token.
 func LexSignificant(input string) []Token {
+	return AppendSignificant(make([]Token, 0, len(input)/6+4), input)
+}
+
+// AppendSignificant appends LexSignificant(input)'s tokens to toks
+// and returns the extended slice, so a caller can lex into an array
+// it reuses.
+func AppendSignificant(toks []Token, input string) []Token {
 	l := lexer{src: input, line: 1}
-	toks := make([]Token, 0, len(input)/6+4)
 	for {
-		t := l.next()
-		if t.Kind == TokenWhitespace || t.Kind == TokenComment {
+		kind, start, line := l.next()
+		if kind == TokenComment {
 			continue
 		}
-		toks = append(toks, t)
-		if t.Kind == TokenEOF {
+		toks = append(toks, Token{Kind: kind, Text: input[start:l.pos], Pos: start, Line: line})
+		if kind == TokenEOF {
 			return toks
 		}
 	}
@@ -46,32 +50,68 @@ func (l *lexer) peekAt(off int) byte {
 	return l.src[l.pos+off]
 }
 
-func (l *lexer) next() Token {
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokenEOF, Pos: l.pos, Line: l.line}
+// firstKind dispatches next on a token's first byte for the bytes
+// that begin most tokens and that no earlier case of scanOther's
+// switch could claim: `(),;{}`, `'` and digits. Every other byte maps
+// to TokenEOF, which here means "not dispatched".
+var firstKind = func() (t [256]Kind) {
+	for _, c := range "(),;{}" {
+		t[c] = TokenPunct
 	}
-	start, startLine := l.pos, l.line
-	c := l.src[l.pos]
-	switch {
-	case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-		for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
-			if l.src[l.pos] == '\n' {
-				l.line++
-			}
-			l.pos++
+	t['\''] = TokenString
+	for c := '0'; c <= '9'; c++ {
+		t[c] = TokenNumber
+	}
+	return t
+}()
+
+// next scans the next significant token or comment, skipping the
+// whitespace before it in place: no caller keeps whitespace tokens.
+// It returns the token's kind, start and line; the token ends at
+// l.pos. The common first bytes dispatch through firstKind; every
+// other byte takes scanOther's switch, whose cases are tried in order.
+func (l *lexer) next() (kind Kind, start, line int) {
+	start, line = l.pos, l.line
+	for ; start < len(l.src); start++ {
+		if c := l.src[start]; c == '\n' {
+			line++
+		} else if c != ' ' && c != '\t' && c != '\r' {
+			break
 		}
-		return l.tok(TokenWhitespace, start, startLine)
+	}
+	l.pos, l.line = start, line
+	if l.pos >= len(l.src) {
+		return TokenEOF, start, line
+	}
+	c := l.src[l.pos]
+	switch kind = firstKind[c]; kind {
+	case TokenPunct:
+		l.pos++
+	case TokenString:
+		l.scanQuoted('\'')
+	case TokenNumber:
+		l.scanNumber()
+	default:
+		kind = l.scanOther(c)
+	}
+	return kind, start, line
+}
+
+// scanOther consumes a token whose first byte firstKind does not
+// dispatch, trying the cases in order, and returns its kind.
+func (l *lexer) scanOther(c byte) Kind {
+	switch {
 	case c == '-' && l.peekAt(1) == '-':
 		for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 			l.pos++
 		}
-		return l.tok(TokenComment, start, startLine)
+		return TokenComment
 	case c == '#':
 		// MySQL line comment.
 		for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 			l.pos++
 		}
-		return l.tok(TokenComment, start, startLine)
+		return TokenComment
 	case c == '/' && l.peekAt(1) == '*':
 		l.pos += 2
 		for l.pos < len(l.src) {
@@ -84,16 +124,13 @@ func (l *lexer) next() Token {
 			}
 			l.pos++
 		}
-		return l.tok(TokenComment, start, startLine)
-	case c == '\'':
-		l.scanQuoted('\'')
-		return l.tok(TokenString, start, startLine)
+		return TokenComment
 	case c == '"':
 		l.scanQuoted('"')
-		return l.tok(TokenQuotedIdent, start, startLine)
+		return TokenQuotedIdent
 	case c == '`':
 		l.scanQuoted('`')
-		return l.tok(TokenQuotedIdent, start, startLine)
+		return TokenQuotedIdent
 	case c == '[' && looksLikeBracketIdent(l.src[l.pos:]):
 		for l.pos < len(l.src) && l.src[l.pos] != ']' {
 			l.pos++
@@ -101,53 +138,48 @@ func (l *lexer) next() Token {
 		if l.pos < len(l.src) {
 			l.pos++ // consume ']'
 		}
-		return l.tok(TokenQuotedIdent, start, startLine)
-	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
+		return TokenQuotedIdent
+	case c == '.' && isDigit(l.peekAt(1)):
 		l.scanNumber()
-		return l.tok(TokenNumber, start, startLine)
+		return TokenNumber
 	case isIdentStart(c):
+		start := l.pos
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
-		word := l.src[start:l.pos]
-		kind := TokenIdent
-		if isKeywordFold(word) {
-			kind = TokenKeyword
+		if isKeywordFold(l.src[start:l.pos]) {
+			return TokenKeyword
 		}
-		return l.tok(kind, start, startLine)
+		return TokenIdent
 	case c == '?':
 		l.pos++
-		return l.tok(TokenPlaceholder, start, startLine)
+		return TokenPlaceholder
 	case c == '$' && isDigit(l.peekAt(1)):
 		l.pos++
 		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 			l.pos++
 		}
-		return l.tok(TokenPlaceholder, start, startLine)
+		return TokenPlaceholder
 	case c == ':' && isIdentStart(l.peekAt(1)):
 		l.pos++
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
-		return l.tok(TokenPlaceholder, start, startLine)
+		return TokenPlaceholder
 	case c == '%' && l.peekAt(1) == 's':
 		// Python-style interpolation placeholder, common in embedded SQL.
 		l.pos += 2
-		return l.tok(TokenPlaceholder, start, startLine)
-	case c == '(' || c == ')' || c == ',' || c == ';' || c == '.' || c == '[' || c == ']' || c == '{' || c == '}':
+		return TokenPlaceholder
+	case c == '.' || c == '[' || c == ']':
 		l.pos++
-		return l.tok(TokenPunct, start, startLine)
+		return TokenPunct
 	default:
-		if op := l.scanOperator(); op {
-			return l.tok(TokenOperator, start, startLine)
+		if l.scanOperator() {
+			return TokenOperator
 		}
 		l.pos++
-		return l.tok(TokenOther, start, startLine)
+		return TokenOther
 	}
-}
-
-func (l *lexer) tok(k Kind, start, line int) Token {
-	return Token{Kind: k, Text: l.src[start:l.pos], Pos: start, Line: line}
 }
 
 // scanQuoted consumes a quoted region starting at the current position
@@ -155,27 +187,31 @@ func (l *lexer) tok(k Kind, start, line int) Token {
 // character; backslash escapes are honored inside single quotes since
 // MySQL permits them. An unterminated quote consumes to end of input
 // rather than failing — the lexer is non-validating.
+//
+// The scan runs on locals and stores the lexer's position and line
+// once: through the pointer, every byte paid a load and a store.
 func (l *lexer) scanQuoted(q byte) {
-	l.pos++ // opening quote
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\\' && q == '\'' && l.pos+1 < len(l.src) {
-			l.pos += 2
+	src, i, line := l.src, l.pos+1, l.line // i is past the opening quote
+	for i < len(src) {
+		c := src[i]
+		if c == '\\' && q == '\'' && i+1 < len(src) {
+			i += 2
 			continue
 		}
 		if c == q {
-			if l.peekAt(1) == q { // doubled quote escape
-				l.pos += 2
+			if i+1 < len(src) && src[i+1] == q { // doubled quote escape
+				i += 2
 				continue
 			}
-			l.pos++
-			return
+			i++
+			break
 		}
 		if c == '\n' {
-			l.line++
+			line++
 		}
-		l.pos++
+		i++
 	}
+	l.pos, l.line = i, line
 }
 
 func (l *lexer) scanNumber() {
@@ -318,11 +354,17 @@ func Statements(input string) iter.Seq2[StmtPrint, []Token] {
 			lastLine int
 		)
 		for {
-			t := l.next()
+			kind, start, line := l.next()
+			// A TokenPunct is one byte; the boundary and depth tests
+			// read it instead of comparing strings.
+			var punct byte
+			if kind == TokenPunct {
+				punct = input[start]
+			}
 			switch {
-			case t.Kind == TokenEOF || (t.IsPunct(";") && depth == 0):
+			case kind == TokenEOF || (punct == ';' && depth == 0):
 				if begin >= 0 {
-					text := trimLexSpace(input[begin:t.Pos])
+					text := trimLexSpace(input[begin:start])
 					end := begin + len(text)
 					if last.Pos+len(last.Text) > end {
 						// A token that runs to end of input (an
@@ -330,10 +372,10 @@ func Statements(input string) iter.Seq2[StmtPrint, []Token] {
 						// whitespace the trim dropped. Re-lex it against
 						// the trimmed end, as lexing text alone would.
 						sub := lexer{src: input[:end], pos: last.Pos, line: last.Line}
-						clipped := sub.next()
+						sub.next()
 						lastLine = sub.line
 						if last.Kind != TokenComment {
-							toks[len(toks)-1].Text = clipped.Text
+							toks[len(toks)-1].Text = input[last.Pos:sub.pos]
 						}
 					}
 					toks = append(toks, Token{Kind: TokenEOF, Pos: len(text), Line: lastLine - beginLine + 1})
@@ -341,30 +383,31 @@ func Statements(input string) iter.Seq2[StmtPrint, []Token] {
 						return
 					}
 				}
-				if t.Kind == TokenEOF {
+				if kind == TokenEOF {
 					return
 				}
 				begin, toks = -1, toks[:0]
-			case t.Kind == TokenWhitespace:
-			case t.Kind == TokenComment:
+			case kind == TokenComment:
 				// Inside a statement a comment is part of its text
 				// (it can hold newlines), but never a token of it.
 				if begin >= 0 {
-					last, lastLine = t, l.line
+					last, lastLine = Token{Kind: kind, Text: input[start:l.pos], Pos: start, Line: line}, l.line
 				}
 			default:
 				if begin < 0 {
-					begin, beginLine = t.Pos, t.Line
+					begin, beginLine = start, line
 				}
-				if t.IsPunct("(") {
+				if punct == '(' {
 					depth++
-				} else if t.IsPunct(")") && depth > 0 {
+				} else if punct == ')' && depth > 0 {
 					depth--
 				}
-				last, lastLine = t, l.line
-				t.Pos -= begin
-				t.Line -= beginLine - 1
-				toks = append(toks, t)
+				last, lastLine = Token{Kind: kind, Text: input[start:l.pos], Pos: start, Line: line}, l.line
+				// Field by field: an appended Token literal is built
+				// on the stack and copied, which stalls on every token.
+				toks = append(toks, Token{})
+				tk := &toks[len(toks)-1]
+				tk.Kind, tk.Text, tk.Pos, tk.Line = kind, input[start:l.pos], start-begin, line-beginLine+1
 			}
 		}
 	}

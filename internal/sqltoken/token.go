@@ -15,7 +15,9 @@ import (
 type Kind int
 
 // Token kinds. TokenOther covers any byte sequence the lexer cannot
-// classify; it is still carried through so no input is ever lost.
+// classify; it is still carried through so no input is ever lost. The
+// lexer skips whitespace in place, so only the test reference lexer
+// emits TokenWhitespace.
 const (
 	TokenEOF Kind = iota
 	TokenWhitespace

@@ -32,8 +32,8 @@ type IOStats struct {
 // the engine is single-threaded per query, like a single backend.
 type bufferPool struct {
 	cap   int
-	pages map[int64]int // page id -> slot in order
-	order []int64       // LRU order, most recent last
+	pages map[int64]struct{} // the pages order holds
+	order []int64            // LRU order, most recent last
 	stats IOStats
 }
 
@@ -41,13 +41,18 @@ func newBufferPool(capPages int) *bufferPool {
 	if capPages <= 0 {
 		capPages = DefaultBufferPages
 	}
-	return &bufferPool{cap: capPages, pages: make(map[int64]int)}
+	return &bufferPool{cap: capPages, pages: make(map[int64]struct{})}
 }
 
 // touch simulates accessing the given page: an LRU hit counts a cache
 // hit, a miss counts a page read and evicts the least recently used
-// page.
+// page. A hit on the most recent page, the common case of a scan or a
+// run of inserts, is already in place and skips promote's scan.
 func (bp *bufferPool) touch(page int64) {
+	if n := len(bp.order); n > 0 && bp.order[n-1] == page {
+		bp.stats.CacheHits++
+		return
+	}
 	if _, ok := bp.pages[page]; ok {
 		bp.stats.CacheHits++
 		bp.promote(page)
@@ -60,7 +65,7 @@ func (bp *bufferPool) touch(page int64) {
 		delete(bp.pages, victim)
 	}
 	bp.order = append(bp.order, page)
-	bp.pages[page] = len(bp.order) - 1
+	bp.pages[page] = struct{}{}
 }
 
 func (bp *bufferPool) promote(page int64) {
@@ -75,7 +80,7 @@ func (bp *bufferPool) promote(page int64) {
 
 // reset drops all cached pages and zeroes the stats.
 func (bp *bufferPool) reset() {
-	bp.pages = make(map[int64]int)
+	bp.pages = make(map[int64]struct{})
 	bp.order = bp.order[:0]
 	bp.stats = IOStats{}
 }

@@ -3,6 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,8 +126,18 @@ func TestUniqueSecondaryIndex(t *testing.T) {
 	}
 	u.MustInsert(Int(1), Str("a"), Str("a@x.com"))
 	_, err := u.Insert(Row{Int(2), Str("b"), Str("a@x.com")})
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, ErrDuplicateKey) || !strings.Contains(err.Error(), "u_email") {
+		t.Fatalf("err = %v, want a duplicate on u_email", err)
+	}
+	// The unique index is probed before the primary key's one-descent
+	// insert, so the failed row left no posting behind: id 2 is free.
+	if n := u.pk.tree.Len(); n != 1 {
+		t.Fatalf("primary key holds %d postings after a failed insert, want 1", n)
+	}
+	u.MustInsert(Int(2), Str("b"), Str("b@x.com"))
+	// A row colliding on both reports the primary key.
+	if _, err := u.Insert(Row{Int(1), Str("c"), Str("b@x.com")}); !errors.Is(err, ErrDuplicateKey) || !strings.Contains(err.Error(), " pk") {
+		t.Fatalf("err = %v, want a duplicate primary key", err)
 	}
 }
 
@@ -561,5 +574,36 @@ func TestRowLenMatchesAppendRow(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBufferPoolMatchesLRU drives the simulated buffer pool and a
+// plain LRU list with the same page touches, runs of repeats included
+// (the pool's most-recent-page shortcut), and requires the same hit
+// and read counts and the same LRU order after every touch.
+func TestBufferPoolMatchesLRU(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	bp := newBufferPool(4)
+	var order []int64
+	var want IOStats
+	for i := 0; i < 2000; i++ {
+		page := int64(r.Intn(7))
+		if r.Intn(3) == 0 && len(order) > 0 {
+			page = order[len(order)-1]
+		}
+		bp.touch(page)
+		if j := slices.Index(order, page); j >= 0 {
+			want.CacheHits++
+			order = append(slices.Delete(order, j, j+1), page)
+		} else {
+			want.PageReads++
+			if len(order) == 4 {
+				order = order[1:]
+			}
+			order = append(order, page)
+		}
+		if bp.stats != want || !slices.Equal(bp.order, order) || len(bp.pages) != len(order) {
+			t.Fatalf("touch %d of page %d: pool stats %+v order %v, want %+v %v", i, page, bp.stats, bp.order, want, order)
+		}
 	}
 }

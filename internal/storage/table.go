@@ -45,6 +45,11 @@ type Index struct {
 // add inserts row r's posting under its encoded key.
 func (ix *Index) add(key string, r Row, id int64) {
 	ix.tree.Insert(key, id)
+	ix.counted(r)
+}
+
+// counted records a posting of row r that was added to the tree.
+func (ix *Index) counted(r Row) {
 	ix.kinds[r[ix.Cols[0]].Kind]++
 	ix.touches++
 }
@@ -640,24 +645,34 @@ func (t *Table) Insert(r Row) (int64, error) {
 	}
 	// Each key is encoded once and serves both the duplicate probe
 	// and the tree insert below; keyBuf keeps up to four index keys
-	// off the heap.
+	// off the heap. Secondary unique indexes are probed first, so the
+	// primary key's probe can share its descent with its insert and a
+	// failing insert still changes nothing. A row that collides on
+	// both reports the primary key, as a primary-key probe made first
+	// would.
 	var pkKey string
 	if t.pk != nil {
 		pkKey = t.pk.keyFor(r)
-		if len(t.pk.tree.Get(pkKey)) > 0 {
-			return 0, fmt.Errorf("%w: table %s pk", ErrDuplicateKey, t.Name)
-		}
 	}
 	var keyBuf [4]string
 	keys := keyBuf[:0]
 	for _, ix := range t.indexes {
 		key := ix.keyFor(r)
 		if ix.Unique && len(ix.tree.Get(key)) > 0 {
+			if t.pk != nil && len(t.pk.tree.Get(pkKey)) > 0 {
+				return 0, fmt.Errorf("%w: table %s pk", ErrDuplicateKey, t.Name)
+			}
 			return 0, fmt.Errorf("%w: index %s", ErrDuplicateKey, ix.Name)
 		}
 		keys = append(keys, key)
 	}
 	id := int64(t.slots)
+	if t.pk != nil {
+		if !t.pk.tree.InsertUnique(pkKey, id) {
+			return 0, fmt.Errorf("%w: table %s pk", ErrDuplicateKey, t.Name)
+		}
+		t.pk.counted(r)
+	}
 	if int(id/PageRows) == len(t.pages) {
 		np := newRowPage()
 		if t.cache != nil {
@@ -670,9 +685,6 @@ func (t *Table) Insert(r Row) (int64, error) {
 	t.live++
 	t.bumpVersion()
 	t.touchRowPage(id)
-	if t.pk != nil {
-		t.pk.add(pkKey, r, id)
-	}
 	for i, ix := range t.indexes {
 		ix.add(keys[i], r, id)
 	}
